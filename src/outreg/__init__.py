@@ -19,8 +19,8 @@ from .outlier_gate import (Gate, OutlierPartition, classify, fit_gate,
 from .preprocess import (MinMaxScaler, OneHotGroup, TargetTransform,
                          apply_minmax, clip_nonnegative, fit_minmax,
                          inverse_transform_target, invert_minmax,
-                         one_hot_encode, r_outl, r_outl_estimate,
-                         transform_target)
+                         minmax_onehot_group, one_hot_encode, r_outl,
+                         r_outl_estimate, transform_target)
 from .regress import (Activation, CvConfig, ElmModel, EnsembleModel,
                       LinearModel, TrimPolicy, activation_value,
                       default_node_grid, elm_predict, elm_train,
@@ -41,7 +41,7 @@ __all__ = [
     "ensemble_predict", "ensemble_train", "fit_gate", "fit_minmax",
     "inverse_transform_target", "invert_minmax", "load_ensemble",
     "load_gate", "lr_fit", "lr_predict", "mahalanobis_distance",
-    "nearest_training_neighbor", "nlror_predict", "nlror_predict_detailed",
+    "minmax_onehot_group", "nearest_training_neighbor", "nlror_predict", "nlror_predict_detailed",
     "nn_linear_extrapolate", "one_hot_encode", "percentile", "pinv_solve",
     "r_outl", "r_outl_estimate", "sample_covariance", "sample_mean",
     "save_ensemble", "save_gate", "select_node_count", "transform_target",

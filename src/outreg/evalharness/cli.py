@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -66,20 +67,20 @@ def _config_from_json(raw: dict) -> ExperimentConfig:
     if "cv" in raw:
         cv = raw["cv"]
         _check_keys(cv, {"folds", "candidate_node_counts", "seed"}, "config.cv")
-        kwargs["cv"] = CvConfig(
-            folds=int(cv.get("folds", 5)),
-            candidate_node_counts=tuple(int(c) for c in cv["candidate_node_counts"]),
-            seed=int(cv.get("seed", 0)),
-        )
+        cv_kwargs = {key: int(cv[key]) for key in ("folds", "seed") if key in cv}
+        if "candidate_node_counts" in cv:
+            cv_kwargs["candidate_node_counts"] = tuple(
+                int(c) for c in cv["candidate_node_counts"])
+        kwargs["cv"] = CvConfig(**cv_kwargs)
     if "or" in raw:
         oc = raw["or"]
         _check_keys(oc, {"delta1_values", "delta2_values", "include_raw_nlr"},
                     "config.or")
-        kwargs["or_config"] = OrConfig(
-            delta1_values=tuple(float(d) for d in oc.get("delta1_values", (0.25, 0.5))),
-            delta2_values=tuple(float(d) for d in oc.get("delta2_values", (0.5, 1.0))),
-            include_raw_nlr=bool(oc.get("include_raw_nlr", True)),
-        )
+        or_kwargs = {key: tuple(float(d) for d in oc[key])
+                     for key in ("delta1_values", "delta2_values") if key in oc}
+        if "include_raw_nlr" in oc:
+            or_kwargs["include_raw_nlr"] = bool(oc["include_raw_nlr"])
+        kwargs["or_config"] = OrConfig(**or_kwargs)
     return ExperimentConfig(**kwargs)
 
 
@@ -147,10 +148,7 @@ def _cmd_run(args) -> int:
         overrides["members_per_trial"] = args.members
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if overrides:
-        base = {f: getattr(config, f) for f in config.__dataclass_fields__}
-        base.update(overrides)
-        config = ExperimentConfig(**base)
+    config = dataclasses.replace(config, **overrides)
     result = run_experiment(dataset, config)
     written = emit_report(result, args.out, fmt=args.format)
     for path in written:

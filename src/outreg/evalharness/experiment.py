@@ -21,14 +21,15 @@ with the same config and dataset produce identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..extrapolate import OrConfig, nlror_predict_detailed
 from ..outlier_gate import classify, fit_gate
 from ..preprocess import (TargetTransform, apply_minmax, clip_nonnegative,
-                          fit_minmax, inverse_transform_target, r_outl)
+                          fit_minmax, inverse_transform_target,
+                          minmax_onehot_group, r_outl)
 from ..regress import (Activation, CvConfig, default_node_grid, ensemble_predict,
                        ensemble_train, lr_fit, lr_predict, select_node_count)
 from ..seeding import STREAM_CV, STREAM_TRIAL, derive_seed
@@ -110,10 +111,8 @@ def _subset_metrics(pred, obs, rows, mad_scale, min_rows):
         return {"maen": None, "spearman": None}
     p = pred[rows]
     o = obs[rows]
-    if mad_scale == 0.0:
-        maen_value = None
-    else:
-        maen_value = float(np.mean(np.abs(p - o)) / mad_scale)
+    # obs is the full test target, the MAD reference of every subset
+    maen_value = None if mad_scale == 0.0 else maen(p, o, obs)
     try:
         spearman_value = spearman(p, o)
     except ValueError:
@@ -206,15 +205,11 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
     percentile_keys = [_qkey(q) for q in config.gate_percentiles]
 
     # the fallback needs indicator-aware geometry whenever the dataset has
-    # one-hot blocks; wire them in unless the caller configured their own
-    or_config = config.or_config
-    if not or_config.categorical_groups and dataset.onehot_groups:
-        or_config = OrConfig(
-            delta1_values=or_config.delta1_values,
-            delta2_values=or_config.delta2_values,
-            include_raw_nlr=or_config.include_raw_nlr,
-            categorical_groups=dataset.onehot_groups,
-        )
+    # one-hot blocks; wire them in unless the caller configured their own.
+    # It sees scaled rows, so the groups' levels go through the scaler too
+    groups = config.or_config.categorical_groups or dataset.onehot_groups
+    or_config = replace(config.or_config, categorical_groups=tuple(
+        minmax_onehot_group(scaler, g) for g in groups))
 
     mad_scale = mad(yte)
     clip_in_scoring_space = (dataset.clip_negative_predictions

@@ -165,8 +165,7 @@ def _indicator_columns(groups: tuple[OneHotGroup, ...]) -> list[int]:
 
 def _check_indicator_block(x: np.ndarray, group: OneHotGroup) -> None:
     block = x[list(group.column_indices)]
-    ones = np.flatnonzero(block == 1.0)
-    if ones.size != 1 or not np.all((block == 0.0) | (block == 1.0)):
+    if not np.any(np.all(group.category_blocks() == block, axis=1)):
         raise ValueError(
             f"coordinates {group.column_indices} do not form a valid one-hot "
             f"indicator block: {block.tolist()}"

@@ -10,7 +10,7 @@ data asks the model to extrapolate.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,10 +165,16 @@ def clip_nonnegative(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OneHotGroup:
-    """Columns of an encoded matrix that together form one indicator block."""
+    """Columns of an encoded matrix that together form one indicator block.
+
+    ``levels`` holds each column's (absent, present) value in that matrix:
+    (0, 1) as ``one_hot_encode`` writes them, which is the default, or the
+    images of 0 and 1 once the columns are rescaled (``minmax_onehot_group``).
+    """
 
     column_indices: tuple[int, ...]
     category_labels: tuple[str, ...]
+    levels: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         if len(self.column_indices) != len(self.category_labels):
@@ -180,6 +186,32 @@ class OneHotGroup:
             raise ValueError("a one-hot group needs at least one category")
         if len(set(self.column_indices)) != len(self.column_indices):
             raise ValueError("one-hot column indices must be distinct")
+        if not self.levels:
+            object.__setattr__(self, "levels",
+                               ((0.0, 1.0),) * len(self.column_indices))
+        elif len(self.levels) != len(self.column_indices):
+            raise ValueError(
+                f"{len(self.levels)} levels for {len(self.column_indices)} columns"
+            )
+
+    def category_blocks(self) -> np.ndarray:
+        """(K, K) array whose row j is the block of category j."""
+        absent, present = np.array(self.levels, dtype=float).T
+        return np.where(np.eye(absent.size, dtype=bool), present, absent)
+
+
+def minmax_onehot_group(scaler: MinMaxScaler, group: OneHotGroup) -> OneHotGroup:
+    """The group with its levels mapped as ``apply_minmax(scaler, .)`` maps them.
+
+    The levels go through the same arithmetic as the data, so scaled rows
+    match them bitwise.  A column constant in training maps both levels
+    to 0, so a category absent from training is still a valid block.
+    """
+    cols = list(group.column_indices)
+    rows = np.tile(scaler.x_min, (2, 1))
+    rows[:, cols] = np.array(group.levels, dtype=float).T
+    absent, present = apply_minmax(scaler, rows)[:, cols]
+    return replace(group, levels=tuple(zip(absent.tolist(), present.tolist())))
 
 
 def one_hot_encode(labels, category_labels) -> np.ndarray:

@@ -10,11 +10,21 @@ Hidden weights are uniform on [-1, 1] and hidden biases uniform on [0, 1],
 drawn in that order from a generator derived from the training seed, so a
 given (seed, node_count, activation) triple always yields the same model.
 The output layer has no bias term.
+
+An ensemble is evaluated in one stacked forward pass rather than member
+by member: the members' hidden weights, biases and output weights are
+stacked once per ensemble into (M, d, L), (M, 1, L) and (M, L, m) arrays,
+and ``np.matmul`` runs a chunk of members at a time, with chunks sized so
+that the hidden-layer temporaries stay near ``_CHUNK_ELEMENTS`` floats.
+Each member's product is the same BLAS call on the same strides as a
+single-member prediction, so the ensemble output is bitwise that of
+averaging ``elm_predict`` over the members.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -24,6 +34,9 @@ from .numkernel import as_matrix, as_vector, pinv_solve
 from .seeding import STREAM_CV, STREAM_MEMBER, derive_rng, derive_seed
 
 DEFAULT_NODE_GRID = (5, 10, 20, 40, 70, 100, 150, 200, 300)
+
+# hidden-layer floats evaluated at once by ensemble_predict (128 KiB)
+_CHUNK_ELEMENTS = 1 << 14
 
 
 class Activation(enum.Enum):
@@ -43,14 +56,17 @@ def activation_value(kind: Activation, z: float) -> float:
 
 
 def _activate(kind: Activation, z: np.ndarray) -> np.ndarray:
+    """Activation of a pre-activation array; may overwrite ``z``."""
     if kind is Activation.SIGMOID:
-        # split by sign so exp never sees a large positive argument
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        # e = exp(-|z|) never overflows; 1/(1+e) for z >= 0 and e/(1+e)
+        # below are, element by element, the sign-split logistic forms
+        nonneg = z >= 0
+        e = np.abs(z, out=z)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        out = np.where(nonneg, 1.0, e)
+        np.add(e, 1.0, out=e)
+        return np.divide(out, e, out=out)
     if kind is Activation.RADIAL_BASIS:
         # exp(-z^2); |z| capped where the result already underflows to 0
         return np.exp(-np.square(np.minimum(np.abs(z), 40.0)))
@@ -80,8 +96,11 @@ class ElmModel:
         return self.hidden_weights.shape[1]
 
 
-def _hidden_activations(model_weights, model_biases, activation, X):
-    return _activate(activation, X @ model_weights.T + model_biases)
+def _hidden_layer(X, weights_t, biases, activation):
+    """activation(X W^T + b); W^T and b may carry a leading member axis."""
+    z = np.matmul(X, weights_t)
+    z += biases
+    return _activate(activation, z)
 
 
 def elm_train(inputs, targets, node_count: int, activation: Activation,
@@ -103,7 +122,7 @@ def elm_train(inputs, targets, node_count: int, activation: Activation,
     rng = derive_rng(seed)
     W = rng.uniform(-1.0, 1.0, size=(node_count, X.shape[1]))
     b = rng.uniform(0.0, 1.0, size=node_count)
-    H = _hidden_activations(W, b, activation, X)
+    H = _hidden_layer(X, W.T, b, activation)
     if not np.isfinite(H).all():
         raise RuntimeError(
             f"hidden activations are not finite (activation={activation.value}, "
@@ -121,8 +140,8 @@ def elm_predict(model: ElmModel, inputs) -> np.ndarray:
         raise ValueError(
             f"inputs have {X.shape[1]} columns, model expects {model.input_dim}"
         )
-    H = _hidden_activations(model.hidden_weights, model.hidden_biases,
-                            model.activation, X)
+    H = _hidden_layer(X, model.hidden_weights.T, model.hidden_biases,
+                      model.activation)
     return H @ model.output_weights
 
 
@@ -159,6 +178,18 @@ class EnsembleModel:
     def input_dim(self) -> int:
         return self.members[0].input_dim
 
+    @functools.cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Member weights stacked as W^T (M, d, L), b (M, 1, L), B (M, L, m).
+
+        W^T is a transposed view of the stacked (M, L, d) weights, so each
+        member's slice has the strides of ``hidden_weights.T``.
+        """
+        weights = np.stack([m.hidden_weights for m in self.members])
+        biases = np.stack([m.hidden_biases for m in self.members])[:, None, :]
+        outputs = np.stack([m.output_weights for m in self.members])
+        return weights.transpose(0, 2, 1), biases, outputs
+
 
 def ensemble_train(inputs, targets, node_count: int, activation: Activation,
                    member_count: int = 100, seed: int = 0,
@@ -189,10 +220,21 @@ def ensemble_predict(ensemble: EnsembleModel, inputs) -> np.ndarray:
     Under drop-min-max the single largest and single smallest member
     prediction at each output cell are excluded before averaging.
     """
-    stacked = np.stack([elm_predict(m, inputs) for m in ensemble.members])
+    X = as_matrix(inputs, "inputs")
+    if X.shape[1] != ensemble.input_dim:
+        raise ValueError(
+            f"inputs have {X.shape[1]} columns, model expects {ensemble.input_dim}"
+        )
+    weights_t, biases, outputs = ensemble._stacked
+    count = len(ensemble.members)
+    stacked = np.empty((count, X.shape[0], outputs.shape[2]))
+    step = max(1, _CHUNK_ELEMENTS // max(1, X.shape[0] * ensemble.node_count))
+    for i in range(0, count, step):
+        chunk = slice(i, i + step)
+        H = _hidden_layer(X, weights_t[chunk], biases[chunk], ensemble.activation)
+        np.matmul(H, outputs[chunk], out=stacked[chunk])
     if ensemble.trim_policy is TrimPolicy.NONE:
         return stacked.mean(axis=0)
-    count = stacked.shape[0]
     total = stacked.sum(axis=0) - stacked.max(axis=0) - stacked.min(axis=0)
     return total / (count - 2)
 

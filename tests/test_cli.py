@@ -13,7 +13,8 @@ import json
 import numpy as np
 import pytest
 
-from outreg import apply_minmax, classify, fit_gate, fit_minmax
+from outreg import (CvConfig, OrConfig, apply_minmax, classify, fit_gate,
+                    fit_minmax)
 from outreg.evalharness import load_dataset, load_manifest, load_report
 from outreg.evalharness.cli import main
 
@@ -176,6 +177,53 @@ class TestRunCommand:
         assert doc["config"]["delta2_values"] == [1.0]
         assert doc["config"]["include_raw_nlr"] is False
 
+
+    def test_or_section_keys_left_out_take_the_defaults(self, tmp_path):
+        manifest_path = _write_dataset(tmp_path)
+        config_path = _write_config(tmp_path, **{"or": {"delta1_values": [0.5]}})
+        out_dir = tmp_path / "out"
+        assert main(["run", "--manifest", str(manifest_path),
+                     "--config", str(config_path),
+                     "--out", str(out_dir)]) == 0
+        doc = load_report(out_dir / "report.json")
+        defaults = OrConfig()
+        assert doc["config"]["delta1_values"] == [0.5]
+        assert doc["config"]["delta2_values"] == list(defaults.delta2_values)
+        assert doc["config"]["include_raw_nlr"] is defaults.include_raw_nlr
+
+    def test_cv_section_keys_left_out_take_the_defaults(self, tmp_path):
+        manifest_path = _write_dataset(tmp_path)
+        config_path = _write_config(tmp_path, cv={"folds": 4})
+        out_dir = tmp_path / "out"
+        with pytest.warns(UserWarning, match="skipping candidate"):
+            code = main(["run", "--manifest", str(manifest_path),
+                         "--config", str(config_path), "--out", str(out_dir)])
+        assert code == 0
+        doc = load_report(out_dir / "report.json")
+        assert doc["config"]["cv_folds"] == 4
+        assert doc["config"]["cv_candidates"] == list(CvConfig().candidate_node_counts)
+
+    def test_categorical_manifest_with_gated_rows_runs(self, tmp_path):
+        """One-hot columns reach the fallback min-max scaled, like the rest."""
+        manifest_path = _write_dataset(tmp_path)
+        rows = list(csv.reader((tmp_path / "cli-demo.csv").read_text().splitlines()))
+        with open(tmp_path / "cli-demo.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(rows[0] + ["season"])
+            for i, row in enumerate(rows[1:]):
+                writer.writerow(row + [("wet", "dry")[i % 2]])
+        manifest = json.loads(manifest_path.read_text())
+        manifest["feature_columns"].append("season")
+        manifest["categorical_groups"] = [{"column": "season",
+                                           "categories": ["wet", "dry"]}]
+        manifest_path.write_text(json.dumps(manifest))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--manifest", str(manifest_path),
+                     "--config", str(_write_config(tmp_path)),
+                     "--out", str(out_dir)]) == 0
+        doc = load_report(out_dir / "report.json")
+        assert doc["dataset"]["n_features"] == 4
+        assert doc["dataset"]["outlier_counts"]["99.0"] > 0
 
 class TestReportCommand:
     def _make_report(self, tmp_path, name, seed):

@@ -11,6 +11,7 @@ master seed must agree cell by cell, bitwise.
 """
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -438,3 +439,53 @@ class TestIndicatorColumns:
                               gate_percentiles=(99.0,), trials=1)
         result = run_experiment(dataset, config)
         assert result.dataset_summary["r_outl_excluded_columns"] == [1, 2, 3]
+
+
+def _categorical_dataset(test_categories):
+    """One continuous column and a 3-category block (A, B, C).
+
+    Training alternates A and B, so C's column is constant there.  The
+    last test row sits far outside the continuous training range, with
+    the category named last in ``test_categories``.
+    """
+    rng = np.random.default_rng(23)
+    n_tr = 40
+    codes = np.eye(3)
+    x_tr = rng.uniform(0.0, 1.0, size=n_tr)
+    Xtr = np.column_stack([x_tr, codes[np.arange(n_tr) % 2]])
+    cats = ["ABC".index(c) for c in test_categories]
+    x_te = np.append(rng.uniform(0.2, 0.8, size=len(cats) - 1), 6.0)
+    Xte = np.column_stack([x_te, codes[cats]])
+    groups = (OneHotGroup(column_indices=(1, 2, 3),
+                          category_labels=("A", "B", "C")),)
+    return dataset_from_arrays(Xtr, Xte, 1.0 + Xtr[:, 0], 1.0 + Xte[:, 0],
+                               name="categorical", onehot_groups=groups)
+
+
+class TestCategoricalFallback:
+    """Gated rows of a dataset with a one-hot block reach the fallback in
+    min-max scaled form, indicator columns included."""
+
+    def _run(self, dataset):
+        config = _main_config(activations=(Activation.SIGMOID,),
+                              gate_percentiles=(99.0,), trials=1,
+                              collect_extrapolation_records=True)
+        return run_experiment(dataset, config)
+
+    def test_gated_row_with_a_training_category_completes(self):
+        dataset = _categorical_dataset("ABABABA")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = self._run(dataset)
+        record = next(r for r in result.extrapolation_records if r["row"] == 6)
+        assert record["candidates"]
+        # the neighbour shares the outlier's category
+        np.testing.assert_array_equal(
+            dataset.train_inputs[record["nn_index"], 1:],
+            dataset.test_inputs[6, 1:])
+
+    def test_category_absent_from_training_takes_global_centre(self):
+        dataset = _categorical_dataset("ABABABC")
+        with pytest.warns(UserWarning, match="global training centre"):
+            result = self._run(dataset)
+        assert 6 in [r["row"] for r in result.extrapolation_records]

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from outreg import (DegenerateGeometryError, NoPredictionError, OneHotGroup,
-                    OrConfig, boundary_extrapolate_1d, categorical_center,
-                    center_linear_extrapolate, fit_gate,
-                    nn_linear_extrapolate, nlror_predict,
-                    nlror_predict_detailed)
+                    OrConfig, apply_minmax, boundary_extrapolate_1d,
+                    categorical_center, center_linear_extrapolate, fit_gate,
+                    fit_minmax, minmax_onehot_group, nn_linear_extrapolate,
+                    nlror_predict, nlror_predict_detailed)
 
 
 def square(points):
@@ -344,6 +344,18 @@ class TestCategoricalCenter:
             categorical_center(gate, [20.0, 1.0, 1.0], (group,))
         with pytest.raises(ValueError, match="indicator"):
             categorical_center(gate, [20.0, 0.5, 0.5], (group,))
+
+    def test_block_read_in_the_groups_levels(self):
+        """Min-max scaled indicators read -1/1; raw 0/1 blocks are then invalid."""
+        gate, group = two_category_gate()
+        scaler = fit_minmax(gate.training_inputs)
+        scaled_gate = fit_gate(apply_minmax(scaler, gate.training_inputs),
+                               percentile_q=90.0)
+        scaled = minmax_onehot_group(scaler, group)
+        center = categorical_center(scaled_gate, [3.0, -1.0, 1.0], (scaled,))
+        np.testing.assert_array_equal(center[1:], [-1.0, 1.0])
+        with pytest.raises(ValueError, match="indicator"):
+            categorical_center(scaled_gate, [3.0, 0.0, 1.0], (scaled,))
 
     def test_no_groups_rejected(self):
         gate, _ = two_category_gate()

@@ -9,9 +9,10 @@ closed form must agree to 1e-10 on random triples.
 import numpy as np
 import pytest
 
-from outreg import (TargetTransform, apply_minmax, clip_nonnegative,
-                    fit_minmax, inverse_transform_target, invert_minmax,
-                    one_hot_encode, r_outl, r_outl_estimate, transform_target)
+from outreg import (OneHotGroup, TargetTransform, apply_minmax,
+                    clip_nonnegative, fit_minmax, inverse_transform_target,
+                    invert_minmax, minmax_onehot_group, one_hot_encode, r_outl,
+                    r_outl_estimate, transform_target)
 
 
 class TestMinMax:
@@ -205,6 +206,33 @@ class TestOneHot:
     def test_duplicate_categories_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             one_hot_encode(["a"], ["a", "a"])
+
+
+class TestOneHotGroupLevels:
+    def test_default_levels_are_zero_one(self):
+        group = OneHotGroup(column_indices=(0, 1, 2), category_labels=("a", "b", "c"))
+        assert group.levels == ((0.0, 1.0),) * 3
+        np.testing.assert_array_equal(group.category_blocks(), np.eye(3))
+
+    def test_levels_count_must_match_columns(self):
+        with pytest.raises(ValueError, match="levels"):
+            OneHotGroup(column_indices=(0, 1), category_labels=("a", "b"),
+                        levels=((0.0, 1.0),))
+
+    def test_minmax_levels_match_scaled_rows_bitwise(self):
+        """Column c never occurs in training, so it is constant there."""
+        cats = ["a", "b", "c"]
+        rng = np.random.default_rng(3)
+        train = np.hstack([rng.uniform(5.0, 9.0, size=(6, 1)),
+                           one_hot_encode(list("ababab"), cats)])
+        test = np.hstack([rng.uniform(5.0, 9.0, size=(3, 1)),
+                          one_hot_encode(list("abc"), cats)])
+        scaler = fit_minmax(train)
+        group = minmax_onehot_group(
+            scaler, OneHotGroup(column_indices=(1, 2, 3), category_labels=tuple(cats)))
+        assert group.levels == ((-1.0, 1.0), (-1.0, 1.0), (0.0, 0.0))
+        np.testing.assert_array_equal(apply_minmax(scaler, test)[:, 1:],
+                                      group.category_blocks())
 
 
 class TestClip:

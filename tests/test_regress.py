@@ -16,6 +16,7 @@ from outreg import (Activation, CvConfig, ElmModel, EnsembleModel, TrimPolicy,
                     activation_value, default_node_grid, elm_predict,
                     elm_train, ensemble_predict, ensemble_train, lr_fit,
                     lr_predict, select_node_count)
+from outreg import regress
 from outreg.regress import DEFAULT_NODE_GRID
 from outreg.seeding import STREAM_CV, STREAM_MEMBER, derive_rng, derive_seed
 
@@ -246,6 +247,83 @@ class TestEnsemble:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError, match="at least one member"):
             EnsembleModel(members=(), trim_policy=TrimPolicy.NONE)
+
+
+def sign_split_sigmoid(z):
+    """The logistic function split by sign, so exp never overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestStackedForwardPass:
+    """The stacked ensemble pass reproduces the per-member loop bitwise."""
+
+    def test_sigmoid_matches_sign_split_form_bitwise(self):
+        rng = np.random.default_rng(31)
+        tiny = np.finfo(float).tiny
+        special = np.array([0.0, 5e-324, 1e-310, tiny / 2, tiny, 1e-300,
+                            1e-16, 0.5, 1.0, 36.0, 37.0, 708.0, 710.0,
+                            745.0, 746.0, 800.0, 1e300, np.finfo(float).max])
+        z = np.concatenate([special, -special,
+                            rng.standard_normal(5000)
+                            * 10.0 ** rng.uniform(-3.0, 3.0, 5000)])
+        assert np.signbit(z[special.size])          # -0.0 is on the grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = regress._activate(Activation.SIGMOID, z.copy())
+        np.testing.assert_array_equal(bits(got), bits(sign_split_sigmoid(z)))
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    @pytest.mark.parametrize("rows", [1, 2, 150])
+    @pytest.mark.parametrize("outputs", [1, 2])
+    @pytest.mark.parametrize("chunk_elements", [None, 30])
+    def test_ensemble_equals_member_loop(self, monkeypatch, activation, rows,
+                                         outputs, chunk_elements):
+        """7 members: one chunk by default, chunks of 3, 3, 1 (or of 1)
+        under a 30-float budget."""
+        if chunk_elements is not None:
+            monkeypatch.setattr(regress, "_CHUNK_ELEMENTS", chunk_elements)
+        rng = np.random.default_rng(rows * 10 + outputs)
+        X = rng.uniform(-1.0, 1.0, size=(40, 3))
+        Y = rng.standard_normal((40, outputs))
+        ens = ensemble_train(X, Y, 5, activation, member_count=7, seed=rows)
+        grid = rng.uniform(-3.0, 3.0, size=(rows, 3))
+        stacked = np.stack([elm_predict(m, grid) for m in ens.members])
+        if ens.trim_policy is TrimPolicy.NONE:
+            expected = stacked.mean(axis=0)
+        else:
+            expected = (stacked.sum(axis=0) - stacked.max(axis=0)
+                        - stacked.min(axis=0)) / 5
+        got = ensemble_predict(ens, grid)
+        assert got.shape == (rows, outputs)
+        np.testing.assert_array_equal(bits(got), bits(expected))
+
+    def test_column_mismatch_rejected(self):
+        X = np.linspace(-1, 1, 10)[:, None]
+        ens = ensemble_train(X, X, 4, Activation.SIGMOID, member_count=3, seed=0)
+        with pytest.raises(ValueError, match="columns"):
+            ensemble_predict(ens, [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        X = np.linspace(-1, 1, 10)[:, None]
+        ens = ensemble_train(X, X, 4, Activation.SIGMOID, member_count=3, seed=0)
+        with pytest.raises(ValueError, match="non-finite"):
+            ensemble_predict(ens, [[0.5], [bad]])
+
+    def test_one_dimensional_inputs_rejected(self):
+        X = np.linspace(-1, 1, 10)[:, None]
+        ens = ensemble_train(X, X, 4, Activation.SIGMOID, member_count=3, seed=0)
+        with pytest.raises(ValueError, match="2-D"):
+            ensemble_predict(ens, [0.5, 0.25])
 
 
 class TestNodeSelection:
