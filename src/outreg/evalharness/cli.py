@@ -19,13 +19,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ..extrapolate import OrConfig
-from ..outlier_gate import classify, fit_gate, nearest_training_neighbor
+from ..outlier_gate import beyond_nearest_neighbor, classify, fit_gate
 from ..preprocess import apply_minmax, fit_minmax
 from ..regress import Activation, CvConfig
-from .dataset import load_dataset, load_manifest
+from .dataset import _check_keys, load_dataset, load_manifest
 from .experiment import ExperimentConfig, run_experiment
 from .report import (emit_report, load_report, render_json, summarize_reports,
                      write_gate_csv)
@@ -40,12 +38,6 @@ def _activation(text: str) -> Activation:
             f"unknown activation {text!r}; expected one of "
             f"{[a.value for a in Activation]}"
         ) from None
-
-
-def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
 
 
 def _config_from_json(raw: dict) -> ExperimentConfig:
@@ -120,14 +112,9 @@ def _cmd_gate(args) -> int:
                     percentile_q=args.percentile)
     test_scaled = apply_minmax(scaler, dataset.test_inputs)
     partition = classify(gate, test_scaled)
-    train_center_norms = np.linalg.norm(gate.training_inputs - gate.center, axis=1)
-    beyond = []
-    for row in test_scaled:
-        nn_index, _ = nearest_training_neighbor(gate, row)
-        beyond.append(float(np.linalg.norm(row - gate.center))
-                      > train_center_norms[nn_index])
     write_gate_csv(args.out, partition.distances, gate.threshold_distance,
-                   beyond, partition.outlier_indices)
+                   beyond_nearest_neighbor(gate, test_scaled),
+                   partition.outlier_indices)
     print(f"{dataset.name}: {partition.outlier_indices.size} of "
           f"{partition.distances.size} test rows gated as outliers at the "
           f"{args.percentile:g}th percentile (threshold "

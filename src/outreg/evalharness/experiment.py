@@ -193,16 +193,19 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
     excluded = tuple(sorted(set(dataset.indicator_columns) | set(constant_cols)))
     severity = r_outl(Zte, exclude_columns=excluded)
 
-    gates = {}
     partitions = {}
     outlier_counts = {}
     for q in config.gate_percentiles:
         gate = fit_gate(Ztr, q)
         part = classify(gate, Zte)
-        gates[_qkey(q)] = gate
         partitions[_qkey(q)] = part
         outlier_counts[_qkey(q)] = int(part.outlier_indices.size)
     percentile_keys = [_qkey(q) for q in config.gate_percentiles]
+    # the fallback reads only the training rows and centre, which every
+    # percentile's gate shares, so the last gate serves them all and each
+    # gated row is replaced once per trial
+    gated_rows = np.unique(np.concatenate(
+        [part.outlier_indices for part in partitions.values()]))
 
     # the fallback needs indicator-aware geometry whenever the dataset has
     # one-hot blocks; wire them in unless the caller configured their own.
@@ -246,6 +249,8 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
             def surface(points: np.ndarray) -> np.ndarray:
                 return ensemble_predict(ensemble, points)[:, 0]
 
+            fallback = {i: nlror_predict_detailed(surface, gate, Zte[i], or_config)
+                        for i in gated_rows}
             trial_scores = {}
             trial_preds = {"lr": lr_pred, "nlr": nlr_pred} \
                 if config.store_predictions else None
@@ -253,8 +258,7 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
                 part = partitions[qk]
                 nlror_pred = nlr_pred.copy()
                 for i in part.outlier_indices:
-                    record = nlror_predict_detailed(surface, gates[qk], Zte[i],
-                                                    or_config)
+                    record = fallback[i]
                     nlror_pred[i] = record.value
                     if config.collect_extrapolation_records:
                         records.append({

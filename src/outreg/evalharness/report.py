@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import statistics
 from pathlib import Path
 
 from .experiment import METRICS, MODELS, SUBSETS, ExperimentResult
@@ -129,13 +130,6 @@ def summarize_reports(docs: list[dict]) -> dict:
                                 continue
                             key = (activation, qk, model, subset, metric)
                             cells.setdefault(key, {})[name] = cell["median"]
-    def _mid(sorted_values):
-        k = len(sorted_values)
-        half = k // 2
-        if k % 2:
-            return sorted_values[half]
-        return 0.5 * (sorted_values[half - 1] + sorted_values[half])
-
     out_cells = {}
     for key in sorted(cells):
         per_dataset = cells[key]
@@ -143,7 +137,7 @@ def summarize_reports(docs: list[dict]) -> dict:
         out_cells["/".join(key)] = {
             "per_dataset": per_dataset,
             "mean_of_medians": sum(values) / len(values),
-            "median_of_medians": _mid(values),
+            "median_of_medians": statistics.median(values),
         }
     return {
         "kind": SUMMARY_KIND,

@@ -9,8 +9,10 @@ conditions hold simultaneously:
    than its nearest training neighbour is, in Euclidean norm.
 
 The second condition filters out points that are merely in a thin
-direction of the training cloud but still inside its envelope.  All
-geometry here lives in normalised input space (see preprocess).
+direction of the training cloud but still inside its envelope.  It lives
+in ``beyond_nearest_neighbor``, which ``classify`` applies to the rows
+that pass the first.  All geometry here lives in normalised input space
+(see preprocess).
 """
 
 from __future__ import annotations
@@ -123,6 +125,19 @@ def nearest_training_neighbor(gate: Gate, x) -> tuple[int, float]:
     return index, float(np.sqrt(squared[index]))
 
 
+def beyond_nearest_neighbor(gate: Gate, test_inputs) -> np.ndarray:
+    """Per row: strictly farther from the training centre than its nearest
+    training row is (the gate's second condition)."""
+    X = as_matrix(test_inputs, "test_inputs")
+    nn_indices = [nearest_training_neighbor(gate, row)[0] for row in X]
+    # Both center-norm arrays go through the same axis-1 reduction so that a
+    # test row identical to a training row compares exactly equal (and the
+    # strict inequality below then correctly rejects it).
+    train_center_norms = np.linalg.norm(gate.training_inputs - gate.center, axis=1)
+    test_center_norms = np.linalg.norm(X - gate.center, axis=1)
+    return test_center_norms > train_center_norms[nn_indices]
+
+
 def classify(gate: Gate, test_inputs) -> OutlierPartition:
     """Partition test rows into outliers and non-outliers.
 
@@ -139,14 +154,7 @@ def classify(gate: Gate, test_inputs) -> OutlierPartition:
     distances = _distances(gate, X)
     candidate = distances > gate.threshold_distance
     outlier = np.zeros(X.shape[0], dtype=bool)
-    # Both center-norm arrays go through the same axis-1 reduction so that a
-    # test row identical to a training row compares exactly equal (and the
-    # strict inequality below then correctly rejects it).
-    train_center_norms = np.linalg.norm(gate.training_inputs - gate.center, axis=1)
-    test_center_norms = np.linalg.norm(X - gate.center, axis=1)
-    for i in np.flatnonzero(candidate):
-        nn_index, _ = nearest_training_neighbor(gate, X[i])
-        outlier[i] = test_center_norms[i] > train_center_norms[nn_index]
+    outlier[candidate] = beyond_nearest_neighbor(gate, X[candidate])
     return OutlierPartition(
         outlier_indices=np.flatnonzero(outlier),
         non_outlier_indices=np.flatnonzero(~outlier),

@@ -85,7 +85,6 @@ class ElmModel:
     output_weights: np.ndarray   # (L, m)
     activation: Activation
     seed: int | None = None
-    output_bias_included: bool = False
 
     @property
     def node_count(self) -> int:
@@ -104,7 +103,7 @@ def _hidden_layer(X, weights_t, biases, activation):
 
 
 def elm_train(inputs, targets, node_count: int, activation: Activation,
-              seed: int, rel_tol: float = 1e-10) -> ElmModel:
+              seed: int) -> ElmModel:
     """Draw a random hidden layer and fit the output weights to targets.
 
     ``targets`` is (N, m); pass a single-column matrix for scalar targets.
@@ -128,7 +127,7 @@ def elm_train(inputs, targets, node_count: int, activation: Activation,
             f"hidden activations are not finite (activation={activation.value}, "
             f"node_count={node_count}); input scaling is probably missing"
         )
-    B = pinv_solve(H, Y, rel_tol=rel_tol)
+    B = pinv_solve(H, Y)
     return ElmModel(hidden_weights=W, hidden_biases=b, output_weights=B,
                     activation=activation, seed=int(seed))
 
@@ -192,8 +191,7 @@ class EnsembleModel:
 
 
 def ensemble_train(inputs, targets, node_count: int, activation: Activation,
-                   member_count: int = 100, seed: int = 0,
-                   rel_tol: float = 1e-10) -> EnsembleModel:
+                   member_count: int = 100, seed: int = 0) -> EnsembleModel:
     """Train ``member_count`` independent networks on the same data.
 
     Member i trains on a seed derived from (seed, member stream, i), so
@@ -208,7 +206,7 @@ def ensemble_train(inputs, targets, node_count: int, activation: Activation,
             else TrimPolicy.NONE)
     members = tuple(
         elm_train(inputs, targets, node_count, activation,
-                  seed=derive_seed(seed, STREAM_MEMBER, i), rel_tol=rel_tol)
+                  seed=derive_seed(seed, STREAM_MEMBER, i))
         for i in range(member_count)
     )
     return EnsembleModel(members=members, trim_policy=trim, seed=int(seed))

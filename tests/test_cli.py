@@ -117,6 +117,39 @@ class TestGateCommand:
                 part.distances[int(r["row"])]
         assert f"{len(flagged)} of 12 test rows" in capsys.readouterr().out
 
+    def test_duplicated_far_training_rows_agree_with_the_label(self, tmp_path):
+        # the test rows copy the training rows over the threshold, so each is
+        # its own nearest neighbour and the CSV's second condition must fail
+        rng = np.random.default_rng(0)
+        train = rng.normal(size=(100, 3))
+        scaled = apply_minmax(fit_minmax(train), train)
+        gate = fit_gate(scaled, 95.0)
+        far = train[classify(gate, scaled).distances > gate.threshold_distance]
+        X = np.vstack([train, far])
+        columns = ["x0", "x1", "x2"]
+        with open(tmp_path / "dup.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(columns + ["y"])
+            for row in X:
+                writer.writerow([repr(float(v)) for v in row]
+                                + [repr(float(row.sum()))])
+        manifest_path = tmp_path / "dup.json"
+        manifest_path.write_text(json.dumps({
+            "name": "dup", "csv_path": "dup.csv", "feature_columns": columns,
+            "target_column": "y",
+            "split": {"train_range": [0, 100], "test_range": [100, len(X)]},
+        }))
+        out = tmp_path / "gate.csv"
+        assert main(["gate", "--manifest", str(manifest_path),
+                     "--percentile", "95", "--out", str(out)]) == 0
+
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == len(far) > 0
+        for r in rows:
+            assert r["exceeds_threshold"] == "1"
+            assert r["beyond_nearest_neighbor"] == "0"
+            assert r["outlier"] == "0"
+
     def test_missing_manifest_exits_2(self, tmp_path, capsys):
         code = main(["gate", "--manifest", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "gate.csv")])

@@ -18,9 +18,10 @@ import pytest
 
 from outreg import (Activation, CvConfig, OneHotGroup, TargetTransform,
                     apply_minmax, classify, clip_nonnegative, fit_gate,
-                    fit_minmax, lr_fit, lr_predict)
+                    fit_minmax, lr_fit, lr_predict, nlror_predict_detailed)
 from outreg.evalharness import (ExperimentConfig, dataset_from_arrays, mad,
                                 run_experiment)
+from outreg.evalharness import experiment
 from outreg.evalharness.experiment import METRICS, MODEL_PAIRS, MODELS, SUBSETS
 from outreg.evalharness.metrics import boxplot_stats
 from outreg.seeding import STREAM_TRIAL, derive_seed
@@ -414,6 +415,34 @@ class TestExtrapolationRecords:
             assert "raw-surface" in labels
             values = [value for _, value in record["candidates"]]
             assert record["value"] == float(np.median(values))
+
+    def test_fallback_runs_once_per_gated_row_and_trial(self, monkeypatch):
+        calls = []
+
+        def counting(f, gate, x_o, config):
+            calls.append(1)
+            return nlror_predict_detailed(f, gate, x_o, config)
+
+        monkeypatch.setattr(experiment, "nlror_predict_detailed", counting)
+        config = _main_config(collect_extrapolation_records=True)
+        result = run_experiment(_affine_dataset(), config)
+        records = result.extrapolation_records
+        gated = {q: {r["row"] for r in records if r["percentile"] == q}
+                 for q in (Q99, Q95)}
+        both = gated[Q99] & gated[Q95]
+        assert both
+        assert len(calls) == (len(config.activations) * config.trials
+                              * len(gated[Q99] | gated[Q95]))
+
+        def content(record):
+            return {k: v for k, v in record.items() if k != "percentile"}
+
+        by_key = {(r["activation"], r["trial"], r["percentile"], r["row"]): r
+                  for r in records}
+        for (activation, trial, qk, row), record in by_key.items():
+            if qk == Q99 and row in both:
+                twin = by_key[(activation, trial, Q95, row)]
+                assert content(record) == content(twin)
 
     def test_records_empty_by_default(self):
         assert _main_result().extrapolation_records == ()

