@@ -40,38 +40,59 @@ def _activation(text: str) -> Activation:
         ) from None
 
 
-def _config_from_json(raw: dict) -> ExperimentConfig:
-    _check_keys(raw, {"activations", "trials", "members_per_trial",
-                      "gate_percentiles", "master_seed", "min_subset_rows",
-                      "cv", "or", "store_predictions",
-                      "collect_extrapolation_records"}, "config")
-    kwargs = {}
-    if "activations" in raw:
-        kwargs["activations"] = tuple(Activation(a) for a in raw["activations"])
-    for key in ("trials", "members_per_trial", "master_seed", "min_subset_rows"):
-        if key in raw:
-            kwargs[key] = int(raw[key])
-    if "gate_percentiles" in raw:
-        kwargs["gate_percentiles"] = tuple(float(q) for q in raw["gate_percentiles"])
-    for key in ("store_predictions", "collect_extrapolation_records"):
-        if key in raw:
-            kwargs[key] = bool(raw[key])
-    if "cv" in raw:
-        cv = raw["cv"]
-        _check_keys(cv, {"folds", "candidate_node_counts", "seed"}, "config.cv")
-        cv_kwargs = {key: int(cv[key]) for key in ("folds", "seed") if key in cv}
-        if "candidate_node_counts" in cv:
-            cv_kwargs["candidate_node_counts"] = tuple(
-                int(c) for c in cv["candidate_node_counts"])
-        kwargs["cv"] = CvConfig(**cv_kwargs)
-    if "or" in raw:
-        oc = raw["or"]
-        _check_keys(oc, {"delta1_values", "delta2_values", "include_raw_nlr"},
-                    "config.or")
-        or_kwargs = {key: tuple(float(d) for d in oc[key])
-                     for key in ("delta1_values", "delta2_values") if key in oc}
-        if "include_raw_nlr" in oc:
-            or_kwargs["include_raw_nlr"] = bool(oc["include_raw_nlr"])
+_JSON_KINDS = {"a boolean": (bool,), "an integer": (int,), "a number": (int, float),
+               "a string": (str,), "a list": (list,), "an object": (dict,)}
+
+# each config section's keys and the JSON kind of their values;
+# [kind] is a list of values of that kind
+_CONFIG_KEYS = {"activations": ["a string"], "trials": "an integer",
+                "members_per_trial": "an integer", "gate_percentiles": ["a number"],
+                "master_seed": "an integer", "min_subset_rows": "an integer",
+                "cv": "an object", "or": "an object", "store_predictions": "a boolean",
+                "collect_extrapolation_records": "a boolean"}
+_CV_KEYS = {"folds": "an integer", "candidate_node_counts": ["an integer"],
+            "seed": "an integer"}
+_OR_KEYS = {"delta1_values": ["a number"], "delta2_values": ["a number"],
+            "include_raw_nlr": "a boolean"}
+
+
+def _typed(value, kind: str, name: str):
+    """``value`` if it is JSON of ``kind``, else a ValueError naming ``name``."""
+    types = _JSON_KINDS[kind]
+    # bool is an int subclass, but true is not a JSON number
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise ValueError(f"{name} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
+def _section(raw, keys: dict, name: str) -> dict:
+    """The entries of config section ``raw``, lists as tuples, each checked
+    against its kind in ``keys``."""
+    _check_keys(_typed(raw, "an object", name), set(keys), name)
+    section = {}
+    for key, value in raw.items():
+        if isinstance(keys[key], list):
+            section[key] = tuple(
+                _typed(item, keys[key][0], f"{name}.{key}[{i}]")
+                for i, item in enumerate(_typed(value, "a list", f"{name}.{key}")))
+        else:
+            section[key] = _typed(value, keys[key], f"{name}.{key}")
+    return section
+
+
+def _config_from_json(raw) -> ExperimentConfig:
+    kwargs = _section(raw, _CONFIG_KEYS, "config")
+    if "activations" in kwargs:
+        kwargs["activations"] = tuple(Activation(a) for a in kwargs["activations"])
+    if "gate_percentiles" in kwargs:
+        kwargs["gate_percentiles"] = tuple(float(q) for q in kwargs["gate_percentiles"])
+    if "cv" in kwargs:
+        kwargs["cv"] = CvConfig(**_section(kwargs["cv"], _CV_KEYS, "config.cv"))
+    if "or" in kwargs:
+        or_kwargs = _section(kwargs.pop("or"), _OR_KEYS, "config.or")
+        for key in ("delta1_values", "delta2_values"):
+            if key in or_kwargs:
+                or_kwargs[key] = tuple(float(d) for d in or_kwargs[key])
         kwargs["or_config"] = OrConfig(**or_kwargs)
     return ExperimentConfig(**kwargs)
 

@@ -239,7 +239,7 @@ def load_dataset(manifest: DatasetManifest) -> Dataset:
         except StopIteration:
             raise IngestionError(f"{manifest.csv_path}: file is empty") from None
         header = [h.strip() for h in header]
-        positions = {}
+        positions = []
         for column in used_columns:
             matches = [i for i, h in enumerate(header) if h == column]
             if not matches:
@@ -251,63 +251,45 @@ def load_dataset(manifest: DatasetManifest) -> Dataset:
                     f"{manifest.csv_path}: column {column!r} appears "
                     f"{len(matches)} times in the header"
                 )
-            positions[column] = matches[0]
+            positions.append(matches[0])
 
-        numeric_rows: list[list[float]] = []
-        label_rows: list[dict[str, str]] = []
-        target_values: list[float] = []
+        # one record per kept row, in used_columns order (features, then the
+        # target), so a row's first bad cell is the one reported; categorical
+        # labels stay text
+        parsers = [str if column in categorical_names else float
+                   for column in used_columns]
+        records: list[list] = []
         dropped = 0
         for line_number, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            cells = {}
-            missing = False
-            for column in used_columns:
-                pos = positions[column]
-                value = row[pos].strip() if pos < len(row) else ""
-                if value == "":
-                    missing = True
-                    break
-                cells[column] = value
-            if missing:
+            cells = [row[pos].strip() if pos < len(row) else "" for pos in positions]
+            if "" in cells:
                 dropped += 1
                 continue
-            numeric = []
-            labels = {}
             try:
-                for column in manifest.feature_columns:
-                    if column in categorical_names:
-                        labels[column] = cells[column]
-                    else:
-                        numeric.append(float(cells[column]))
-                target_values.append(float(cells[manifest.target_column]))
+                records.append([parse(cell) for parse, cell in zip(parsers, cells)])
             except ValueError as exc:
                 raise IngestionError(
                     f"{manifest.csv_path}, line {line_number}: {exc}"
                 ) from None
-            numeric_rows.append(numeric)
-            label_rows.append(labels)
 
-    n = len(numeric_rows)
+    n = len(records)
     if n < 2:
         raise IngestionError(
             f"{manifest.csv_path}: only {n} usable rows after dropping {dropped}"
         )
+    columns = dict(zip(used_columns, zip(*records)))
 
     # assemble the encoded feature matrix in feature_columns order
     blocks: list[np.ndarray] = []
     names: list[str] = []
     groups: list[OneHotGroup] = []
-    numeric_iter = iter(range(len(numeric_rows[0])))
-    numeric_matrix = np.asarray(numeric_rows, dtype=float) if numeric_rows[0] else \
-        np.empty((n, 0))
     for column in manifest.feature_columns:
         if column in categorical_names:
             group_spec = categorical_names[column]
             try:
-                encoded = one_hot_encode(
-                    [labels[column] for labels in label_rows], group_spec.categories
-                )
+                encoded = one_hot_encode(columns[column], group_spec.categories)
             except ValueError as exc:
                 raise IngestionError(f"{manifest.csv_path}: column {column!r}: {exc}") \
                     from None
@@ -319,10 +301,10 @@ def load_dataset(manifest: DatasetManifest) -> Dataset:
             blocks.append(encoded)
             names.extend(f"{column}={c}" for c in group_spec.categories)
         else:
-            blocks.append(numeric_matrix[:, [next(numeric_iter)]])
+            blocks.append(np.asarray(columns[column], dtype=float)[:, None])
             names.append(column)
     X = np.hstack(blocks)
-    y_raw = np.asarray(target_values, dtype=float)
+    y_raw = np.asarray(columns[manifest.target_column], dtype=float)
     if not np.isfinite(X).all() or not np.isfinite(y_raw).all():
         raise IngestionError(f"{manifest.csv_path}: non-finite values in used columns")
 

@@ -228,11 +228,9 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
     trials: list[TrialReport] = []
     records: list[dict] = []
     for ai, activation in enumerate(config.activations):
-        cv = config.cv
-        if cv is None:
-            cv = CvConfig(folds=5,
-                          candidate_node_counts=default_node_grid(Ztr.shape[0]),
-                          seed=derive_seed(config.master_seed, STREAM_CV, ai))
+        cv = config.cv or CvConfig(
+            candidate_node_counts=default_node_grid(Ztr.shape[0]),
+            seed=derive_seed(config.master_seed, STREAM_CV, ai))
         node_count, scores_by_l = select_node_count(Ztr, ytr[:, None], activation, cv)
         node_counts[activation.value] = int(node_count)
         cv_scores[activation.value] = {str(k): v for k, v in sorted(scores_by_l.items())}
@@ -327,10 +325,10 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
         "delta1_values": [float(d) for d in or_config.delta1_values],
         "delta2_values": [float(d) for d in or_config.delta2_values],
         "include_raw_nlr": or_config.include_raw_nlr,
-        "cv_folds": (config.cv.folds if config.cv is not None else 5),
-        "cv_candidates": (list(config.cv.candidate_node_counts)
-                          if config.cv is not None else
-                          list(default_node_grid(Ztr.shape[0]))),
+        # every activation's CV shares its folds and candidates; only the
+        # default seed differs
+        "cv_folds": cv.folds,
+        "cv_candidates": list(cv.candidate_node_counts),
     }
     return ExperimentResult(
         dataset_summary=dataset_summary,

@@ -11,6 +11,7 @@ metric) for spreadsheet work.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import statistics
 from pathlib import Path
@@ -31,15 +32,8 @@ def result_to_dict(result: ExperimentResult) -> dict:
         "node_counts": result.node_counts,
         "cv_scores": result.cv_scores,
         "trials": [
-            {
-                "activation": t.activation,
-                "trial_index": t.trial_index,
-                "trial_seed": t.trial_seed,
-                "node_count": t.node_count,
-                "outlier_counts": t.outlier_counts,
-                "scores": t.scores,
-                **({"predictions": t.predictions} if t.predictions else {}),
-            }
+            {key: value for key, value in dataclasses.asdict(t).items()
+             if key != "predictions" or value}
             for t in result.trials
         ],
         "aggregates": result.aggregates,

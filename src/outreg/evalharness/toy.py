@@ -61,7 +61,7 @@ def toy_demo(seed: int = 0, activation: Activation = Activation.SIGMOID,
     grid_scaled = apply_minmax(scaler, grid[:, None])
 
     if node_count is None:
-        cv = CvConfig(folds=5, candidate_node_counts=default_node_grid(n_train),
+        cv = CvConfig(candidate_node_counts=default_node_grid(n_train),
                       seed=derive_seed(seed, STREAM_CV))
         node_count, _ = select_node_count(Xs, y[:, None], activation, cv)
 

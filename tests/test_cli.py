@@ -195,6 +195,31 @@ class TestRunCommand:
         assert code == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"store_predictions": "false"}, "config.store_predictions"),
+        ({"or": {"include_raw_nlr": "false"}}, "config.or.include_raw_nlr"),
+        ({"trials": 2.9}, "config.trials"),
+        ({"master_seed": True}, "config.master_seed"),
+        ({"cv": {"candidate_node_counts": [8.0]}},
+         "config.cv.candidate_node_counts[0]"),
+        ({"gate_percentiles": ["99"]}, "config.gate_percentiles[0]"),
+        ({"or": {"delta1_values": [True]}}, "config.or.delta1_values[0]"),
+        ({"cv": 5}, "config.cv"),
+        ({"activations": "sigmoid"}, "config.activations"),
+    ], ids=["string-boolean", "string-boolean-in-or", "fractional-count",
+            "boolean-seed", "float-node-count", "string-percentile",
+            "boolean-delta", "cv-not-an-object", "activations-not-a-list"])
+    def test_wrong_config_value_type_exits_2(self, tmp_path, capsys,
+                                             overrides, key):
+        manifest_path = _write_dataset(tmp_path)
+        config_path = _write_config(tmp_path, **overrides)
+        code = main(["run", "--manifest", str(manifest_path),
+                     "--config", str(config_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_or_section_round_trips_into_the_report(self, tmp_path):
         manifest_path = _write_dataset(tmp_path)
         config_path = _write_config(

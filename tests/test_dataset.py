@@ -283,6 +283,32 @@ class TestIngestion:
         with pytest.raises(IngestionError, match=r"line 3"):
             load_dataset(load_manifest(path))
 
+    def test_first_bad_cell_in_feature_order_is_reported(self, tmp_path):
+        for bad_row, reported in (("oops_a,oops_b,200", "oops_a"),
+                                  ("2,oops_b,oops_t", "oops_b")):
+            csv_text = f"a,b,t\n1,10,100\n{bad_row}\n3,30,300\n"
+            path = write_dataset(tmp_path, csv_text=csv_text)
+            with pytest.raises(IngestionError,
+                               match=rf"line 3: .*'{reported}'$"):
+                load_dataset(load_manifest(path))
+
+    def test_first_bad_line_is_reported(self, tmp_path):
+        csv_text = "a,b,t\n1,10,100\n2,oops,200\n3,30,300\n4,oops,400\n"
+        path = write_dataset(tmp_path, csv_text=csv_text)
+        with pytest.raises(IngestionError, match=r"line 3: "):
+            load_dataset(load_manifest(path))
+
+    def test_missing_cell_drops_a_row_with_a_bad_cell(self, tmp_path):
+        """Missing cells are checked first, so the bad cell is never parsed."""
+        csv_text = "a,b,t\n1,10,100\n2,,oops\n3,30,300\n4,40,400\n"
+        path = write_dataset(tmp_path, csv_text=csv_text,
+                             overrides={"split": {"train_fraction": 0.67}})
+        data = load_dataset(load_manifest(path))
+        assert data.dropped_rows == 1
+        np.testing.assert_array_equal(
+            np.concatenate([data.train_target_raw, data.test_target_raw]),
+            [100.0, 300.0, 400.0])
+
     def test_nan_cell_rejected(self, tmp_path):
         csv_text = "a,b,t\n1,10,100\n2,nan,200\n3,30,300\n"
         path = write_dataset(tmp_path, csv_text=csv_text)

@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from outreg import (Activation, CvConfig, OneHotGroup, TargetTransform,
-                    apply_minmax, classify, clip_nonnegative, fit_gate,
-                    fit_minmax, lr_fit, lr_predict, nlror_predict_detailed)
+                    apply_minmax, classify, clip_nonnegative,
+                    default_node_grid, fit_gate, fit_minmax, lr_fit,
+                    lr_predict, nlror_predict_detailed)
 from outreg.evalharness import (ExperimentConfig, dataset_from_arrays, mad,
                                 run_experiment)
 from outreg.evalharness import experiment
@@ -161,6 +162,13 @@ class TestResultShape:
         assert summary["delta1_values"] == [0.25, 0.5]
         assert summary["delta2_values"] == [0.5, 1.0]
         assert summary["include_raw_nlr"] is True
+
+    def test_config_summary_echoes_the_default_cv(self):
+        config = _main_config(activations=(Activation.SOFTPLUS,), trials=1,
+                              cv=None)
+        summary = run_experiment(_affine_dataset(), config).config_summary
+        assert summary["cv_folds"] == CvConfig().folds
+        assert summary["cv_candidates"] == list(default_node_grid(40))
 
 
 class TestGateBookkeeping:
