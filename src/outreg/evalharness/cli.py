@@ -23,7 +23,7 @@ from ..extrapolate import OrConfig
 from ..outlier_gate import beyond_nearest_neighbor, classify, fit_gate
 from ..preprocess import apply_minmax, fit_minmax
 from ..regress import Activation, CvConfig
-from .dataset import _check_keys, load_dataset, load_manifest
+from .dataset import _section, load_dataset, load_manifest
 from .experiment import ExperimentConfig, run_experiment
 from .report import (emit_report, load_report, render_json, summarize_reports,
                      write_gate_csv)
@@ -40,11 +40,7 @@ def _activation(text: str) -> Activation:
         ) from None
 
 
-_JSON_KINDS = {"a boolean": (bool,), "an integer": (int,), "a number": (int, float),
-               "a string": (str,), "a list": (list,), "an object": (dict,)}
-
-# each config section's keys and the JSON kind of their values;
-# [kind] is a list of values of that kind
+# each config section's keys and the JSON kind of their values, read by _section
 _CONFIG_KEYS = {"activations": ["a string"], "trials": "an integer",
                 "members_per_trial": "an integer", "gate_percentiles": ["a number"],
                 "master_seed": "an integer", "min_subset_rows": "an integer",
@@ -54,30 +50,6 @@ _CV_KEYS = {"folds": "an integer", "candidate_node_counts": ["an integer"],
             "seed": "an integer"}
 _OR_KEYS = {"delta1_values": ["a number"], "delta2_values": ["a number"],
             "include_raw_nlr": "a boolean"}
-
-
-def _typed(value, kind: str, name: str):
-    """``value`` if it is JSON of ``kind``, else a ValueError naming ``name``."""
-    types = _JSON_KINDS[kind]
-    # bool is an int subclass, but true is not a JSON number
-    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        raise ValueError(f"{name} must be {kind}, got {json.dumps(value)}")
-    return value
-
-
-def _section(raw, keys: dict, name: str) -> dict:
-    """The entries of config section ``raw``, lists as tuples, each checked
-    against its kind in ``keys``."""
-    _check_keys(_typed(raw, "an object", name), set(keys), name)
-    section = {}
-    for key, value in raw.items():
-        if isinstance(keys[key], list):
-            section[key] = tuple(
-                _typed(item, keys[key][0], f"{name}.{key}[{i}]")
-                for i, item in enumerate(_typed(value, "a list", f"{name}.{key}")))
-        else:
-            section[key] = _typed(value, keys[key], f"{name}.{key}")
-    return section
 
 
 def _config_from_json(raw) -> ExperimentConfig:

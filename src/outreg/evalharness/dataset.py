@@ -26,7 +26,8 @@ from ..preprocess import OneHotGroup, TargetTransform, one_hot_encode, transform
 
 
 class ManifestError(ValueError):
-    """The manifest file is malformed or self-contradictory."""
+    """The manifest file, or another JSON input read with the same checks,
+    is malformed or self-contradictory."""
 
 
 class IngestionError(ValueError):
@@ -90,9 +91,46 @@ def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
     _require(not unknown, f"{context}: unknown keys {sorted(unknown)}")
 
 
-_TOP_KEYS = {"name", "csv_path", "feature_columns", "target_column",
-             "categorical_groups", "target_transform",
-             "clip_negative_predictions", "split", "reverse_order", "delimiter"}
+_JSON_KINDS = {"a boolean": (bool,), "an integer": (int,), "a number": (int, float),
+               "a string": (str,), "a list": (list,), "an object": (dict,)}
+
+
+def _typed(value, kind: str, name: str):
+    """``value`` if it is JSON of ``kind``, else a ManifestError naming ``name``."""
+    types = _JSON_KINDS[kind]
+    # bool is an int subclass, but true is not a JSON number
+    _require(isinstance(value, types) and (bool in types or not isinstance(value, bool)),
+             f"{name} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
+def _section(raw, keys: dict, name: str, required: tuple[str, ...] = ()) -> dict:
+    """The entries of JSON object ``raw``, lists as tuples, each checked
+    against its kind in ``keys``; [kind] is a list of values of that kind."""
+    _check_keys(_typed(raw, "an object", name), set(keys), name)
+    for key in required:
+        _require(key in raw, f"{name}: missing required key {key!r}")
+    section = {}
+    for key, value in raw.items():
+        if isinstance(keys[key], list):
+            section[key] = tuple(
+                _typed(item, keys[key][0], f"{name}.{key}[{i}]")
+                for i, item in enumerate(_typed(value, "a list", f"{name}.{key}")))
+        else:
+            section[key] = _typed(value, keys[key], f"{name}.{key}")
+    return section
+
+
+# the manifest's keys, its split's and a categorical group's, and the JSON
+# kind of their values, as read by _section
+_MANIFEST_KEYS = {"name": "a string", "csv_path": "a string",
+                  "feature_columns": ["a string"], "target_column": "a string",
+                  "categorical_groups": ["an object"], "target_transform": "a string",
+                  "clip_negative_predictions": "a boolean", "split": "an object",
+                  "reverse_order": "a boolean", "delimiter": "a string"}
+_SPLIT_KEYS = {"train_fraction": "a number", "train_range": ["an integer"],
+               "test_range": ["an integer"]}
+_GROUP_KEYS = {"column": "a string", "categories": ["a string"]}
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -102,45 +140,35 @@ def load_manifest(path) -> DatasetManifest:
         raw = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{manifest_path}: not valid JSON ({exc})") from exc
-    _require(isinstance(raw, dict), f"{manifest_path}: manifest must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, str(manifest_path))
+    top = _section(raw, _MANIFEST_KEYS, str(manifest_path),
+                   required=("csv_path", "feature_columns", "target_column", "split"))
 
-    for key in ("csv_path", "feature_columns", "target_column", "split"):
-        _require(key in raw, f"{manifest_path}: missing required key {key!r}")
-
-    csv_path = (manifest_path.parent / str(raw["csv_path"])).resolve()
-    features = raw["feature_columns"]
-    _require(isinstance(features, list) and features and
-             all(isinstance(c, str) for c in features),
-             "feature_columns must be a non-empty list of column names")
+    csv_path = (manifest_path.parent / top["csv_path"]).resolve()
+    features = top["feature_columns"]
+    _require(features, "feature_columns must be a non-empty list of column names")
     _require(len(set(features)) == len(features),
-             f"feature_columns contains duplicates: {features}")
-    target = raw["target_column"]
-    _require(isinstance(target, str) and target, "target_column must be a column name")
+             f"feature_columns contains duplicates: {list(features)}")
+    target = top["target_column"]
+    _require(target, "target_column must be a column name")
     _require(target not in features,
              f"target column {target!r} must not appear in feature_columns")
 
     categoricals: list[CategoricalColumn] = []
-    for entry in raw.get("categorical_groups", []):
-        _require(isinstance(entry, dict), "categorical_groups entries must be objects")
-        _check_keys(entry, {"column", "categories"}, "categorical_groups entry")
-        _require("column" in entry and "categories" in entry,
-                 "categorical_groups entries need 'column' and 'categories'")
-        column = str(entry["column"])
+    for i, entry in enumerate(top.get("categorical_groups", ())):
+        group = _section(entry, _GROUP_KEYS, f"categorical_groups[{i}]",
+                         required=("column", "categories"))
+        column, cats = group["column"], group["categories"]
         _require(column in features,
                  f"categorical column {column!r} is not in feature_columns")
-        cats = entry["categories"]
-        _require(isinstance(cats, list) and len(cats) >= 1 and
-                 all(isinstance(c, str) for c in cats),
-                 f"categorical column {column!r} needs a list of string categories")
+        _require(cats, f"categorical column {column!r} needs a list of string categories")
         _require(len(set(cats)) == len(cats),
                  f"categorical column {column!r} has duplicate categories")
-        categoricals.append(CategoricalColumn(column=column, categories=tuple(cats)))
+        categoricals.append(CategoricalColumn(column=column, categories=cats))
     seen = [c.column for c in categoricals]
     _require(len(set(seen)) == len(seen),
              f"categorical_groups lists a column twice: {seen}")
 
-    transform_name = raw.get("target_transform", "none")
+    transform_name = top.get("target_transform", "none")
     try:
         transform = TargetTransform(transform_name)
     except ValueError:
@@ -149,53 +177,36 @@ def load_manifest(path) -> DatasetManifest:
             f"{[t.value for t in TargetTransform]}"
         ) from None
 
-    clip = raw.get("clip_negative_predictions", False)
-    _require(isinstance(clip, bool), "clip_negative_predictions must be a boolean")
-    reverse = raw.get("reverse_order", False)
-    _require(isinstance(reverse, bool), "reverse_order must be a boolean")
-    delimiter = raw.get("delimiter", ",")
-    _require(isinstance(delimiter, str) and len(delimiter) == 1,
-             "delimiter must be a single character")
+    reverse = top.get("reverse_order", False)
+    delimiter = top.get("delimiter", ",")
+    _require(len(delimiter) == 1, "delimiter must be a single character")
 
-    split = raw["split"]
-    _require(isinstance(split, dict), "split must be an object")
-    train_fraction = None
-    train_range = None
-    test_range = None
-    if "train_fraction" in split:
-        _check_keys(split, {"train_fraction"}, "split")
-        train_fraction = float(split["train_fraction"])
+    split = _section(top["split"], _SPLIT_KEYS, "split")
+    _require(set(split) in ({"train_fraction"}, {"train_range", "test_range"}),
+             "split needs either train_fraction or both train_range and test_range")
+    train_fraction = split.get("train_fraction")
+    if train_fraction is not None:
         _require(0.0 < train_fraction < 1.0,
                  f"train_fraction must be in (0, 1), got {train_fraction}")
     else:
-        _check_keys(split, {"train_range", "test_range"}, "split")
-        _require("train_range" in split and "test_range" in split,
-                 "split needs either train_fraction or both train_range and test_range")
         _require(not reverse, "reverse_order cannot be combined with explicit ranges")
-
-        def _parse_range(key):
-            pair = split[key]
-            _require(isinstance(pair, list) and len(pair) == 2,
-                     f"{key} must be [start, stop]")
-            start, stop = int(pair[0]), int(pair[1])
+    for key in ("train_range", "test_range"):
+        if key in split:
+            _require(len(split[key]) == 2, f"{key} must be [start, stop]")
+            start, stop = split[key]
             _require(0 <= start < stop, f"{key} must satisfy 0 <= start < stop")
-            return start, stop
 
-        train_range = _parse_range("train_range")
-        test_range = _parse_range("test_range")
-
-    name = str(raw.get("name", csv_path.stem))
     return DatasetManifest(
-        name=name,
+        name=top.get("name", csv_path.stem),
         csv_path=csv_path,
-        feature_columns=tuple(features),
+        feature_columns=features,
         target_column=target,
         categorical_groups=tuple(categoricals),
         target_transform=transform,
-        clip_negative_predictions=clip,
+        clip_negative_predictions=top.get("clip_negative_predictions", False),
         train_fraction=train_fraction,
-        train_range=train_range,
-        test_range=test_range,
+        train_range=split.get("train_range"),
+        test_range=split.get("test_range"),
         reverse_order=reverse,
         delimiter=delimiter,
     )

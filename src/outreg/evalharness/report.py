@@ -16,6 +16,7 @@ import json
 import statistics
 from pathlib import Path
 
+from .dataset import _typed
 from .experiment import METRICS, MODELS, SUBSETS, ExperimentResult
 
 SCHEMA_VERSION = 1
@@ -93,6 +94,9 @@ def load_report(path) -> dict:
         raise ValueError(
             f"{path}: unsupported schema_version {doc.get('schema_version')}"
         )
+    dataset = _typed(doc.get("dataset"), "an object", f"{path}: dataset")
+    _typed(dataset.get("name"), "a string", f"{path}: dataset.name")
+    _typed(doc.get("aggregates"), "an object", f"{path}: aggregates")
     return doc
 
 

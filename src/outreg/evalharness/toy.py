@@ -54,6 +54,10 @@ def toy_demo(seed: int = 0, activation: Activation = Activation.SIGMOID,
     mean, plus a (grid, member_count) matrix of individual member curves.
     ``node_count=None`` selects the hidden-node count by cross-validation.
     """
+    if not grid_step > 0.0:
+        raise ValueError(f"grid_step must be positive, got {grid_step}")
+    if not grid_stop >= grid_start:
+        raise ValueError(f"grid_stop {grid_stop} lies below grid_start {grid_start}")
     X, y, signal = toy_generate(seed, n_train)
     scaler = fit_minmax(X)
     Xs = apply_minmax(scaler, X)

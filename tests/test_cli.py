@@ -88,6 +88,18 @@ class TestToyCommand:
         assert len(train_rows) == 30
         assert list(train_rows[0]) == ["x", "y"]
 
+    @pytest.mark.parametrize("grid, message", [
+        (["--grid-step", "0"], "grid_step must be positive, got 0.0"),
+        (["--grid-step", "-0.05"], "grid_step must be positive, got -0.05"),
+        (["--grid-start", "5", "--grid-stop", "-5"],
+         "grid_stop -5.0 lies below grid_start 5.0"),
+    ], ids=["zero-step", "negative-step", "stop-below-start"])
+    def test_empty_or_impossible_grid_exits_2(self, tmp_path, capsys, grid, message):
+        out = tmp_path / "curves.csv"
+        assert main(["toy", *grid, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_activation_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["toy", "--activation", "tanh",
@@ -149,6 +161,35 @@ class TestGateCommand:
             assert r["exceeds_threshold"] == "1"
             assert r["beyond_nearest_neighbor"] == "0"
             assert r["outlier"] == "0"
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"split": {"train_fraction": "0.5"}},
+         'split.train_fraction must be a number, got "0.5"'),
+        ({"split": {"train_fraction": None}},
+         "split.train_fraction must be a number, got null"),
+        ({"split": {"train_range": [0, 2.9], "test_range": [40, 52]}},
+         "split.train_range[1] must be an integer, got 2.9"),
+        ({"split": {"train_range": [0, None], "test_range": [40, 52]}},
+         "split.train_range[1] must be an integer, got null"),
+        ({"categorical_groups": 5},
+         "{manifest}.categorical_groups must be a list, got 5"),
+        ({"clip_negative_predictions": "false"},
+         '{manifest}.clip_negative_predictions must be a boolean, got "false"'),
+        ({"csv_path": 3}, "{manifest}.csv_path must be a string, got 3"),
+    ], ids=["string-fraction", "null-fraction", "fractional-bound", "null-bound",
+            "groups-not-a-list", "string-boolean", "numeric-csv-path"])
+    def test_wrong_manifest_value_type_exits_2(self, tmp_path, capsys,
+                                               overrides, message):
+        manifest_path = _write_dataset(tmp_path)
+        manifest = json.loads(manifest_path.read_text())
+        manifest.update(overrides)
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "gate.csv"
+        assert main(["gate", "--manifest", str(manifest_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(manifest=manifest_path)}\n"
+        assert not out.exists()
 
     def test_missing_manifest_exits_2(self, tmp_path, capsys):
         code = main(["gate", "--manifest", str(tmp_path / "absent.json"),
@@ -304,6 +345,20 @@ class TestReportCommand:
         assert summary["datasets"] == ["alpha", "beta"]
         assert "sigmoid/99.0/nlr/all/maen" in summary["cells"]
         assert f"wrote {out}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("body, message", [
+        ({}, "dataset must be an object, got null"),
+        ({"dataset": {"name": "alpha"}, "aggregates": []},
+         "aggregates must be an object, got []"),
+    ], ids=["no-dataset", "aggregates-not-an-object"])
+    def test_malformed_report_exits_2(self, tmp_path, capsys, body, message):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"kind": "outreg-report", "schema_version": 1,
+                                    **body}))
+        out = tmp_path / "summary.json"
+        assert main(["report", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
 
     def test_duplicate_dataset_names_exit_2(self, tmp_path, capsys):
         report = self._make_report(tmp_path, "alpha", seed=1)

@@ -189,6 +189,16 @@ class TestSplitting:
                                       [100, 200, 300, 400, 500])
         np.testing.assert_array_equal(data.test_target_raw, [600, 700, 800])
 
+    def test_integer_range_bounds_load_unchanged(self, tmp_path):
+        path = write_dataset(
+            tmp_path,
+            overrides={"split": {"train_range": [0, 6], "test_range": [6, 8]}})
+        manifest = load_manifest(path)
+        assert manifest.train_range == (0, 6)
+        assert manifest.test_range == (6, 8)
+        assert all(type(b) is int for b in manifest.train_range + manifest.test_range)
+        assert manifest.train_fraction is None
+
     def test_test_block_may_come_first(self, tmp_path):
         path = write_dataset(
             tmp_path,
