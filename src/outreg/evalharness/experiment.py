@@ -21,12 +21,13 @@ with the same config and dataset produce identical reports.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..extrapolate import OrConfig, nlror_predict_detailed
-from ..outlier_gate import classify, fit_gate
+from ..outlier_gate import Gate, classify, fit_gate
 from ..preprocess import (TargetTransform, apply_minmax, clip_nonnegative,
                           fit_minmax, inverse_transform_target,
                           minmax_onehot_group, r_outl)
@@ -66,8 +67,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"members_per_trial must be at least 1, got {self.members_per_trial}"
             )
+        if len(set(self.activations)) < len(self.activations):
+            raise ValueError(f"activations must not repeat, got "
+                             f"{[a.value for a in self.activations]}")
         if not self.gate_percentiles:
             raise ValueError("at least one gate percentile is required")
+        if len(set(self.gate_percentiles)) < len(self.gate_percentiles):
+            raise ValueError(f"gate percentiles must not repeat, got "
+                             f"{list(self.gate_percentiles)}")
         for q in self.gate_percentiles:
             if not 0.0 < q < 100.0:
                 raise ValueError(f"gate percentiles must be in (0, 100), got {q}")
@@ -102,32 +109,19 @@ class ExperimentResult:
     extrapolation_records: tuple[dict, ...] = ()
 
 
-def _qkey(q: float) -> str:
-    return repr(float(q))
-
-
-def _subset_metrics(pred, obs, rows, mad_scale, min_rows):
-    if rows.size < min_rows:
+def _subset_metrics(prepared, pred, rows):
+    if rows.size < prepared.config.min_subset_rows:
         return {"maen": None, "spearman": None}
+    obs = prepared.dataset.test_target
     p = pred[rows]
     o = obs[rows]
     # obs is the full test target, the MAD reference of every subset
-    maen_value = None if mad_scale == 0.0 else maen(p, o, obs)
+    maen_value = None if prepared.dataset_summary["mad_reference"] == 0.0 else maen(p, o, obs)
     try:
         spearman_value = spearman(p, o)
     except ValueError:
         spearman_value = None
     return {"maen": maen_value, "spearman": spearman_value}
-
-
-def _score_models(preds: dict, obs, subset_rows: dict, mad_scale, min_rows):
-    return {
-        model: {
-            subset: _subset_metrics(pred, obs, rows, mad_scale, min_rows)
-            for subset, rows in subset_rows.items()
-        }
-        for model, pred in preds.items()
-    }
 
 
 def _boxplot_dict(values: np.ndarray) -> dict:
@@ -145,67 +139,65 @@ def _boxplot_dict(values: np.ndarray) -> dict:
 
 
 def _aggregate_cells(trials, percentile_keys):
-    """Boxplot summary across trials for every score cell, per activation."""
+    """Boxplot summary across one activation's trials for every score cell."""
     aggregates: dict = {}
     differences: dict = {}
-    activations = sorted({t.activation for t in trials})
-    for activation in activations:
-        rows = [t for t in trials if t.activation == activation]
-        agg_a: dict = {}
-        diff_a: dict = {}
-        for qk in percentile_keys:
-            agg_q: dict = {}
-            diff_q: dict = {}
-            for subset in SUBSETS:
-                for metric in METRICS:
-                    per_model = {}
-                    for model in MODELS:
-                        values = [t.scores[qk][model][subset][metric] for t in rows]
-                        kept = np.asarray([v for v in values if v is not None])
-                        per_model[model] = kept
-                        cell = (agg_q.setdefault(model, {})
-                                .setdefault(subset, {}))
-                        cell[metric] = (_boxplot_dict(kept) if kept.size
-                                        else None)
-                    for hi, lo in MODEL_PAIRS:
-                        a, b = per_model[hi], per_model[lo]
-                        name = f"{hi}_minus_{lo}"
-                        cell = (diff_q.setdefault(name, {})
-                                .setdefault(subset, {}))
-                        cell[metric] = (_boxplot_dict(a - b)
-                                        if a.size and a.size == b.size else None)
-            agg_a[qk] = agg_q
-            diff_a[qk] = diff_q
-        aggregates[activation] = agg_a
-        differences[activation] = diff_a
+    for qk, subset, metric in itertools.product(percentile_keys, SUBSETS, METRICS):
+        per_model = {}
+        for model in MODELS:
+            values = [t.scores[qk][model][subset][metric] for t in trials]
+            kept = np.asarray([v for v in values if v is not None])
+            per_model[model] = kept
+            cell = (aggregates.setdefault(qk, {}).setdefault(model, {})
+                    .setdefault(subset, {}))
+            cell[metric] = (_boxplot_dict(kept) if kept.size
+                            else None)
+        for hi, lo in MODEL_PAIRS:
+            a, b = per_model[hi], per_model[lo]
+            name = f"{hi}_minus_{lo}"
+            cell = (differences.setdefault(qk, {}).setdefault(name, {})
+                    .setdefault(subset, {}))
+            cell[metric] = (_boxplot_dict(a - b)
+                            if a.size and a.size == b.size else None)
     return aggregates, differences
 
 
-def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResult:
-    """Run the full protocol on one dataset.  See the module docstring."""
+@dataclass(frozen=True)
+class _Prepared:
+    """What stays fixed across a run's trials.  Each (activation, trial)
+    unit reads only this, and it pickles, so a unit can run elsewhere."""
+
+    config: ExperimentConfig
+    dataset: Dataset
+    Ztr: np.ndarray
+    Zte: np.ndarray
+    # percentile key -> subset -> test row indices
+    subsets: dict
+    gated_rows: np.ndarray
+    # the fallback reads only the training rows and centre, which every
+    # percentile's gate shares, so one gate serves them all and each gated
+    # row is replaced once per trial
+    fallback_gate: Gate
+    or_config: OrConfig
+    lr_pred: np.ndarray
+    dataset_summary: dict
+
+
+def _prepare(dataset: Dataset, config: ExperimentConfig) -> _Prepared:
     scaler = fit_minmax(dataset.train_inputs)
     Ztr = apply_minmax(scaler, dataset.train_inputs)
     Zte = apply_minmax(scaler, dataset.test_inputs)
-    ytr = dataset.train_target
-    yte = dataset.test_target
 
     constant_cols = tuple(int(c) for c in np.flatnonzero(scaler.constant_columns))
     excluded = tuple(sorted(set(dataset.indicator_columns) | set(constant_cols)))
-    severity = r_outl(Zte, exclude_columns=excluded)
 
-    partitions = {}
-    outlier_counts = {}
-    for q in config.gate_percentiles:
-        gate = fit_gate(Ztr, q)
+    gates = [fit_gate(Ztr, q) for q in config.gate_percentiles]
+    subsets = {}
+    for q, gate in zip(config.gate_percentiles, gates):
         part = classify(gate, Zte)
-        partitions[_qkey(q)] = part
-        outlier_counts[_qkey(q)] = int(part.outlier_indices.size)
-    percentile_keys = [_qkey(q) for q in config.gate_percentiles]
-    # the fallback reads only the training rows and centre, which every
-    # percentile's gate shares, so the last gate serves them all and each
-    # gated row is replaced once per trial
-    gated_rows = np.unique(np.concatenate(
-        [part.outlier_indices for part in partitions.values()]))
+        subsets[repr(float(q))] = {"all": np.arange(Zte.shape[0]),
+                                   "outliers": part.outlier_indices,
+                                   "non_outliers": part.non_outlier_indices}
 
     # the fallback needs indicator-aware geometry whenever the dataset has
     # one-hot blocks; wire them in unless the caller configured their own.
@@ -214,94 +206,9 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
     or_config = replace(config.or_config, categorical_groups=tuple(
         minmax_onehot_group(scaler, g) for g in groups))
 
-    mad_scale = mad(yte)
-    clip_in_scoring_space = (dataset.clip_negative_predictions
-                             and dataset.target_transform is TargetTransform.NONE)
-
-    linear = lr_fit(Ztr, ytr)
-    lr_pred = lr_predict(linear, Zte)
-    if clip_in_scoring_space:
-        lr_pred = clip_nonnegative(lr_pred)
-
-    node_counts = {}
-    cv_scores = {}
-    trials: list[TrialReport] = []
-    records: list[dict] = []
-    for ai, activation in enumerate(config.activations):
-        cv = config.cv or CvConfig(
-            candidate_node_counts=default_node_grid(Ztr.shape[0]),
-            seed=derive_seed(config.master_seed, STREAM_CV, ai))
-        node_count, scores_by_l = select_node_count(Ztr, ytr[:, None], activation, cv)
-        node_counts[activation.value] = int(node_count)
-        cv_scores[activation.value] = {str(k): v for k, v in sorted(scores_by_l.items())}
-
-        for t in range(config.trials):
-            trial_seed = derive_seed(config.master_seed, STREAM_TRIAL, ai, t)
-            ensemble = ensemble_train(Ztr, ytr[:, None], node_count, activation,
-                                      member_count=config.members_per_trial,
-                                      seed=trial_seed)
-            nlr_pred = ensemble_predict(ensemble, Zte)[:, 0]
-            if clip_in_scoring_space:
-                nlr_pred = clip_nonnegative(nlr_pred)
-
-            def surface(points: np.ndarray) -> np.ndarray:
-                return ensemble_predict(ensemble, points)[:, 0]
-
-            fallback = {i: nlror_predict_detailed(surface, gate, Zte[i], or_config)
-                        for i in gated_rows}
-            trial_scores = {}
-            trial_preds = {"lr": lr_pred, "nlr": nlr_pred} \
-                if config.store_predictions else None
-            for qk in percentile_keys:
-                part = partitions[qk]
-                nlror_pred = nlr_pred.copy()
-                for i in part.outlier_indices:
-                    record = fallback[i]
-                    nlror_pred[i] = record.value
-                    if config.collect_extrapolation_records:
-                        records.append({
-                            "activation": activation.value,
-                            "trial": t,
-                            "percentile": qk,
-                            "row": int(i),
-                            "value": record.value,
-                            "candidates": [list(c) for c in record.candidates],
-                            "dropped": [list(d) for d in record.dropped],
-                            "nn_index": record.nn_index,
-                        })
-                if clip_in_scoring_space:
-                    nlror_pred = clip_nonnegative(nlror_pred)
-                subset_rows = {
-                    "all": np.arange(Zte.shape[0]),
-                    "outliers": part.outlier_indices,
-                    "non_outliers": part.non_outlier_indices,
-                }
-                trial_scores[qk] = _score_models(
-                    {"lr": lr_pred, "nlr": nlr_pred, "nlr_or": nlror_pred},
-                    yte, subset_rows, mad_scale, config.min_subset_rows,
-                )
-                if trial_preds is not None:
-                    trial_preds[f"nlr_or@{qk}"] = nlror_pred
-            predictions = None
-            if trial_preds is not None:
-                # stored for inspection in original target units
-                predictions = {}
-                for key, values in trial_preds.items():
-                    original = inverse_transform_target(values, dataset.target_transform)
-                    if dataset.clip_negative_predictions:
-                        original = clip_nonnegative(original)
-                    predictions[key] = [float(v) for v in original]
-            trials.append(TrialReport(
-                activation=activation.value,
-                trial_index=t,
-                trial_seed=trial_seed,
-                node_count=int(node_count),
-                outlier_counts=dict(outlier_counts),
-                scores=trial_scores,
-                predictions=predictions,
-            ))
-
-    aggregates, differences = _aggregate_cells(trials, percentile_keys)
+    gated_rows = np.unique(np.concatenate(
+        [rows["outliers"] for rows in subsets.values()]))
+    lr_pred = lr_predict(lr_fit(Ztr, dataset.train_target), Zte)
     dataset_summary = {
         "name": dataset.name,
         "n_train": int(Ztr.shape[0]),
@@ -310,11 +217,111 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
         "dropped_rows": int(dataset.dropped_rows),
         "target_transform": dataset.target_transform.value,
         "clip_negative_predictions": bool(dataset.clip_negative_predictions),
-        "r_outl": severity,
+        "r_outl": r_outl(Zte, exclude_columns=excluded),
         "r_outl_excluded_columns": list(excluded),
-        "outlier_counts": outlier_counts,
-        "mad_reference": mad_scale,
+        "outlier_counts": {qk: int(rows["outliers"].size)
+                           for qk, rows in subsets.items()},
+        "mad_reference": mad(dataset.test_target),
     }
+    return _Prepared(config, dataset, Ztr, Zte, subsets, gated_rows, gates[-1],
+                     or_config, lr_pred, dataset_summary)
+
+
+def _run_unit(prepared: _Prepared, ai: int, node_count: int, t: int):
+    """Trial ``t`` of activation ``ai``: its TrialReport and its fallback
+    records, a pure function of the arguments."""
+    config = prepared.config
+    dataset = prepared.dataset
+    activation = config.activations[ai]
+    trial_seed = derive_seed(config.master_seed, STREAM_TRIAL, ai, t)
+    ensemble = ensemble_train(prepared.Ztr, dataset.train_target[:, None], node_count,
+                              activation, member_count=config.members_per_trial,
+                              seed=trial_seed)
+    nlr_pred = ensemble_predict(ensemble, prepared.Zte)[:, 0]
+
+    def surface(points: np.ndarray) -> np.ndarray:
+        return ensemble_predict(ensemble, points)[:, 0]
+
+    fallback = {i: nlror_predict_detailed(surface, prepared.fallback_gate,
+                                          prepared.Zte[i], prepared.or_config)
+                for i in prepared.gated_rows}
+    clip = (dataset.clip_negative_predictions
+            and dataset.target_transform is TargetTransform.NONE)
+    preds = {"lr": prepared.lr_pred, "nlr": nlr_pred}
+    trial_scores = {}
+    records = []
+    for qk, rows_by_subset in prepared.subsets.items():
+        nlror_pred = nlr_pred.copy()
+        for i in rows_by_subset["outliers"]:
+            record = fallback[i]
+            nlror_pred[i] = record.value
+            if config.collect_extrapolation_records:
+                records.append({
+                    "activation": activation.value,
+                    "trial": t,
+                    "percentile": qk,
+                    "row": int(i),
+                    "value": record.value,
+                    "candidates": [list(c) for c in record.candidates],
+                    "dropped": [list(d) for d in record.dropped],
+                    "nn_index": record.nn_index,
+                })
+        preds[f"nlr_or@{qk}"] = nlror_pred
+        by_model = {"lr": prepared.lr_pred, "nlr": nlr_pred, "nlr_or": nlror_pred}
+        if clip:
+            by_model = {model: clip_nonnegative(pred) for model, pred in by_model.items()}
+        trial_scores[qk] = {model: {subset: _subset_metrics(prepared, pred, rows)
+                                    for subset, rows in rows_by_subset.items()}
+                            for model, pred in by_model.items()}
+    predictions = None
+    if config.store_predictions:
+        # stored for inspection in original target units
+        predictions = {}
+        for key, values in preds.items():
+            original = inverse_transform_target(values, dataset.target_transform)
+            if dataset.clip_negative_predictions:
+                original = clip_nonnegative(original)
+            predictions[key] = [float(v) for v in original]
+    return TrialReport(
+        activation=activation.value,
+        trial_index=t,
+        trial_seed=trial_seed,
+        node_count=int(node_count),
+        outlier_counts=dict(prepared.dataset_summary["outlier_counts"]),
+        scores=trial_scores,
+        predictions=predictions,
+    ), records
+
+
+def _cv_config(config: ExperimentConfig, n_train: int, ai: int) -> CvConfig:
+    """Activation ``ai``'s CV.  Every activation shares its folds and
+    candidates; only the default seed differs."""
+    return config.cv or CvConfig(
+        candidate_node_counts=default_node_grid(n_train),
+        seed=derive_seed(config.master_seed, STREAM_CV, ai))
+
+
+def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResult:
+    """Run the full protocol on one dataset.  See the module docstring."""
+    prepared = _prepare(dataset, config)
+    node_counts = {}
+    cv_scores = {}
+    trials: list[TrialReport] = []
+    records: list[dict] = []
+    cells = {}
+    for ai, activation in enumerate(config.activations):
+        node_count, scores_by_l = select_node_count(
+            prepared.Ztr, dataset.train_target[:, None], activation,
+            _cv_config(config, len(prepared.Ztr), ai))
+        node_counts[activation.value] = int(node_count)
+        cv_scores[activation.value] = {str(k): v for k, v in sorted(scores_by_l.items())}
+        reports, unit_records = zip(*(_run_unit(prepared, ai, node_count, t)
+                                      for t in range(config.trials)))
+        cells[activation.value] = _aggregate_cells(reports, prepared.subsets)
+        trials.extend(reports)
+        records.extend(r for rs in unit_records for r in rs)
+
+    cv = _cv_config(config, len(prepared.Ztr), 0)
     config_summary = {
         "activations": [a.value for a in config.activations],
         "trials": config.trials,
@@ -322,21 +329,19 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
         "gate_percentiles": [float(q) for q in config.gate_percentiles],
         "master_seed": config.master_seed,
         "min_subset_rows": config.min_subset_rows,
-        "delta1_values": [float(d) for d in or_config.delta1_values],
-        "delta2_values": [float(d) for d in or_config.delta2_values],
-        "include_raw_nlr": or_config.include_raw_nlr,
-        # every activation's CV shares its folds and candidates; only the
-        # default seed differs
+        "delta1_values": [float(d) for d in config.or_config.delta1_values],
+        "delta2_values": [float(d) for d in config.or_config.delta2_values],
+        "include_raw_nlr": config.or_config.include_raw_nlr,
         "cv_folds": cv.folds,
         "cv_candidates": list(cv.candidate_node_counts),
     }
     return ExperimentResult(
-        dataset_summary=dataset_summary,
+        dataset_summary=prepared.dataset_summary,
         config_summary=config_summary,
         node_counts=node_counts,
         cv_scores=cv_scores,
         trials=tuple(trials),
-        aggregates=aggregates,
-        difference_aggregates=differences,
+        aggregates={a: agg for a, (agg, _) in cells.items()},
+        difference_aggregates={a: diff for a, (_, diff) in cells.items()},
         extrapolation_records=tuple(records),
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import statistics
 from pathlib import Path
@@ -96,8 +97,29 @@ def load_report(path) -> dict:
         )
     dataset = _typed(doc.get("dataset"), "an object", f"{path}: dataset")
     _typed(dataset.get("name"), "a string", f"{path}: dataset.name")
-    _typed(doc.get("aggregates"), "an object", f"{path}: aggregates")
+    _score_medians(doc, path)  # checks every score cell
     return doc
+
+
+def _score_medians(doc: dict, source) -> dict:
+    """(activation, percentile, model, subset, metric) -> median of each
+    non-null aggregate cell of report ``doc``, every level checked to be
+    JSON of its kind; errors name ``source`` and the key path."""
+    medians = {}
+    aggregates = _typed(doc.get("aggregates"), "an object", f"{source}: aggregates")
+    for activation, by_q in aggregates.items():
+        where = f"{source}: aggregates.{activation}"
+        for qk, by_model in _typed(by_q, "an object", where).items():
+            for key in itertools.product(MODELS, SUBSETS, METRICS):
+                cell, name = by_model, f"{where}.{qk}"
+                for part in key:
+                    cell = _typed(cell, "an object", name).get(part)
+                    name = f"{name}.{part}"
+                if cell is not None:
+                    medians[(activation, qk, *key)] = _typed(
+                        _typed(cell, "an object", name).get("median"), "a number",
+                        f"{name}.median")
+    return medians
 
 
 def summarize_reports(docs: list[dict]) -> dict:
@@ -118,16 +140,8 @@ def summarize_reports(docs: list[dict]) -> dict:
         names.append(name)
     cells: dict = {}
     for doc, name in zip(docs, names):
-        for activation, by_q in doc["aggregates"].items():
-            for qk, by_model in by_q.items():
-                for model in MODELS:
-                    for subset in SUBSETS:
-                        for metric in METRICS:
-                            cell = by_model[model][subset][metric]
-                            if cell is None:
-                                continue
-                            key = (activation, qk, model, subset, metric)
-                            cells.setdefault(key, {})[name] = cell["median"]
+        for key, median in _score_medians(doc, name).items():
+            cells.setdefault(key, {})[name] = median
     out_cells = {}
     for key in sorted(cells):
         per_dataset = cells[key]

@@ -261,6 +261,22 @@ class TestRunCommand:
         assert f"error: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"activations": ["sigmoid", "softplus", "sigmoid"]},
+         "activations must not repeat, got ['sigmoid', 'softplus', 'sigmoid']"),
+        ({"gate_percentiles": [95, 99.0, 95.0]},
+         "gate percentiles must not repeat, got [95.0, 99.0, 95.0]"),
+    ], ids=["repeated-activation", "repeated-percentile"])
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys, overrides, message):
+        manifest_path = _write_dataset(tmp_path)
+        config_path = _write_config(tmp_path, **overrides)
+        code = main(["run", "--manifest", str(manifest_path),
+                     "--config", str(config_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_or_section_round_trips_into_the_report(self, tmp_path):
         manifest_path = _write_dataset(tmp_path)
         config_path = _write_config(
@@ -350,7 +366,16 @@ class TestReportCommand:
         ({}, "dataset must be an object, got null"),
         ({"dataset": {"name": "alpha"}, "aggregates": []},
          "aggregates must be an object, got []"),
-    ], ids=["no-dataset", "aggregates-not-an-object"])
+        ({"dataset": {"name": "alpha"}, "aggregates": {"sigmoid": []}},
+         "aggregates.sigmoid must be an object, got []"),
+        ({"dataset": {"name": "alpha"},
+          "aggregates": {"sigmoid": {"99.0": {"lr": {}}}}},
+         "aggregates.sigmoid.99.0.lr.all must be an object, got null"),
+        ({"dataset": {"name": "alpha"},
+          "aggregates": {"sigmoid": {"99.0": {"lr": {"all": {"maen": {}}}}}}},
+         "aggregates.sigmoid.99.0.lr.all.maen.median must be a number, got null"),
+    ], ids=["no-dataset", "aggregates-not-an-object", "activation-not-an-object",
+            "missing-subset", "cell-without-median"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, body, message):
         path = tmp_path / "report.json"
         path.write_text(json.dumps({"kind": "outreg-report", "schema_version": 1,

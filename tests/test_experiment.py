@@ -11,6 +11,7 @@ master seed must agree cell by cell, bitwise.
 """
 
 import functools
+import pickle
 import warnings
 
 import numpy as np
@@ -94,6 +95,16 @@ class TestConfigValidation:
     def test_tiny_min_subset_rejected(self):
         with pytest.raises(ValueError, match="min_subset_rows"):
             ExperimentConfig(min_subset_rows=1)
+
+    def test_repeated_activation_rejected(self):
+        """A repeat would pool its trials twice into one activation's cells."""
+        with pytest.raises(ValueError, match="activations must not repeat"):
+            ExperimentConfig(activations=(Activation.SIGMOID, Activation.SIGMOID))
+
+    def test_repeated_percentile_rejected(self):
+        """95 and 95.0 name one score key, so the echo would list a phantom."""
+        with pytest.raises(ValueError, match="gate percentiles must not repeat"):
+            ExperimentConfig(gate_percentiles=(95, 95.0))
 
 
 class TestResultShape:
@@ -526,3 +537,33 @@ class TestCategoricalFallback:
         with pytest.warns(UserWarning, match="global training centre"):
             result = self._run(dataset)
         assert 6 in [r["row"] for r in result.extrapolation_records]
+
+
+class TestUnits:
+    """A run is one prepared state plus one pure unit per (activation, trial)."""
+
+    def _config(self):
+        return _main_config(store_predictions=True,
+                            collect_extrapolation_records=True)
+
+    def test_unit_equals_the_matching_trial_of_a_full_run(self):
+        dataset, config = _affine_dataset(), self._config()
+        result = run_experiment(dataset, config)
+        prepared = experiment._prepare(dataset, config)
+        for ai, activation in enumerate(config.activations):
+            for t in range(config.trials):
+                expected = result.trials[ai * config.trials + t]
+                report, records = experiment._run_unit(
+                    prepared, ai, expected.node_count, t)
+                assert report == expected
+                assert records == [r for r in result.extrapolation_records
+                                   if r["activation"] == activation.value
+                                   and r["trial"] == t]
+                assert records
+
+    def test_pickled_prepared_state_gives_the_same_unit(self):
+        dataset, config = _affine_dataset(), self._config()
+        prepared = experiment._prepare(dataset, config)
+        restored = pickle.loads(pickle.dumps(prepared))
+        assert experiment._run_unit(restored, 1, 8, 2) == \
+            experiment._run_unit(prepared, 1, 8, 2)

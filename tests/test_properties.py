@@ -15,8 +15,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from outreg import (OrConfig, classify, fit_gate, load_gate,  # noqa: E402
-                    nlror_predict, save_gate)
+from outreg import (NoPredictionError, OrConfig, classify,  # noqa: E402
+                    fit_gate, load_gate, nlror_predict,
+                    nlror_predict_detailed, save_gate)
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
                          max_examples=150)
@@ -62,6 +63,65 @@ def test_fallback_reproduces_any_affine_surface(seed, d, config, reach):
     expected = float(f(x_o[None, :])[0])
     scale = 1.0 + abs(intercept) + float(np.abs(coef) @ np.abs(x_o))
     assert abs(nlror_predict(f, gate, x_o, config) - expected) <= 1e-9 * scale
+
+
+@DETERMINISTIC
+@given(seed=seeds, d=dims, config=or_configs(),
+       reach=st.floats(min_value=2.0, max_value=30.0))
+def test_fallback_is_training_row_permutation_equivariant(seed, d, config, reach):
+    """Reordering the training rows moves no candidate by a bit: the
+    neighbour is the same row under its new index, and the centre is a
+    columnwise median, which no order changes.  A point with no candidate
+    left has none in either order."""
+    rng, X = _training_rows(seed, d, 30)
+    coef = rng.standard_normal(d)
+
+    def f(Z):
+        Z = np.asarray(Z)
+        return np.tanh(Z @ coef) + 0.1 * np.sum(Z * Z, axis=1)
+
+    gate = fit_gate(X, 99.0)
+    u = rng.standard_normal(d)
+    x_o = gate.center + reach * X.std(axis=0) * u / np.linalg.norm(u)
+    order = rng.permutation(len(X))
+
+    try:
+        before = nlror_predict_detailed(f, gate, x_o, config)
+    except NoPredictionError:
+        with pytest.raises(NoPredictionError):
+            nlror_predict_detailed(f, fit_gate(X[order], 99.0), x_o, config)
+        return
+    after = nlror_predict_detailed(f, fit_gate(X[order], 99.0), x_o, config)
+    assert np.float64(after.value).tobytes() == np.float64(before.value).tobytes()
+    assert after.candidates == before.candidates
+    assert after.dropped == before.dropped
+    assert order[after.nn_index] == before.nn_index
+
+
+@DETERMINISTIC
+@given(seed=seeds, d=dims, q=percentiles,
+       log_condition=st.floats(min_value=0.0, max_value=2.0),
+       log_scale=st.floats(min_value=-2.0, max_value=2.0))
+def test_mahalanobis_distance_is_affine_invariant(seed, d, q, log_condition,
+                                                  log_scale):
+    """x -> A x + b with A invertible, of condition number at most 100,
+    leaves every test distance and the threshold unchanged."""
+    rng, X = _training_rows(seed, d, 40)
+    tests = X.mean(axis=0) + rng.uniform(0.5, 4.0, size=(20, 1)) \
+        * rng.standard_normal((20, d)) * X.std(axis=0)
+    left, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    right, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    singular = 10.0 ** (log_scale + log_condition * np.linspace(0.0, 1.0, d))
+    A = left @ np.diag(singular) @ right
+    b = rng.uniform(-10.0, 10.0, size=d)
+
+    gate = fit_gate(X, q)
+    moved = fit_gate(X @ A.T + b, q)
+    np.testing.assert_allclose(classify(moved, tests @ A.T + b).distances,
+                               classify(gate, tests).distances,
+                               rtol=1e-8, atol=1e-10)
+    assert moved.threshold_distance == pytest.approx(gate.threshold_distance,
+                                                     rel=1e-8)
 
 
 @DETERMINISTIC
