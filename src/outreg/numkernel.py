@@ -7,8 +7,9 @@ rather than propagated as NaN.
 
 Conventions fixed here, once, for the whole package:
 
-* ``pinv_solve`` returns the minimum-norm least-squares solution, with
-  singular values below ``rel_tol`` times the largest treated as zero.
+* ``pinv_solve`` returns the minimum-norm least-squares solution from
+  LAPACK's xGELSD, with singular values ``s <= rel_tol * s[0]`` treated
+  as zero.
 * ``sample_covariance`` uses the unbiased 1/(N-1) normaliser.
 * ``percentile`` interpolates linearly between order statistics (the
   position for probability q is q/100 * (N-1)).
@@ -44,18 +45,18 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
 def pinv_solve(design, targets, rel_tol: float = 1e-10) -> np.ndarray:
     """Minimum-norm least-squares solution of ``design @ B = targets``.
 
-    Solves via singular value decomposition.  Singular values smaller
-    than ``rel_tol`` times the largest singular value are treated as
-    exactly zero, which keeps the solve well behaved on rank-deficient
-    design matrices (the rank-deficient directions simply receive zero
-    coefficient, giving the minimum-norm solution).
+    Solves with LAPACK's xGELSD (``np.linalg.lstsq``), which never forms
+    the left singular vectors.  Singular values ``s <= rel_tol * s[0]``
+    are treated as exactly zero, which keeps the solve well behaved on
+    rank-deficient design matrices (the rank-deficient directions simply
+    receive zero coefficient, giving the minimum-norm solution).
 
     Parameters
     ----------
     design : (n, p) array
     targets : (n, m) array
     rel_tol : float
-        Relative singular value cutoff, must be positive.
+        Relative singular value cutoff, strictly between 0 and 1.
 
     Returns
     -------
@@ -71,14 +72,9 @@ def pinv_solve(design, targets, rel_tol: float = 1e-10) -> np.ndarray:
         raise ValueError(
             f"design has {H.shape[0]} rows but targets has {Y.shape[0]}"
         )
-    if not rel_tol > 0.0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-    U, s, Vt = np.linalg.svd(H, full_matrices=False)
-    keep = s > rel_tol * s[0]
-    U = U[:, keep]
-    s = s[keep]
-    Vt = Vt[keep]
-    return Vt.T @ ((U.T @ Y) / s[:, None])
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    return np.linalg.lstsq(H, Y, rcond=rel_tol)[0]
 
 
 def sample_mean(data) -> np.ndarray:

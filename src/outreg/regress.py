@@ -323,7 +323,7 @@ class LinearModel:
 
 
 def lr_fit(inputs, targets) -> LinearModel:
-    """Ordinary least squares with an intercept, via the same SVD solve.
+    """Ordinary least squares with an intercept, via ``pinv_solve`` (xGELSD).
 
     Rank-deficient inputs (e.g. duplicated columns) get the minimum-norm
     coefficient split rather than an error.

@@ -5,7 +5,8 @@ eigendecomposition route (normal equations diagonalised with eigh) on
 well-conditioned problems and against numpy's lstsq plus a residual /
 norm optimality argument on rank-deficient ones.  Rank recovery to 1e-8
 is the pinned tolerance for exact-recovery constructions; hand-computed
-cases are asserted much tighter.
+cases are asserted much tighter.  The truncation rule is pinned on
+designs built from known singular values.
 """
 
 import numpy as np
@@ -98,10 +99,63 @@ class TestPinvSolve:
         with pytest.raises(ValueError, match="rel_tol"):
             pinv_solve(np.eye(2), np.ones((2, 1)), rel_tol=0.0)
 
+    @pytest.mark.parametrize("rel_tol", [1.0, 2.0, np.inf, np.nan])
+    def test_rel_tol_not_below_one_rejected(self, rel_tol):
+        """A cutoff at or above the largest singular value would drop
+        every direction, which the solver does not do for the largest."""
+        with pytest.raises(ValueError, match="rel_tol"):
+            pinv_solve(np.eye(3), np.ones((3, 1)), rel_tol=rel_tol)
+
     def test_nonfinite_design_rejected(self):
         H = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ValueError, match="non-finite"):
             pinv_solve(H, np.ones((2, 1)))
+
+
+class TestTruncationBoundary:
+    """Singular values ``s <= rel_tol * s[0]`` are dropped, larger ones kept."""
+
+    S = np.array([1.0, 0.5, 1e-3, 1e-6, 1.2e-10, 0.8e-10, 1e-14])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kept_and_dropped_directions(self, seed):
+        """H = U diag(s) Vt with known orthonormal U and V: the target
+        U[:, k] solves to Vt[k] / s[k] when s[k] > 1e-10 and to zero
+        otherwise.  Rounding in H tilts the singular vectors by about
+        eps / gap, so both checks are scaled by the smallest kept value:
+        a kept 0.8e-10 direction would give s_min_kept * |B| of about 1.5."""
+        rng = np.random.default_rng(seed)
+        n, p = 12, self.S.size
+        U = np.linalg.qr(rng.standard_normal((n, p)))[0]
+        Vt = np.linalg.qr(rng.standard_normal((p, p)))[0].T
+        B = pinv_solve(U @ np.diag(self.S) @ Vt, U)
+        kept = self.S > 1e-10
+        s_min_kept = self.S[kept].min()
+        for k in np.flatnonzero(kept):
+            np.testing.assert_allclose(B[:, k] * self.S[k], Vt[k],
+                                       rtol=0, atol=1e-5)
+        for k in np.flatnonzero(~kept):
+            assert np.abs(B[:, k]).max() * s_min_kept < 1e-5
+
+    @pytest.mark.parametrize("diagonal, expected", [
+        ([1.0, 1e-10], [1.0, 0.0]),
+        ([2.0, 2e-10], [0.5, 0.0]),
+        ([4.0, 3.0, 4e-10], [0.25, 1.0 / 3.0, 0.0]),
+        ([1.0, 1e-10 * (1 + 2**-50)], [1.0, 1.0 / (1e-10 * (1 + 2**-50))]),
+    ])
+    def test_value_on_the_boundary_is_dropped(self, diagonal, expected):
+        """A diagonal design's singular values are exact, so one placed
+        exactly at rel_tol * s[0] is dropped and one just above is kept."""
+        B = pinv_solve(np.diag(diagonal), np.ones((len(diagonal), 1)))
+        np.testing.assert_allclose(B[:, 0], expected, rtol=1e-15, atol=0)
+
+    def test_all_zero_design_gives_zeros(self):
+        B = pinv_solve(np.zeros((4, 3)), np.ones((4, 2)))
+        np.testing.assert_array_equal(B, np.zeros((3, 2)))
+
+    def test_target_without_columns_gives_empty_solution(self):
+        B = pinv_solve(np.ones((4, 3)), np.ones((4, 0)))
+        assert B.shape == (3, 0)
 
 
 class TestMoments:

@@ -1,5 +1,6 @@
-"""Invariants of the fallback, the gate and gate persistence, checked as
-properties over many generated cases rather than on fixed examples.
+"""Invariants of the least-squares solve, the fallback, the gate and gate
+persistence, checked as properties over many generated cases rather than
+on fixed examples.
 
 Hypothesis draws the shapes, seeds and configurations; the arrays are
 then drawn from numpy generators seeded by it, so every case is a
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from outreg import (NoPredictionError, OrConfig, classify,  # noqa: E402
                     fit_gate, load_gate, nlror_predict,
-                    nlror_predict_detailed, save_gate)
+                    nlror_predict_detailed, pinv_solve, save_gate)
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
                          max_examples=150)
@@ -35,6 +36,38 @@ def or_configs(draw):
     include_raw = draw(st.booleans()) if delta1 or delta2 else True
     return OrConfig(delta1_values=tuple(delta1), delta2_values=tuple(delta2),
                     include_raw_nlr=include_raw)
+
+
+@DETERMINISTIC
+@given(seed=seeds, n=st.integers(min_value=1, max_value=12),
+       rank=st.integers(min_value=1, max_value=8),
+       copies=st.integers(min_value=0, max_value=3),
+       tilt=st.sampled_from([0.0, 1e-13, 1e-3]),
+       zero=st.integers(min_value=0, max_value=2),
+       m=st.integers(min_value=1, max_value=3),
+       rel_tol=st.sampled_from([1e-10, 1e-8]),
+       log_scale=st.floats(min_value=-3.0, max_value=3.0))
+def test_solve_matches_svd_pseudoinverse_on_rank_deficient_designs(
+        seed, n, rank, copies, tilt, zero, m, rel_tol, log_scale):
+    """Against ``np.linalg.pinv`` (an SVD with the same relative cutoff):
+    the fitted values agree, and so does the minimum-norm solution.  The
+    designs have copies of columns, tilted by 1e-13 (a direction far
+    below the cutoff) or 1e-3 (far above it), all-zero columns, and up to
+    13 columns over as few as one row, at scales 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((n, rank))
+    copied = base[:, rng.integers(0, rank, size=copies)]
+    columns = [base, copied + tilt * rng.standard_normal(copied.shape),
+               np.zeros((n, zero))]
+    H = 10.0 ** log_scale * np.hstack(columns)[:, rng.permutation(
+        rank + copies + zero)]
+    Y = rng.standard_normal((n, m))
+
+    B = pinv_solve(H, Y, rel_tol=rel_tol)
+    oracle = np.linalg.pinv(H, rcond=rel_tol) @ Y
+    np.testing.assert_allclose(H @ B, H @ oracle, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(B, oracle, rtol=0,
+                               atol=1e-8 * np.abs(oracle).max())
 
 
 def _training_rows(seed, d, n):

@@ -15,7 +15,14 @@ Run it against two source trees and compare, e.g.
     PYTHONPATH=../parent/src python tools/report_digests.py > parent.txt
     diff parent.txt change.txt
 
-No output line differs when a change keeps every report byte.
+No output line differs when a change keeps every report byte.  With a
+directory argument, each case's run is kept as ``DIR/<case>/report.json``
+and ``DIR/<case>/trials.csv``, so that a change which moves bytes on
+purpose can be measured with ``tools/report_diff.py``:
+
+    PYTHONPATH=src python tools/report_digests.py ../change > change.txt
+    python tools/report_diff.py ../parent/numeric-seed0-default-cv/report.json \
+        ../change/numeric-seed0-default-cv/report.json
 """
 
 from __future__ import annotations
@@ -89,9 +96,13 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def main_digests() -> int:
+def main_digests(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print("usage: report_digests.py [DIR]", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
+        runs = Path(argv[0]) if argv else root
         for record in RECORDS:
             manifest = _write_record(root, record, seed=2024)
             for seed in SEEDS:
@@ -105,7 +116,7 @@ def main_digests() -> int:
                         config["cv"] = cv
                     config_path = root / f"{case}.json"
                     config_path.write_text(json.dumps(config))
-                    out = root / case
+                    out = runs / case
                     with contextlib.redirect_stdout(io.StringIO()):
                         code = main(["run", "--manifest", str(manifest),
                                      "--config", str(config_path),
@@ -118,4 +129,4 @@ def main_digests() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main_digests())
+    sys.exit(main_digests(sys.argv[1:]))
