@@ -6,11 +6,12 @@ training envelope and a directional linear extrapolation fallback that
 replaces the nonlinear prediction on those points.
 """
 
-from .extrapolate import (DegenerateGeometryError, ExtrapolationRecord,
-                          NoPredictionError, OrConfig,
+from .extrapolate import (DegenerateGeometryError, ExtrapolationPlan,
+                          ExtrapolationRecord, NoPredictionError, OrConfig,
                           boundary_extrapolate_1d, categorical_center,
-                          center_linear_extrapolate, nlror_predict,
-                          nlror_predict_detailed, nn_linear_extrapolate)
+                          center_linear_extrapolate, extrapolation_plan,
+                          nlror_predict, nlror_predict_detailed,
+                          nn_linear_extrapolate)
 from .modelio import load_ensemble, load_gate, save_ensemble, save_gate
 from .numkernel import (average_ranks, columnwise_median, percentile,
                         pinv_solve, sample_covariance, sample_mean)
@@ -32,14 +33,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Activation", "CvConfig", "DegenerateGeometryError", "ElmModel",
-    "EnsembleModel", "ExtrapolationRecord", "Gate", "LinearModel",
+    "EnsembleModel", "ExtrapolationPlan", "ExtrapolationRecord", "Gate", "LinearModel",
     "MinMaxScaler", "NoPredictionError", "OneHotGroup", "OrConfig",
     "OutlierPartition", "TargetTransform", "TrimPolicy",
     "activation_value", "apply_minmax", "average_ranks",
     "beyond_nearest_neighbor", "boundary_extrapolate_1d", "categorical_center",
     "center_linear_extrapolate", "classify", "clip_nonnegative",
     "columnwise_median", "default_node_grid", "elm_predict", "elm_train",
-    "ensemble_predict", "ensemble_train", "fit_gate", "fit_minmax",
+    "ensemble_predict", "ensemble_train", "extrapolation_plan", "fit_gate", "fit_minmax",
     "inverse_transform_target", "invert_minmax", "load_ensemble",
     "load_gate", "lr_fit", "lr_predict", "mahalanobis_distance",
     "minmax_onehot_group", "nearest_training_neighbor", "nlror_predict", "nlror_predict_detailed",

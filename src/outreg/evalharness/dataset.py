@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..preprocess import OneHotGroup, TargetTransform, one_hot_encode, transform_target
+from ..preprocess import (OneHotGroup, TargetTransform, indicator_columns, one_hot_encode,
+                          transform_target)
 
 
 class ManifestError(ValueError):
@@ -75,10 +76,7 @@ class Dataset:
 
     @property
     def indicator_columns(self) -> tuple[int, ...]:
-        cols: list[int] = []
-        for g in self.onehot_groups:
-            cols.extend(g.column_indices)
-        return tuple(sorted(cols))
+        return indicator_columns(self.onehot_groups)
 
 
 def _require(condition: bool, message: str) -> None:

@@ -22,12 +22,12 @@ with the same config and dataset produce identical reports.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ..extrapolate import OrConfig, nlror_predict_detailed
-from ..outlier_gate import Gate, classify, fit_gate
+from ..extrapolate import OrConfig, extrapolation_plan
+from ..outlier_gate import classify, fit_gate
 from ..preprocess import (TargetTransform, apply_minmax, clip_nonnegative,
                           fit_minmax, inverse_transform_target,
                           minmax_onehot_group, r_outl)
@@ -125,17 +125,9 @@ def _subset_metrics(prepared, pred, rows):
 
 
 def _boxplot_dict(values: np.ndarray) -> dict:
-    stats = boxplot_stats(values)
-    return {
-        "median": stats.median,
-        "q25": stats.q25,
-        "q75": stats.q75,
-        "whisker_low": stats.whisker_low,
-        "whisker_high": stats.whisker_high,
-        "outside_points": list(stats.outside_points),
-        "mean": float(np.mean(values)),
-        "n": int(values.size),
-    }
+    stats = asdict(boxplot_stats(values))
+    return {**stats, "outside_points": list(stats["outside_points"]),
+            "mean": float(np.mean(values)), "n": int(values.size)}
 
 
 def _aggregate_cells(trials, percentile_keys):
@@ -143,22 +135,17 @@ def _aggregate_cells(trials, percentile_keys):
     aggregates: dict = {}
     differences: dict = {}
     for qk, subset, metric in itertools.product(percentile_keys, SUBSETS, METRICS):
-        per_model = {}
-        for model in MODELS:
-            values = [t.scores[qk][model][subset][metric] for t in trials]
-            kept = np.asarray([v for v in values if v is not None])
-            per_model[model] = kept
-            cell = (aggregates.setdefault(qk, {}).setdefault(model, {})
-                    .setdefault(subset, {}))
-            cell[metric] = (_boxplot_dict(kept) if kept.size
-                            else None)
+        scores = {model: [t.scores[qk][model][subset][metric] for t in trials]
+                  for model in MODELS}
+        # a difference pairs the two models' scores of the same trial
         for hi, lo in MODEL_PAIRS:
-            a, b = per_model[hi], per_model[lo]
-            name = f"{hi}_minus_{lo}"
-            cell = (differences.setdefault(qk, {}).setdefault(name, {})
-                    .setdefault(subset, {}))
-            cell[metric] = (_boxplot_dict(a - b)
-                            if a.size and a.size == b.size else None)
+            scores[f"{hi}_minus_{lo}"] = [None if a is None or b is None else a - b
+                                          for a, b in zip(scores[hi], scores[lo])]
+        for name, values in scores.items():
+            kept = np.asarray([v for v in values if v is not None])
+            cell = ((aggregates if name in MODELS else differences)
+                    .setdefault(qk, {}).setdefault(name, {}).setdefault(subset, {}))
+            cell[metric] = _boxplot_dict(kept) if kept.size else None
     return aggregates, differences
 
 
@@ -173,12 +160,9 @@ class _Prepared:
     Zte: np.ndarray
     # percentile key -> subset -> test row indices
     subsets: dict
-    gated_rows: np.ndarray
-    # the fallback reads only the training rows and centre, which every
-    # percentile's gate shares, so one gate serves them all and each gated
-    # row is replaced once per trial
-    fallback_gate: Gate
-    or_config: OrConfig
+    # gated test row -> its fallback's anchors and secants, which depend
+    # on the gate and the row alone
+    plans: dict
     lr_pred: np.ndarray
     dataset_summary: dict
 
@@ -206,8 +190,10 @@ def _prepare(dataset: Dataset, config: ExperimentConfig) -> _Prepared:
     or_config = replace(config.or_config, categorical_groups=tuple(
         minmax_onehot_group(scaler, g) for g in groups))
 
-    gated_rows = np.unique(np.concatenate(
-        [rows["outliers"] for rows in subsets.values()]))
+    # the fallback reads only the training rows and centre, which every
+    # percentile's gate shares, so one plan serves a row at every percentile
+    plans = {i: extrapolation_plan(gates[-1], Zte[i], or_config) for i in np.unique(
+        np.concatenate([rows["outliers"] for rows in subsets.values()]))}
     lr_pred = lr_predict(lr_fit(Ztr, dataset.train_target), Zte)
     dataset_summary = {
         "name": dataset.name,
@@ -223,8 +209,7 @@ def _prepare(dataset: Dataset, config: ExperimentConfig) -> _Prepared:
                            for qk, rows in subsets.items()},
         "mad_reference": mad(dataset.test_target),
     }
-    return _Prepared(config, dataset, Ztr, Zte, subsets, gated_rows, gates[-1],
-                     or_config, lr_pred, dataset_summary)
+    return _Prepared(config, dataset, Ztr, Zte, subsets, plans, lr_pred, dataset_summary)
 
 
 def _run_unit(prepared: _Prepared, ai: int, node_count: int, t: int):
@@ -238,13 +223,8 @@ def _run_unit(prepared: _Prepared, ai: int, node_count: int, t: int):
                               activation, member_count=config.members_per_trial,
                               seed=trial_seed)
     nlr_pred = ensemble_predict(ensemble, prepared.Zte)[:, 0]
-
-    def surface(points: np.ndarray) -> np.ndarray:
-        return ensemble_predict(ensemble, points)[:, 0]
-
-    fallback = {i: nlror_predict_detailed(surface, prepared.fallback_gate,
-                                          prepared.Zte[i], prepared.or_config)
-                for i in prepared.gated_rows}
+    fallback = {i: plan.record(ensemble_predict(ensemble, plan.anchors)[:, 0])
+                for i, plan in prepared.plans.items()}
     clip = (dataset.clip_negative_predictions
             and dataset.target_transform is TargetTransform.NONE)
     preds = {"lr": prepared.lr_pred, "nlr": nlr_pred}

@@ -16,9 +16,17 @@ raw surface value at the outlier itself is included as one more median
 candidate by default, so the fallback can never be worse than a vote
 against the unextrapolated prediction.
 
-Geometrically degenerate candidates (zero direction, projection falling
-outside the centre-to-outlier segment) are dropped rather than fudged;
-if every candidate drops, the raw surface value is returned.
+Every candidate is one secant f(a) + s (f(a) - f(b)); the raw value is
+the secant with a = b = x_o and s = 0.  The anchors a, b and the slopes s
+depend only on the gate, the point and the OrConfig, so
+``extrapolation_plan`` builds them once and ``ExtrapolationPlan.record``
+turns the surface values at the anchors, from one call of the surface,
+into the record.  A caller with many surfaces fitted on the same
+training rows (one per trial) reuses the plan.
+
+Geometrically degenerate routes (zero direction, projection falling
+outside the centre-to-outlier segment) are dropped rather than fudged,
+for all their step sizes at once, since neither test depends on the step.
 
 ``PredictFn`` is any callable mapping an (k, d) array of points to a
 length-k array of surface values; for the 1-D boundary helper it maps a
@@ -34,8 +42,8 @@ from typing import Callable
 import numpy as np
 
 from .numkernel import as_vector, columnwise_median
-from .outlier_gate import Gate, nearest_training_neighbor
-from .preprocess import OneHotGroup
+from .outlier_gate import Gate, gate_point, nearest_training_neighbor
+from .preprocess import OneHotGroup, indicator_columns
 
 PredictFn = Callable[[np.ndarray], np.ndarray]
 
@@ -87,6 +95,51 @@ class ExtrapolationRecord:
     nn_index: int
 
 
+def _secants(values, slopes: np.ndarray) -> np.ndarray:
+    """f(a) + s (f(a) - f(b)) for each secant, from the surface values at
+    its anchors laid out a0, b0, a1, b1, ..."""
+    f_a, f_b = np.asarray(values, dtype=float).reshape(-1, 2).T
+    return f_a + slopes * (f_a - f_b)
+
+
+def _nn_route(xo: np.ndarray, xn: np.ndarray, deltas) -> list:
+    """(a, b, s) per delta1: a = x_nn, b = x_nn + delta1 (x_nn - x_o), s = 1/delta1."""
+    if np.array_equal(xo, xn):
+        raise DegenerateGeometryError("nearest neighbour coincides with the point")
+    return [(xn, xn + d * (xn - xo), 1.0 / d) for d in deltas]
+
+
+def _center_route(xo: np.ndarray, xn: np.ndarray, c: np.ndarray, deltas) -> list:
+    """(a, b, s) per delta2: a = p, the neighbour projected on the line
+    from the centre to x_o at distance t_p from the centre, b = p +
+    delta2 (center - p), s = (||x_o - c|| - t_p) / (delta2 t_p)."""
+    if np.array_equal(xo, c):
+        raise DegenerateGeometryError(
+            "x_o coincides with the centre: extrapolation direction is undefined"
+        )
+    direction = xo - c
+    t_outlier = float(np.linalg.norm(direction))
+    unit = direction / t_outlier
+    t_projection = float((xn - c) @ unit)
+    if t_projection <= 0.0:
+        raise DegenerateGeometryError(
+            "neighbour projects at or behind the centre on the centre-outlier line"
+        )
+    if t_projection >= t_outlier:
+        raise DegenerateGeometryError(
+            "neighbour projects at or beyond the outlier on the centre-outlier line"
+        )
+    p = c + t_projection * unit
+    return [(p, c if d == 1.0 else p + d * (c - p),
+             (t_outlier - t_projection) / (d * t_projection)) for d in deltas]
+
+
+def _evaluate(f: PredictFn, route: list) -> float:
+    """The value of a route's single secant, from one call of ``f``."""
+    (a, b, s), = route
+    return float(_secants(f(np.stack([a, b])), np.array([s]))[0])
+
+
 def nn_linear_extrapolate(f: PredictFn, x_o, x_nn, delta1: float) -> float:
     """Linear extrapolation along the neighbour-to-outlier line.
 
@@ -102,11 +155,7 @@ def nn_linear_extrapolate(f: PredictFn, x_o, x_nn, delta1: float) -> float:
         raise ValueError(f"x_o has {xo.size} coordinates, x_nn has {xn.size}")
     if not delta1 > 0.0:
         raise ValueError(f"delta1 must be positive, got {delta1}")
-    if np.array_equal(xo, xn):
-        raise ValueError("x_nn coincides with x_o: extrapolation direction is undefined")
-    x_star = xn + delta1 * (xn - xo)
-    f_nn, f_star = (float(v) for v in np.asarray(f(np.stack([xn, x_star]))))
-    return f_nn + (f_nn - f_star) / delta1
+    return _evaluate(f, _nn_route(xo, xn, (delta1,)))
 
 
 def center_linear_extrapolate(f: PredictFn, x_o, x_nn, center, delta2: float) -> float:
@@ -132,35 +181,7 @@ def center_linear_extrapolate(f: PredictFn, x_o, x_nn, center, delta2: float) ->
         )
     if not 0.0 < delta2 <= 1.0:
         raise ValueError(f"delta2 must lie in (0, 1], got {delta2}")
-    if np.array_equal(xo, c):
-        raise DegenerateGeometryError(
-            "x_o coincides with the centre: extrapolation direction is undefined"
-        )
-    direction = xo - c
-    t_outlier = float(np.linalg.norm(direction))
-    unit = direction / t_outlier
-    t_projection = float((xn - c) @ unit)
-    if t_projection <= 0.0:
-        raise DegenerateGeometryError(
-            "neighbour projects at or behind the centre on the centre-outlier line"
-        )
-    if t_projection >= t_outlier:
-        raise DegenerateGeometryError(
-            "neighbour projects at or beyond the outlier on the centre-outlier line"
-        )
-    p = c + t_projection * unit
-    x_star = c.copy() if delta2 == 1.0 else p + delta2 * (c - p)
-    f_p, f_star = (float(v) for v in np.asarray(f(np.stack([p, x_star]))))
-    return f_p + ((t_outlier - t_projection) / (delta2 * t_projection)) * (f_p - f_star)
-
-
-def _indicator_columns(groups: tuple[OneHotGroup, ...]) -> list[int]:
-    cols: list[int] = []
-    for g in groups:
-        cols.extend(g.column_indices)
-    if len(set(cols)) != len(cols):
-        raise ValueError("one-hot groups must not share columns")
-    return cols
+    return _evaluate(f, _center_route(xo, xn, c, (delta2,)))
 
 
 def _check_indicator_block(x: np.ndarray, group: OneHotGroup) -> None:
@@ -178,12 +199,10 @@ def categorical_center(gate: Gate, x_o, groups: tuple[OneHotGroup, ...]) -> np.n
     Falls back to the gate's global centre when no training row matches
     (the secant anchors still need somewhere to stand).
     """
-    xo = as_vector(x_o, "x_o")
-    if xo.size != gate.mean.size:
-        raise ValueError(f"x_o has {xo.size} coordinates, gate expects {gate.mean.size}")
+    xo = gate_point(gate, x_o, "x_o")
     if not groups:
         raise ValueError("categorical_center requires at least one one-hot group")
-    cols = _indicator_columns(tuple(groups))
+    cols = list(indicator_columns(groups))
     for g in groups:
         _check_indicator_block(xo, g)
     train = gate.training_inputs
@@ -197,6 +216,86 @@ def categorical_center(gate: Gate, x_o, groups: tuple[OneHotGroup, ...]) -> np.n
     return columnwise_median(train[match])
 
 
+@dataclass(frozen=True)
+class ExtrapolationPlan:
+    """Where the fallback samples the surface for one gated point.
+
+    Candidate j is the secant f(a_j) + slopes[j] (f(a_j) - f(b_j)) with
+    a_j = anchors[2 j] and b_j = anchors[2 j + 1]; the raw surface value
+    is the secant with a = b = x_o and slope 0.  None of it depends on
+    the surface, so one plan serves every surface fitted on the gate's
+    training rows.
+    """
+
+    labels: tuple[str, ...]
+    anchors: np.ndarray
+    slopes: np.ndarray
+    dropped: tuple[tuple[str, str], ...]
+    nn_index: int
+
+    def record(self, values) -> ExtrapolationRecord:
+        """The record for the surface ``values`` at ``anchors``, in order."""
+        candidates = _secants(values, self.slopes)
+        return ExtrapolationRecord(
+            value=float(np.median(candidates)),
+            candidates=tuple(zip(self.labels, candidates.tolist())),
+            dropped=self.dropped,
+            nn_index=self.nn_index,
+        )
+
+
+def extrapolation_plan(gate: Gate, x_o, config: OrConfig = OrConfig()) -> ExtrapolationPlan:
+    """The candidates of ``nlror_predict_detailed`` for x_o, before any
+    surface value: one neighbour-route secant per delta1, one centre-route
+    secant per delta2 and, by default, the raw surface value.  A route
+    whose geometry degenerates is dropped for all its deltas at once.
+
+    When one-hot groups are configured, the neighbour and centre anchors
+    have their indicator coordinates pinned to x_o's block before any
+    geometry, so every anchor carries a valid indicator block and all
+    line geometry happens in the continuous coordinates.
+    """
+    xo = gate_point(gate, x_o, "x_o")
+    nn_index, _ = nearest_training_neighbor(gate, xo)
+    x_nn = gate.training_inputs[nn_index].copy()
+    center = gate.center.copy()
+    if config.categorical_groups:
+        center = categorical_center(gate, xo, config.categorical_groups)
+        pin = list(indicator_columns(config.categorical_groups))
+        x_nn[pin] = xo[pin]
+        center[pin] = xo[pin]
+
+    labels: list[str] = []
+    secants: list = []
+    dropped: list[tuple[str, str]] = []
+    for template, deltas, route, points in (
+            ("nn-extrapolation(delta1={:g})", config.delta1_values, _nn_route, (xo, x_nn)),
+            ("center-extrapolation(delta2={:g})", config.delta2_values, _center_route,
+             (xo, x_nn, center))):
+        names = [template.format(d) for d in deltas]
+        try:
+            secants += route(*points, deltas)
+            labels += names
+        except DegenerateGeometryError as exc:
+            dropped += [(name, str(exc)) for name in names]
+    if config.include_raw_nlr:
+        labels.append("raw-surface")
+        secants.append((xo, xo, 0.0))
+    elif not secants:
+        raise NoPredictionError(
+            "all directional candidates were dropped "
+            f"({'; '.join(reason for _, reason in dropped)}) "
+            "and the raw surface value is excluded"
+        )
+    return ExtrapolationPlan(
+        labels=tuple(labels),
+        anchors=np.array([x for a, b, _ in secants for x in (a, b)]),
+        slopes=np.array([s for _, _, s in secants]),
+        dropped=tuple(dropped),
+        nn_index=nn_index,
+    )
+
+
 def nlror_predict_detailed(f: PredictFn, gate: Gate, x_o,
                            config: OrConfig = OrConfig()) -> ExtrapolationRecord:
     """Median-of-extrapolations replacement for one gated outlier.
@@ -204,55 +303,10 @@ def nlror_predict_detailed(f: PredictFn, gate: Gate, x_o,
     Builds one nn-direction candidate per delta1, one centre-direction
     candidate per delta2, plus (by default) the raw surface value f(x_o),
     and returns the median with a record of what was dropped and why.
-
-    When one-hot groups are configured, the neighbour and centre anchors
-    have their indicator coordinates pinned to x_o's block before any
-    geometry, so every point handed to ``f`` carries a valid indicator
-    block and all line geometry happens in the continuous coordinates.
+    ``f`` is called once, on every anchor of ``extrapolation_plan``.
     """
-    xo = as_vector(x_o, "x_o")
-    if xo.size != gate.mean.size:
-        raise ValueError(f"x_o has {xo.size} coordinates, gate expects {gate.mean.size}")
-    groups = tuple(config.categorical_groups)
-    nn_index, _ = nearest_training_neighbor(gate, xo)
-    x_nn = gate.training_inputs[nn_index].copy()
-    if groups:
-        center = categorical_center(gate, xo, groups)
-        pin = _indicator_columns(groups)
-        x_nn[pin] = xo[pin]
-        center[pin] = xo[pin]
-    else:
-        center = gate.center.copy()
-
-    candidates: list[tuple[str, float]] = []
-    dropped: list[tuple[str, str]] = []
-    for d1 in config.delta1_values:
-        label = f"nn-extrapolation(delta1={d1:g})"
-        if np.array_equal(x_nn, xo):
-            dropped.append((label, "nearest neighbour coincides with the point"))
-            continue
-        candidates.append((label, nn_linear_extrapolate(f, xo, x_nn, d1)))
-    for d2 in config.delta2_values:
-        label = f"center-extrapolation(delta2={d2:g})"
-        try:
-            candidates.append((label, center_linear_extrapolate(f, xo, x_nn, center, d2)))
-        except DegenerateGeometryError as exc:
-            dropped.append((label, str(exc)))
-    if config.include_raw_nlr:
-        candidates.append(("raw-surface", float(np.asarray(f(xo[None, :]))[0])))
-    elif not candidates:
-        raise NoPredictionError(
-            "all directional candidates were dropped "
-            f"({'; '.join(reason for _, reason in dropped)}) "
-            "and the raw surface value is excluded"
-        )
-    value = float(np.median([v for _, v in candidates]))
-    return ExtrapolationRecord(
-        value=value,
-        candidates=tuple(candidates),
-        dropped=tuple(dropped),
-        nn_index=nn_index,
-    )
+    plan = extrapolation_plan(gate, x_o, config)
+    return plan.record(f(plan.anchors))
 
 
 def nlror_predict(f: PredictFn, gate: Gate, x_o,

@@ -98,12 +98,17 @@ def fit_gate(train_inputs, percentile_q: float = 99.0) -> Gate:
     )
 
 
+def gate_point(gate: Gate, x, name: str = "x") -> np.ndarray:
+    """``x`` as one point of the gate's input space, else a ValueError."""
+    v = as_vector(x, name)
+    if v.size != gate.mean.size:
+        raise ValueError(f"{name} has {v.size} coordinates, gate expects {gate.mean.size}")
+    return v
+
+
 def mahalanobis_distance(gate: Gate, x) -> float:
     """sqrt((x - mean)^T C^{-1} (x - mean)) for a single point."""
-    v = as_vector(x, "x")
-    if v.size != gate.mean.size:
-        raise ValueError(f"x has {v.size} coordinates, gate expects {gate.mean.size}")
-    return float(np.linalg.norm(gate.covariance_inverse_factor @ (v - gate.mean)))
+    return float(np.linalg.norm(gate.covariance_inverse_factor @ (gate_point(gate, x) - gate.mean)))
 
 
 def _distances(gate: Gate, X: np.ndarray) -> np.ndarray:
@@ -116,10 +121,7 @@ def nearest_training_neighbor(gate: Gate, x) -> tuple[int, float]:
     Exact distance ties resolve to the smallest row index, so repeated
     training rows cannot make the choice run-dependent.
     """
-    v = as_vector(x, "x")
-    if v.size != gate.mean.size:
-        raise ValueError(f"x has {v.size} coordinates, gate expects {gate.mean.size}")
-    diff = gate.training_inputs - v
+    diff = gate.training_inputs - gate_point(gate, x)
     squared = np.einsum("ij,ij->i", diff, diff)
     index = int(np.argmin(squared))
     return index, float(np.sqrt(squared[index]))

@@ -200,6 +200,14 @@ class OneHotGroup:
         return np.where(np.eye(absent.size, dtype=bool), present, absent)
 
 
+def indicator_columns(groups) -> tuple[int, ...]:
+    """The columns of all the one-hot groups, sorted; no two may share one."""
+    cols = sorted(c for g in groups for c in g.column_indices)
+    if len(set(cols)) != len(cols):
+        raise ValueError("one-hot groups must not share columns")
+    return tuple(cols)
+
+
 def minmax_onehot_group(scaler: MinMaxScaler, group: OneHotGroup) -> OneHotGroup:
     """The group with its levels mapped as ``apply_minmax(scaler, .)`` maps them.
 

@@ -15,7 +15,7 @@ import pytest
 
 from outreg import (CvConfig, OrConfig, apply_minmax, classify, fit_gate,
                     fit_minmax)
-from outreg.evalharness import load_dataset, load_manifest, load_report
+from outreg.evalharness import experiment, load_dataset, load_manifest, load_report
 from outreg.evalharness.cli import main
 
 
@@ -339,6 +339,50 @@ class TestRunCommand:
         doc = load_report(out_dir / "report.json")
         assert doc["dataset"]["n_features"] == 4
         assert doc["dataset"]["outlier_counts"]["99.0"] > 0
+
+    def test_every_candidate_dropped_without_raw_value_exits_2(self, tmp_path, capsys,
+                                                               monkeypatch):
+        """The last test row copies training row 0 but for a category no
+        training row has.  Its indicators are pinned onto the neighbour,
+        which then coincides with it, and the centre line ends on it, so
+        both routes drop; with the raw value excluded there is no
+        prediction, found while the run is prepared."""
+        rng = np.random.default_rng(5)
+        x = np.append(rng.uniform(0.0, 1.0, size=26), 0.0)
+        x[-1] = x[0]
+        seasons = ["wet", "dry"] * 13
+        seasons[-1] = "wet"
+        seasons.append("snow")
+        with open(tmp_path / "snow.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["x0", "season", "y"])
+            for value, season in zip(x, seasons):
+                writer.writerow([repr(float(value)), season, repr(float(2.0 * value + 1.0))])
+        manifest_path = tmp_path / "snow.json"
+        manifest_path.write_text(json.dumps({
+            "name": "snow", "csv_path": "snow.csv",
+            "feature_columns": ["x0", "season"], "target_column": "y",
+            "categorical_groups": [{"column": "season",
+                                    "categories": ["wet", "dry", "snow"]}],
+            "split": {"train_range": [0, 21], "test_range": [21, 27]},
+        }))
+        config_path = _write_config(tmp_path, **{"or": {"include_raw_nlr": False}})
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("members trained before the plans were built")
+
+        monkeypatch.setattr(experiment, "select_node_count", no_training)
+        monkeypatch.setattr(experiment, "ensemble_train", no_training)
+        with pytest.warns(UserWarning, match="global training centre"):
+            code = main(["run", "--manifest", str(manifest_path),
+                         "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: all directional candidates were dropped")
+        assert "nearest neighbour coincides with the point" in err
+        assert "at or beyond the outlier" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestReportCommand:
     def _make_report(self, tmp_path, name, seed):

@@ -19,8 +19,9 @@ import pytest
 
 from outreg import (Activation, CvConfig, OneHotGroup, TargetTransform,
                     apply_minmax, classify, clip_nonnegative,
-                    default_node_grid, fit_gate, fit_minmax, lr_fit,
-                    lr_predict, nlror_predict_detailed)
+                    default_node_grid, ensemble_predict, ensemble_train,
+                    extrapolate, extrapolation_plan, fit_gate, fit_minmax,
+                    lr_fit, lr_predict, nlror_predict_detailed, outlier_gate)
 from outreg.evalharness import (ExperimentConfig, dataset_from_arrays, mad,
                                 run_experiment)
 from outreg.evalharness import experiment
@@ -316,6 +317,36 @@ class TestAggregates:
         names = set(result.difference_aggregates["sigmoid"][Q99])
         assert names == {f"{hi}_minus_{lo}" for hi, lo in MODEL_PAIRS}
 
+    @staticmethod
+    def _trials(nlr, lr):
+        """Trials whose only non-null cells are nlr's and lr's all-row MAEn."""
+        trials = []
+        for t, pair in enumerate(zip(nlr, lr)):
+            scores = {Q99: {model: {subset: dict.fromkeys(METRICS) for subset in SUBSETS}
+                            for model in MODELS}}
+            for model, value in zip(("nlr", "lr"), pair):
+                scores[Q99][model]["all"]["maen"] = value
+            trials.append(experiment.TrialReport("sigmoid", t, t, 8, {Q99: 0}, scores))
+        return trials
+
+    def test_difference_skips_trials_where_either_model_is_null(self):
+        """nlr is null in trial 0 and lr in trial 1, so only trial 2 pairs."""
+        _, differences = experiment._aggregate_cells(
+            self._trials([None, 0.9, 0.8], [0.5, None, 0.1]), [Q99])
+        cell = differences[Q99]["nlr_minus_lr"]["all"]["maen"]
+        assert cell["n"] == 1
+        assert cell["median"] == 0.8 - 0.1
+
+    def test_unequal_null_counts_keep_the_paired_trials(self):
+        aggregates, differences = experiment._aggregate_cells(
+            self._trials([None, 0.9, 0.8], [0.5, 0.4, 0.1]), [Q99])
+        assert aggregates[Q99]["nlr"]["all"]["maen"]["n"] == 2
+        assert aggregates[Q99]["lr"]["all"]["maen"]["n"] == 3
+        cell = differences[Q99]["nlr_minus_lr"]["all"]["maen"]
+        assert cell["n"] == 2
+        assert cell["mean"] == float(np.mean([0.9 - 0.4, 0.8 - 0.1]))
+        assert differences[Q99]["nlr_minus_lr"]["all"]["spearman"] is None
+
 
 class TestSmallSubsets:
     def test_subsets_below_threshold_report_none(self):
@@ -436,22 +467,24 @@ class TestExtrapolationRecords:
             assert record["value"] == float(np.median(values))
 
     def test_fallback_runs_once_per_gated_row_and_trial(self, monkeypatch):
+        """One plan per gated row per run, whatever the activations and
+        trials; a row gated at two percentiles has twin records."""
         calls = []
 
-        def counting(f, gate, x_o, config):
+        def counting(gate, x_o, config):
             calls.append(1)
-            return nlror_predict_detailed(f, gate, x_o, config)
+            return extrapolation_plan(gate, x_o, config)
 
-        monkeypatch.setattr(experiment, "nlror_predict_detailed", counting)
-        config = _main_config(collect_extrapolation_records=True)
+        monkeypatch.setattr(experiment, "extrapolation_plan", counting)
+        config = _main_config(trials=2, collect_extrapolation_records=True)
         result = run_experiment(_affine_dataset(), config)
         records = result.extrapolation_records
         gated = {q: {r["row"] for r in records if r["percentile"] == q}
                  for q in (Q99, Q95)}
         both = gated[Q99] & gated[Q95]
         assert both
-        assert len(calls) == (len(config.activations) * config.trials
-                              * len(gated[Q99] | gated[Q95]))
+        assert len(config.activations) == config.trials == 2
+        assert len(calls) == len(gated[Q99] | gated[Q95])
 
         def content(record):
             return {k: v for k, v in record.items() if k != "percentile"}
@@ -462,6 +495,50 @@ class TestExtrapolationRecords:
             if qk == Q99 and row in both:
                 twin = by_key[(activation, trial, Q95, row)]
                 assert content(record) == content(twin)
+
+    def test_unit_records_equal_the_fallback_on_the_trial_surface(self):
+        """Bitwise: a unit's records are ``nlror_predict_detailed`` on the
+        trial's ensemble, the last percentile's gate and the run's OrConfig."""
+        dataset, config = _affine_dataset(), _main_config(collect_extrapolation_records=True)
+        prepared = experiment._prepare(dataset, config)
+        gate = fit_gate(prepared.Ztr, config.gate_percentiles[-1])
+        ai, t = 1, 2
+        ensemble = ensemble_train(prepared.Ztr, dataset.train_target[:, None], 8,
+                                  config.activations[ai], member_count=config.members_per_trial,
+                                  seed=derive_seed(config.master_seed, STREAM_TRIAL, ai, t))
+        _, records = experiment._run_unit(prepared, ai, 8, t)
+        assert {r["row"] for r in records} == set(prepared.plans)
+        for r in records:
+            expected = nlror_predict_detailed(
+                lambda P: ensemble_predict(ensemble, P)[:, 0], gate,
+                prepared.Zte[r["row"]], config.or_config)
+            assert np.float64(r["value"]).tobytes() == np.float64(expected.value).tobytes()
+            assert r["candidates"] == [list(c) for c in expected.candidates]
+            assert r["dropped"] == [list(d) for d in expected.dropped]
+            assert r["nn_index"] == expected.nn_index
+
+    def test_no_neighbour_search_or_centre_after_prepare(self, monkeypatch):
+        """The units read the plans: after ``_prepare`` the run searches no
+        neighbour and builds no categorical centre."""
+        prepare = experiment._prepare
+
+        def forbidden(name):
+            def call(*args):
+                raise AssertionError(f"{name} called after _prepare")
+            return call
+
+        def prepare_then_forbid(dataset, config):
+            prepared = prepare(dataset, config)
+            for module, name in ((extrapolate, "nearest_training_neighbor"),
+                                 (extrapolate, "categorical_center"),
+                                 (outlier_gate, "nearest_training_neighbor")):
+                monkeypatch.setattr(module, name, forbidden(name))
+            return prepared
+
+        monkeypatch.setattr(experiment, "_prepare", prepare_then_forbid)
+        config = _main_config(trials=2, collect_extrapolation_records=True)
+        result = run_experiment(_categorical_dataset("ABABABA"), config)
+        assert result.extrapolation_records
 
     def test_records_empty_by_default(self):
         assert _main_result().extrapolation_records == ()

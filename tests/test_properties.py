@@ -16,9 +16,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from outreg import (NoPredictionError, OrConfig, classify,  # noqa: E402
-                    fit_gate, load_gate, nlror_predict,
-                    nlror_predict_detailed, pinv_solve, save_gate)
+from outreg import (DegenerateGeometryError, NoPredictionError,  # noqa: E402
+                    OrConfig, center_linear_extrapolate, classify, fit_gate,
+                    load_gate, nearest_training_neighbor, nlror_predict,
+                    nlror_predict_detailed, nn_linear_extrapolate, pinv_solve,
+                    save_gate)
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
                          max_examples=150)
@@ -129,6 +131,68 @@ def test_fallback_is_training_row_permutation_equivariant(seed, d, config, reach
     assert after.candidates == before.candidates
     assert after.dropped == before.dropped
     assert order[after.nn_index] == before.nn_index
+
+
+def _row_sines(P):
+    """sin summed over each row, one row at a time, so that a row's value
+    does not depend on the rows evaluated with it."""
+    return np.array([np.sin(row).sum() for row in np.asarray(P)])
+
+
+def _bits(pairs):
+    return [(label, np.float64(value).tobytes()) for label, value in pairs]
+
+
+@DETERMINISTIC
+@given(seed=seeds, d=dims, config=or_configs(),
+       place=st.sampled_from(["far", "near", "training-row", "centre"]),
+       reach=st.floats(min_value=0.1, max_value=30.0))
+def test_fallback_candidates_are_the_per_route_secants(seed, d, config, place, reach):
+    """Bitwise, each candidate is the value of ``nn_linear_extrapolate``
+    or ``center_linear_extrapolate`` on the same neighbour and centre,
+    each dropped candidate carries the reason its route raises, and the
+    surface is called once for the point."""
+    rng, X = _training_rows(seed, d, 30)
+    gate = fit_gate(X, 99.0)
+    u = rng.standard_normal(d)
+    x_o = {"far": gate.center + reach * X.std(axis=0) * u / np.linalg.norm(u),
+           "near": X[0] + 0.1 * reach * X.std(axis=0) * u / np.linalg.norm(u),
+           "training-row": X[rng.integers(len(X))],
+           "centre": gate.center}[place]
+    nn_index, _ = nearest_training_neighbor(gate, x_o)
+    x_nn = X[nn_index]
+
+    candidates, dropped = [], []
+    for template, deltas, route in (
+            ("nn-extrapolation(delta1={:g})", config.delta1_values,
+             lambda d1: nn_linear_extrapolate(_row_sines, x_o, x_nn, d1)),
+            ("center-extrapolation(delta2={:g})", config.delta2_values,
+             lambda d2: center_linear_extrapolate(_row_sines, x_o, x_nn,
+                                                  gate.center, d2))):
+        for delta in deltas:
+            try:
+                candidates.append((template.format(delta), route(delta)))
+            except DegenerateGeometryError as exc:
+                dropped.append((template.format(delta), str(exc)))
+    if config.include_raw_nlr:
+        candidates.append(("raw-surface", _row_sines(x_o[None, :])[0]))
+
+    calls = []
+
+    def f(P):
+        calls.append(len(P))
+        return _row_sines(P)
+
+    if not candidates:
+        with pytest.raises(NoPredictionError):
+            nlror_predict_detailed(f, gate, x_o, config)
+        assert calls == []
+        return
+    record = nlror_predict_detailed(f, gate, x_o, config)
+    assert _bits(record.candidates) == _bits(candidates)
+    assert record.dropped == tuple(dropped)
+    assert record.nn_index == nn_index
+    assert calls == [2 * len(candidates)]
 
 
 @DETERMINISTIC
