@@ -58,15 +58,15 @@ def activation_value(kind: Activation, z: float) -> float:
 def _activate(kind: Activation, z: np.ndarray) -> np.ndarray:
     """Activation of a pre-activation array; may overwrite ``z``."""
     if kind is Activation.SIGMOID:
-        # e = exp(-|z|) never overflows; 1/(1+e) for z >= 0 and e/(1+e)
-        # below are, element by element, the sign-split logistic forms
-        nonneg = z >= 0
-        e = np.abs(z, out=z)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        out = np.where(nonneg, 1.0, e)
-        np.add(e, 1.0, out=e)
-        return np.divide(out, e, out=out)
+        # 1/(1 + e^-z) = (1 + tanh(z/2))/2, in place: one transcendental
+        # pass, no temporary, nothing to overflow.  (t + 1)/2 rounds as
+        # 0.5 + t/2 does, so this is bitwise 0.5 + 0.5*tanh(0.5*z), and it
+        # is within 2^-52 of the sign-split logistic
+        z *= 0.5
+        np.tanh(z, out=z)
+        z += 1.0
+        z *= 0.5
+        return z
     if kind is Activation.RADIAL_BASIS:
         # exp(-z^2); |z| capped where the result already underflows to 0
         return np.exp(-np.square(np.minimum(np.abs(z), 40.0)))

@@ -1,6 +1,6 @@
-"""Invariants of the least-squares solve, the fallback, the gate and gate
-persistence, checked as properties over many generated cases rather than
-on fixed examples.
+"""Invariants of the least-squares solve, the sigmoid, the fallback, the
+gate, model and gate persistence, and average ranks, checked as
+properties over many generated cases rather than on fixed examples.
 
 Hypothesis draws the shapes, seeds and configurations; the arrays are
 then drawn from numpy generators seeded by it, so every case is a
@@ -8,7 +8,9 @@ well-posed fit.  The settings are derandomised and keep no example
 database, so every run checks the same cases.
 """
 
+import bisect
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +18,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from outreg import (DegenerateGeometryError, NoPredictionError,  # noqa: E402
-                    OrConfig, center_linear_extrapolate, classify, fit_gate,
-                    load_gate, nearest_training_neighbor, nlror_predict,
+from outreg import (Activation, DegenerateGeometryError,  # noqa: E402
+                    NoPredictionError, OrConfig, average_ranks,
+                    center_linear_extrapolate, classify, ensemble_predict,
+                    ensemble_train, fit_gate, load_ensemble, load_gate,
+                    nearest_training_neighbor, nlror_predict,
                     nlror_predict_detailed, nn_linear_extrapolate, pinv_solve,
-                    save_gate)
+                    save_ensemble, save_gate)
+from outreg import regress  # noqa: E402
+from test_regress import sign_split_sigmoid  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
                          max_examples=150)
@@ -266,3 +272,65 @@ def test_gate_save_load_round_trip_is_bitwise(seed, d, q, n):
         before, after = getattr(gate, field), getattr(loaded, field)
         assert type(after) is float
         assert np.float64(after).tobytes() == np.float64(before).tobytes()
+
+
+@DETERMINISTIC
+@given(z=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                  min_size=1, max_size=20))
+def test_sigmoid_is_the_logistic_to_one_part_in_2_to_52(z):
+    """Over every finite exponent, subnormals and the largest float
+    included, and without a warning: the sigmoid lies in [0, 1], and both
+    s(z) + s(-z) - 1 and its distance from the sign-split logistic are at
+    most 2^-52."""
+    z = np.array(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = regress._activate(Activation.SIGMOID, z.copy())
+        mirrored = regress._activate(Activation.SIGMOID, -z)
+    assert ((s >= 0.0) & (s <= 1.0)).all()
+    assert np.abs(s + mirrored - 1.0).max() <= 2.0 ** -52
+    assert np.abs(s - sign_split_sigmoid(z)).max() <= 2.0 ** -52
+
+
+@DETERMINISTIC
+@given(seed=seeds, activation=st.sampled_from(list(Activation)), d=dims,
+       m=st.integers(min_value=1, max_value=3),
+       node_count=st.integers(min_value=1, max_value=8),
+       member_count=st.integers(min_value=3, max_value=6),
+       rows=st.integers(min_value=1, max_value=20))
+def test_ensemble_save_load_round_trip_predicts_bitwise(
+        seed, activation, d, m, node_count, member_count, rows):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(25, d))
+    Y = rng.standard_normal((25, m))
+    ensemble = ensemble_train(X, Y, node_count, activation,
+                              member_count=member_count, seed=seed)
+    buffer = io.BytesIO()
+    save_ensemble(buffer, ensemble)
+    buffer.seek(0)
+    loaded = load_ensemble(buffer)
+
+    assert (loaded.activation, loaded.trim_policy, loaded.seed) == (
+        ensemble.activation, ensemble.trim_policy, ensemble.seed)
+    assert ([member.seed for member in loaded.members]
+            == [member.seed for member in ensemble.members])
+    grid = rng.uniform(-3.0, 3.0, size=(rows, d))
+    before, after = ensemble_predict(ensemble, grid), ensemble_predict(loaded, grid)
+    assert after.shape == before.shape == (rows, m)
+    assert after.tobytes() == before.tobytes()
+
+
+@DETERMINISTIC
+@given(values=st.lists(st.one_of(st.integers(min_value=-3, max_value=3),
+                                 st.sampled_from([-0.0, 0.0, 0.5, 1e-300]),
+                                 st.floats(allow_nan=False,
+                                           allow_infinity=False)),
+                       min_size=1, max_size=40))
+def test_average_ranks_match_a_sort_based_oracle(values):
+    """A value's rank is the mean of the 1-based positions its ties take
+    in the sorted list; small integers, -0.0 and 0.0 force the ties."""
+    values = [float(v) for v in values]
+    ordered = sorted(values)
+    expected = [(bisect.bisect_left(ordered, v) + 1
+                 + bisect.bisect_right(ordered, v)) / 2 for v in values]
+    np.testing.assert_array_equal(average_ranks(values), expected)
