@@ -15,9 +15,9 @@ from .extrapolate import (DegenerateGeometryError, ExtrapolationPlan,
 from .modelio import load_ensemble, load_gate, save_ensemble, save_gate
 from .numkernel import (average_ranks, columnwise_median, percentile,
                         pinv_solve, sample_covariance, sample_mean)
-from .outlier_gate import (Gate, OutlierPartition, beyond_nearest_neighbor,
-                           classify, fit_gate, mahalanobis_distance,
-                           nearest_training_neighbor)
+from .outlier_gate import (Gate, OutlierPartition, at_percentile,
+                           beyond_nearest_neighbor, classify, fit_gate,
+                           mahalanobis_distance, nearest_training_neighbor)
 from .preprocess import (MinMaxScaler, OneHotGroup, TargetTransform,
                          apply_minmax, clip_nonnegative, fit_minmax,
                          inverse_transform_target, invert_minmax,
@@ -36,7 +36,7 @@ __all__ = [
     "EnsembleModel", "ExtrapolationPlan", "ExtrapolationRecord", "Gate", "LinearModel",
     "MinMaxScaler", "NoPredictionError", "OneHotGroup", "OrConfig",
     "OutlierPartition", "TargetTransform", "TrimPolicy",
-    "activation_value", "apply_minmax", "average_ranks",
+    "activation_value", "apply_minmax", "at_percentile", "average_ranks",
     "beyond_nearest_neighbor", "boundary_extrapolate_1d", "categorical_center",
     "center_linear_extrapolate", "classify", "clip_nonnegative",
     "columnwise_median", "default_node_grid", "elm_predict", "elm_train",

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from ..extrapolate import OrConfig, extrapolation_plan
-from ..outlier_gate import classify, fit_gate
+from ..outlier_gate import at_percentile, classify, fit_gate
 from ..preprocess import (TargetTransform, apply_minmax, clip_nonnegative,
                           fit_minmax, inverse_transform_target,
                           minmax_onehot_group, r_outl)
@@ -82,6 +82,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"min_subset_rows must be at least 2, got {self.min_subset_rows}"
             )
+        if self.or_config.categorical_groups:
+            raise ValueError("or_config.categorical_groups must be empty: the "
+                             "fallback takes the dataset's one-hot groups")
 
 
 @dataclass(frozen=True)
@@ -175,25 +178,28 @@ def _prepare(dataset: Dataset, config: ExperimentConfig) -> _Prepared:
     constant_cols = tuple(int(c) for c in np.flatnonzero(scaler.constant_columns))
     excluded = tuple(sorted(set(dataset.indicator_columns) | set(constant_cols)))
 
-    gates = [fit_gate(Ztr, q) for q in config.gate_percentiles]
+    # one fit and one partition at the lowest percentile serve them all: a
+    # higher percentile's outliers are those above its threshold, since the
+    # neighbour test does not depend on the threshold
+    gate = fit_gate(Ztr, min(config.gate_percentiles))
+    part = classify(gate, Zte)
+    far = part.distances[part.outlier_indices]
+    all_rows = np.arange(Zte.shape[0])
     subsets = {}
-    for q, gate in zip(config.gate_percentiles, gates):
-        part = classify(gate, Zte)
-        subsets[repr(float(q))] = {"all": np.arange(Zte.shape[0]),
-                                   "outliers": part.outlier_indices,
-                                   "non_outliers": part.non_outlier_indices}
+    for q in config.gate_percentiles:
+        outliers = part.outlier_indices[far > at_percentile(gate, q).threshold_distance]
+        subsets[repr(float(q))] = {"all": all_rows, "outliers": outliers,
+                                   "non_outliers": np.setdiff1d(all_rows, outliers)}
 
     # the fallback needs indicator-aware geometry whenever the dataset has
-    # one-hot blocks; wire them in unless the caller configured their own.
-    # It sees scaled rows, so the groups' levels go through the scaler too
-    groups = config.or_config.categorical_groups or dataset.onehot_groups
+    # one-hot blocks.  It sees scaled rows, so the groups' levels go through
+    # the scaler too
     or_config = replace(config.or_config, categorical_groups=tuple(
-        minmax_onehot_group(scaler, g) for g in groups))
+        minmax_onehot_group(scaler, g) for g in dataset.onehot_groups))
 
-    # the fallback reads only the training rows and centre, which every
-    # percentile's gate shares, so one plan serves a row at every percentile
-    plans = {i: extrapolation_plan(gates[-1], Zte[i], or_config) for i in np.unique(
-        np.concatenate([rows["outliers"] for rows in subsets.values()]))}
+    # one plan per gated row serves the row at every percentile
+    plans = {i: extrapolation_plan(gate, Zte[i], or_config, nn_index=nn)
+             for i, nn in zip(part.outlier_indices, part.nearest_indices)}
     lr_pred = lr_predict(lr_fit(Ztr, dataset.train_target), Zte)
     dataset_summary = {
         "name": dataset.name,

@@ -18,10 +18,12 @@ against the unextrapolated prediction.
 
 Every candidate is one secant f(a) + s (f(a) - f(b)); the raw value is
 the secant with a = b = x_o and s = 0.  The anchors a, b and the slopes s
-depend only on the gate, the point and the OrConfig, so
-``extrapolation_plan`` builds them once and ``ExtrapolationPlan.record``
-turns the surface values at the anchors, from one call of the surface,
-into the record.  A caller with many surfaces fitted on the same
+depend only on the gate, the point, its nearest training row and the
+OrConfig, so ``extrapolation_plan`` builds them once and
+``ExtrapolationPlan.record`` turns the surface values at the anchors,
+from one call of the surface, into the record.  The plan takes the
+neighbour from its caller (``classify`` returns it for every outlier),
+so it searches nothing.  A caller with many surfaces fitted on the same
 training rows (one per trial) reuses the plan.
 
 Geometrically degenerate routes (zero direction, projection falling
@@ -244,11 +246,14 @@ class ExtrapolationPlan:
         )
 
 
-def extrapolation_plan(gate: Gate, x_o, config: OrConfig = OrConfig()) -> ExtrapolationPlan:
+def extrapolation_plan(gate: Gate, x_o, config: OrConfig = OrConfig(), *,
+                       nn_index: int) -> ExtrapolationPlan:
     """The candidates of ``nlror_predict_detailed`` for x_o, before any
     surface value: one neighbour-route secant per delta1, one centre-route
     secant per delta2 and, by default, the raw surface value.  A route
     whose geometry degenerates is dropped for all its deltas at once.
+    ``nn_index`` is x_o's nearest training row, as ``classify``'s
+    ``nearest_indices`` or ``nearest_training_neighbor`` gives it.
 
     When one-hot groups are configured, the neighbour and centre anchors
     have their indicator coordinates pinned to x_o's block before any
@@ -256,7 +261,6 @@ def extrapolation_plan(gate: Gate, x_o, config: OrConfig = OrConfig()) -> Extrap
     line geometry happens in the continuous coordinates.
     """
     xo = gate_point(gate, x_o, "x_o")
-    nn_index, _ = nearest_training_neighbor(gate, xo)
     x_nn = gate.training_inputs[nn_index].copy()
     center = gate.center.copy()
     if config.categorical_groups:
@@ -292,7 +296,7 @@ def extrapolation_plan(gate: Gate, x_o, config: OrConfig = OrConfig()) -> Extrap
         anchors=np.array([x for a, b, _ in secants for x in (a, b)]),
         slopes=np.array([s for _, _, s in secants]),
         dropped=tuple(dropped),
-        nn_index=nn_index,
+        nn_index=int(nn_index),
     )
 
 
@@ -305,7 +309,8 @@ def nlror_predict_detailed(f: PredictFn, gate: Gate, x_o,
     and returns the median with a record of what was dropped and why.
     ``f`` is called once, on every anchor of ``extrapolation_plan``.
     """
-    plan = extrapolation_plan(gate, x_o, config)
+    plan = extrapolation_plan(gate, x_o, config,
+                              nn_index=nearest_training_neighbor(gate, x_o)[0])
     return plan.record(f(plan.anchors))
 
 

@@ -98,10 +98,35 @@ def save_gate(path, gate: Gate) -> None:
     )
 
 
+def _check_gate(gate: Gate, path) -> Gate:
+    """``gate`` if its fields agree in shape and hold finite values, else a
+    ValueError naming ``path`` and the first field that does not."""
+    d = gate.mean.shape[0] if gate.mean.ndim == 1 and gate.mean.size else 1
+    n = max(2, gate.training_inputs.shape[0] if gate.training_inputs.ndim == 2 else 0)
+    for name, shape, expected in (
+            ("mean", (d,), "(d,) with d >= 1"), ("covariance", (d, d), f"({d}, {d})"),
+            ("covariance_inverse_factor", (d, d), f"({d}, {d})"), ("center", (d,), f"({d},)"),
+            ("training_inputs", (n, d), f"(n >= 2, {d})")):
+        value = getattr(gate, name)
+        if value.shape != shape:
+            raise ValueError(f"{path}: gate field {name!r} has shape {value.shape}, "
+                             f"expected {expected}")
+        if value.dtype.kind != "f" or not np.isfinite(value).all():
+            raise ValueError(f"{path}: gate field {name!r} holds values that are not "
+                             f"finite floats (dtype {value.dtype})")
+    if not np.isfinite(gate.threshold_distance):
+        raise ValueError(f"{path}: gate field 'threshold_distance' is "
+                         f"{gate.threshold_distance}, expected a finite value")
+    if not 0.0 < gate.percentile_q < 100.0:
+        raise ValueError(f"{path}: gate field 'percentile_q' is {gate.percentile_q}, "
+                         "expected a value in (0, 100)")
+    return gate
+
+
 def load_gate(path) -> Gate:
     with np.load(path, allow_pickle=False) as data:
         _check_header(data, path, GATE_FORMAT)
-        return Gate(
+        return _check_gate(Gate(
             mean=data["mean"],
             covariance=data["covariance"],
             covariance_inverse_factor=data["covariance_inverse_factor"],
@@ -109,4 +134,4 @@ def load_gate(path) -> Gate:
             percentile_q=float(data["percentile_q"]),
             center=data["center"],
             training_inputs=data["training_inputs"],
-        )
+        ), path)

@@ -11,13 +11,20 @@ conditions hold simultaneously:
 The second condition filters out points that are merely in a thin
 direction of the training cloud but still inside its envelope.  It lives
 in ``beyond_nearest_neighbor``, which ``classify`` applies to the rows
-that pass the first.  All geometry here lives in normalised input space
-(see preprocess).
+that pass the first; ``classify`` also returns each outlier's nearest
+training row, which the fallback's plan is built from.  All geometry here
+lives in normalised input space (see preprocess).
+
+Only the threshold depends on the percentile, and the second condition
+does not depend on the threshold.  So one fit serves every percentile:
+``at_percentile`` moves a fitted gate's threshold, and an outlier at a
+higher percentile is an outlier at a lower one whose distance is also
+above the higher threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +61,8 @@ class OutlierPartition:
     outlier_indices: np.ndarray
     non_outlier_indices: np.ndarray
     distances: np.ndarray
+    # each outlier's nearest training row, aligned with outlier_indices
+    nearest_indices: np.ndarray
 
 
 def _inverse_factor(covariance: np.ndarray) -> np.ndarray:
@@ -81,21 +90,21 @@ def fit_gate(train_inputs, percentile_q: float = 99.0) -> Gate:
     X = as_matrix(train_inputs, "train_inputs")
     if X.shape[0] < 2:
         raise ValueError(f"fit_gate requires at least two rows, got {X.shape[0]}")
+    covariance = sample_covariance(X)
+    gate = Gate(mean=sample_mean(X), covariance=covariance,
+                covariance_inverse_factor=_inverse_factor(covariance),
+                threshold_distance=np.nan, percentile_q=np.nan,
+                center=columnwise_median(X), training_inputs=X.copy())
+    return at_percentile(gate, percentile_q)
+
+
+def at_percentile(gate: Gate, percentile_q: float) -> Gate:
+    """``gate`` with its threshold at the ``percentile_q``-th percentile of
+    the training rows' distances: bitwise ``fit_gate`` at that percentile."""
     if not 0.0 < percentile_q < 100.0:
         raise ValueError(f"percentile_q must be in (0, 100), got {percentile_q}")
-    mean = sample_mean(X)
-    covariance = sample_covariance(X)
-    factor = _inverse_factor(covariance)
-    train_distances = np.linalg.norm((X - mean) @ factor.T, axis=1)
-    return Gate(
-        mean=mean,
-        covariance=covariance,
-        covariance_inverse_factor=factor,
-        threshold_distance=percentile(train_distances, percentile_q),
-        percentile_q=float(percentile_q),
-        center=columnwise_median(X),
-        training_inputs=X.copy(),
-    )
+    return replace(gate, percentile_q=float(percentile_q), threshold_distance=percentile(
+        _distances(gate, gate.training_inputs), percentile_q))
 
 
 def gate_point(gate: Gate, x, name: str = "x") -> np.ndarray:
@@ -108,7 +117,7 @@ def gate_point(gate: Gate, x, name: str = "x") -> np.ndarray:
 
 def mahalanobis_distance(gate: Gate, x) -> float:
     """sqrt((x - mean)^T C^{-1} (x - mean)) for a single point."""
-    return float(np.linalg.norm(gate.covariance_inverse_factor @ (gate_point(gate, x) - gate.mean)))
+    return float(_distances(gate, gate_point(gate, x)[None, :])[0])
 
 
 def _distances(gate: Gate, X: np.ndarray) -> np.ndarray:
@@ -127,17 +136,22 @@ def nearest_training_neighbor(gate: Gate, x) -> tuple[int, float]:
     return index, float(np.sqrt(squared[index]))
 
 
-def beyond_nearest_neighbor(gate: Gate, test_inputs) -> np.ndarray:
-    """Per row: strictly farther from the training centre than its nearest
-    training row is (the gate's second condition)."""
-    X = as_matrix(test_inputs, "test_inputs")
-    nn_indices = [nearest_training_neighbor(gate, row)[0] for row in X]
+def _beyond(gate: Gate, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest training row, and whether the row is strictly
+    farther from the training centre than that row is."""
+    nearest = np.array([nearest_training_neighbor(gate, row)[0] for row in X], dtype=np.intp)
     # Both center-norm arrays go through the same axis-1 reduction so that a
     # test row identical to a training row compares exactly equal (and the
     # strict inequality below then correctly rejects it).
     train_center_norms = np.linalg.norm(gate.training_inputs - gate.center, axis=1)
     test_center_norms = np.linalg.norm(X - gate.center, axis=1)
-    return test_center_norms > train_center_norms[nn_indices]
+    return nearest, test_center_norms > train_center_norms[nearest]
+
+
+def beyond_nearest_neighbor(gate: Gate, test_inputs) -> np.ndarray:
+    """Per row: strictly farther from the training centre than its nearest
+    training row is (the gate's second condition)."""
+    return _beyond(gate, as_matrix(test_inputs, "test_inputs"))[1]
 
 
 def classify(gate: Gate, test_inputs) -> OutlierPartition:
@@ -154,11 +168,10 @@ def classify(gate: Gate, test_inputs) -> OutlierPartition:
             f"test inputs have {X.shape[1]} columns, gate expects {gate.mean.size}"
         )
     distances = _distances(gate, X)
-    candidate = distances > gate.threshold_distance
+    candidates = np.flatnonzero(distances > gate.threshold_distance)
+    nearest, beyond = _beyond(gate, X[candidates])
     outlier = np.zeros(X.shape[0], dtype=bool)
-    outlier[candidate] = beyond_nearest_neighbor(gate, X[candidate])
-    return OutlierPartition(
-        outlier_indices=np.flatnonzero(outlier),
-        non_outlier_indices=np.flatnonzero(~outlier),
-        distances=distances,
-    )
+    outlier[candidates] = beyond
+    return OutlierPartition(outlier_indices=np.flatnonzero(outlier), distances=distances,
+                            non_outlier_indices=np.flatnonzero(~outlier),
+                            nearest_indices=nearest[beyond])

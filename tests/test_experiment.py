@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from outreg import (Activation, CvConfig, OneHotGroup, TargetTransform,
+from outreg import (Activation, CvConfig, OneHotGroup, OrConfig, TargetTransform,
                     apply_minmax, classify, clip_nonnegative,
                     default_node_grid, ensemble_predict, ensemble_train,
                     extrapolate, extrapolation_plan, fit_gate, fit_minmax,
@@ -71,6 +71,19 @@ def _main_result():
     return run_experiment(_affine_dataset(), _main_config())
 
 
+def _graded_dataset():
+    """120 standard-normal train rows in 2-D, 12 test rows inside and 12
+    at radii 2 to 4: the gate flags 10 rows at the 95th percentile and 8
+    of them at the 99th."""
+    rng = np.random.default_rng(31)
+    Xtr = rng.normal(size=(120, 2))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=12)
+    radii = np.linspace(2.0, 4.0, 12)
+    Xte = np.vstack([rng.normal(scale=0.5, size=(12, 2)),
+                     np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])])
+    return dataset_from_arrays(Xtr, Xte, Xtr.sum(axis=1), Xte.sum(axis=1), name="graded")
+
+
 class TestConfigValidation:
     def test_no_activations_rejected(self):
         with pytest.raises(ValueError, match="activation"):
@@ -101,6 +114,13 @@ class TestConfigValidation:
         """A repeat would pool its trials twice into one activation's cells."""
         with pytest.raises(ValueError, match="activations must not repeat"):
             ExperimentConfig(activations=(Activation.SIGMOID, Activation.SIGMOID))
+
+    def test_categorical_groups_in_or_config_rejected(self):
+        """The fallback takes the dataset's one-hot groups; the report does
+        not echo any others, so a run could not be reproduced from it."""
+        group = OneHotGroup(column_indices=(1, 2), category_labels=("a", "b"))
+        with pytest.raises(ValueError, match="categorical_groups"):
+            ExperimentConfig(or_config=OrConfig(categorical_groups=(group,)))
 
     def test_repeated_percentile_rejected(self):
         """95 and 95.0 name one score key, so the echo would list a phantom."""
@@ -201,14 +221,48 @@ class TestGateBookkeeping:
             assert t.outlier_counts == result.dataset_summary["outlier_counts"]
 
     def test_counts_match_direct_classification(self):
-        """The harness gates scaled inputs exactly as a by-hand gate does."""
-        Xtr, Xte, _, _ = _affine_arrays()
-        scaler = fit_minmax(Xtr)
-        gate = fit_gate(apply_minmax(scaler, Xtr), 99.0)
-        part = classify(gate, apply_minmax(scaler, Xte))
-        result = _main_result()
-        assert result.dataset_summary["outlier_counts"][Q99] == \
-            part.outlier_indices.size
+        """The harness gates scaled inputs exactly as a by-hand gate fitted
+        at each percentile does, whichever percentile comes first."""
+        dataset = _graded_dataset()
+        scaler = fit_minmax(dataset.train_inputs)
+        Ztr = apply_minmax(scaler, dataset.train_inputs)
+        Zte = apply_minmax(scaler, dataset.test_inputs)
+        for percentiles in ((99.0, 95.0), (95.0, 99.0)):
+            prepared = experiment._prepare(dataset, _main_config(gate_percentiles=percentiles))
+            assert list(prepared.subsets) == [repr(q) for q in percentiles]
+            for q in percentiles:
+                part = classify(fit_gate(Ztr, q), Zte)
+                rows = prepared.subsets[repr(q)]
+                np.testing.assert_array_equal(rows["outliers"], part.outlier_indices)
+                np.testing.assert_array_equal(rows["non_outliers"], part.non_outlier_indices)
+                assert prepared.dataset_summary["outlier_counts"][repr(q)] == \
+                    part.outlier_indices.size
+            assert [len(prepared.subsets[repr(q)]["outliers"])
+                    for q in (95.0, 99.0)] == [10, 8]
+
+    def test_one_fit_and_one_search_per_row_over_the_lowest_threshold(self, monkeypatch):
+        """``_prepare`` fits the gate once and searches the neighbour of each
+        row over the lowest percentile's threshold once, plans included."""
+        dataset = _graded_dataset()
+        scaler = fit_minmax(dataset.train_inputs)
+        gate = fit_gate(apply_minmax(scaler, dataset.train_inputs), 95.0)
+        over = int(np.sum(classify(gate, apply_minmax(scaler, dataset.test_inputs)).distances
+                          > gate.threshold_distance))
+        calls = {"fit_gate": 0, "nearest_training_neighbor": 0}
+
+        def counting(function):
+            def call(*args, **kwargs):
+                calls[function.__name__] += 1
+                return function(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(experiment, "fit_gate", counting(fit_gate))
+        search = counting(outlier_gate.nearest_training_neighbor)
+        monkeypatch.setattr(outlier_gate, "nearest_training_neighbor", search)
+        monkeypatch.setattr(extrapolate, "nearest_training_neighbor", search)
+        prepared = experiment._prepare(dataset, _main_config(gate_percentiles=(99.0, 95.0)))
+        assert len(prepared.plans) == 10
+        assert calls == {"fit_gate": 1, "nearest_training_neighbor": over}
 
 
 class TestScores:
@@ -471,9 +525,9 @@ class TestExtrapolationRecords:
         trials; a row gated at two percentiles has twin records."""
         calls = []
 
-        def counting(gate, x_o, config):
+        def counting(gate, x_o, config, *, nn_index):
             calls.append(1)
-            return extrapolation_plan(gate, x_o, config)
+            return extrapolation_plan(gate, x_o, config, nn_index=nn_index)
 
         monkeypatch.setattr(experiment, "extrapolation_plan", counting)
         config = _main_config(trials=2, collect_extrapolation_records=True)

@@ -3,8 +3,11 @@
 The only interesting property is bit-exactness: a reloaded model must
 predict identically, and a reloaded gate must classify identically.
 Header checks guard against feeding one artifact kind into the other
-loader.
+loader, and field checks against a gate file whose arrays disagree in
+shape or hold non-finite values.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -116,3 +119,44 @@ class TestHeaderChecks:
                  mean=np.zeros(2))
         with pytest.raises(ValueError, match="unsupported format version"):
             load_gate(path)
+
+
+
+def _inf_diagonal(rows):
+    return np.where(np.eye(*rows.shape) > 0, np.inf, rows)
+
+
+# id -> (field, a change to a fitted 3-D gate that breaks one check of load_gate)
+BAD_GATE_FIELDS = {
+    "mean-2d": ("mean", lambda g: g.mean[None, :]),
+    "mean-empty": ("mean", lambda g: np.zeros(0)),
+    "covariance-columns": ("covariance", lambda g: g.covariance[:, :2]),
+    "covariance-nan": ("covariance", lambda g: np.full_like(g.covariance, np.nan)),
+    "inverse-factor-shape": ("covariance_inverse_factor",
+                             lambda g: g.covariance_inverse_factor[:2, :2]),
+    "center-one-column": ("center", lambda g: g.center[:1]),
+    "center-strings": ("center", lambda g: g.center.astype(str)),
+    "training-one-column": ("training_inputs", lambda g: g.training_inputs[:, :1]),
+    "training-one-row": ("training_inputs", lambda g: g.training_inputs[:1]),
+    "training-inf": ("training_inputs", lambda g: _inf_diagonal(g.training_inputs)),
+    "threshold-nan": ("threshold_distance", lambda g: float("nan")),
+    "threshold-inf": ("threshold_distance", lambda g: float("inf")),
+    "percentile-0": ("percentile_q", lambda g: 0.0),
+    "percentile-100": ("percentile_q", lambda g: 100.0),
+}
+
+
+class TestGateFieldChecks:
+    """A gate file whose fields disagree in shape, or hold non-finite
+    values, fails at load with the file and the field named, instead of
+    classifying with broadcast geometry."""
+
+    @pytest.mark.parametrize("case", BAD_GATE_FIELDS)
+    def test_bad_field_rejected(self, tmp_path, case):
+        field, bad = BAD_GATE_FIELDS[case]
+        gate = fit_gate(np.random.default_rng(23).normal(size=(20, 3)))
+        path = tmp_path / "gate.npz"
+        save_gate(path, dataclasses.replace(gate, **{field: bad(gate)}))
+        with pytest.raises(ValueError, match=rf"gate\.npz: gate field '{field}'"):
+            load_gate(path)
+

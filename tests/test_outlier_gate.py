@@ -209,6 +209,9 @@ class TestClassify:
         expected = [mahalanobis_distance(gate, row) for row in tests]
         np.testing.assert_allclose(part.distances, expected, rtol=1e-12,
                                    atol=1e-12)
+        # one formula: bitwise the distance of a one-row classify
+        for row in tests:
+            assert mahalanobis_distance(gate, row) == classify(gate, [row]).distances[0]
 
     def test_training_rows_are_never_outliers(self):
         """Each training row's neighbour is itself, so the strict farther

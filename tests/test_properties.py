@@ -1,6 +1,7 @@
 """Invariants of the least-squares solve, the sigmoid, the fallback, the
-gate, model and gate persistence, and average ranks, checked as
-properties over many generated cases rather than on fixed examples.
+gate and its percentiles, model and gate persistence, and average ranks,
+checked as properties over many generated cases rather than on fixed
+examples.
 
 Hypothesis draws the shapes, seeds and configurations; the arrays are
 then drawn from numpy generators seeded by it, so every case is a
@@ -9,6 +10,7 @@ database, so every run checks the same cases.
 """
 
 import bisect
+import dataclasses
 import io
 import warnings
 
@@ -18,8 +20,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from outreg import (Activation, DegenerateGeometryError,  # noqa: E402
-                    NoPredictionError, OrConfig, average_ranks,
+from outreg import (Activation, DegenerateGeometryError, Gate,  # noqa: E402
+                    NoPredictionError, OrConfig, at_percentile, average_ranks,
                     center_linear_extrapolate, classify, ensemble_predict,
                     ensemble_train, fit_gate, load_ensemble, load_gate,
                     nearest_training_neighbor, nlror_predict,
@@ -249,6 +251,31 @@ def test_classify_is_row_permutation_equivariant(seed, d, q, n_test):
     np.testing.assert_array_equal(flagged_after, flagged[order])
     np.testing.assert_allclose(permuted.distances, original.distances[order],
                                rtol=1e-12, atol=0.0)
+
+
+@DETERMINISTIC
+@given(seed=seeds, d=dims, q1=percentiles, q2=percentiles,
+       n_test=st.integers(min_value=1, max_value=40))
+def test_one_fit_serves_every_percentile(seed, d, q1, q2, n_test):
+    """Moving a fitted gate to another percentile is bitwise fitting it
+    there; the higher percentile's outliers are the lower one's above its
+    threshold; and each outlier's nearest row is the one the search gives."""
+    rng, X = _training_rows(seed, d, 30)
+    direct = fit_gate(X, q2)
+    moved = at_percentile(fit_gate(X, q1), q2)
+    for field in dataclasses.fields(Gate):
+        before, after = getattr(direct, field.name), getattr(moved, field.name)
+        assert np.asarray(after).tobytes() == np.asarray(before).tobytes()
+    spread = rng.uniform(0.5, 4.0, size=(n_test, 1))
+    tests = direct.mean + spread * rng.standard_normal((n_test, d)) * X.std(axis=0)
+    tests[::3] = X[rng.integers(0, len(X), size=tests[::3].shape[0])]
+    low = classify(fit_gate(X, min(q1, q2)), tests)
+    high = at_percentile(direct, max(q1, q2))
+    np.testing.assert_array_equal(
+        classify(high, tests).outlier_indices,
+        low.outlier_indices[low.distances[low.outlier_indices] > high.threshold_distance])
+    assert low.nearest_indices.tolist() == [nearest_training_neighbor(direct, tests[i])[0]
+                                            for i in low.outlier_indices]
 
 
 @DETERMINISTIC

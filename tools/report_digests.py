@@ -5,7 +5,10 @@ log-transformed target and a categorical one with a one-hot block and
 clipped predictions, each with test rows far outside the training range,
 and runs ``outreg run --format both`` on each through ``cli.main``: at two
 master seeds, with sigmoid and softplus members, and with the default and
-a fixed cross-validation.  One line per case:
+a fixed cross-validation, all gating at percentiles 99 and 75.  Two more
+cases follow, one per record at master seed 0 with the default
+cross-validation, that list the percentiles lowest first (75, 99).  One
+line per case:
 
     case sha256(report.json) sha256(trials.csv)
 
@@ -42,6 +45,7 @@ from outreg.evalharness.cli import main
 
 SEEDS = (0, 1)
 CV = {"default": None, "fixed": {"folds": 4, "candidate_node_counts": [6, 12], "seed": 3}}
+PERCENTILES = [99.0, 75.0]
 
 
 def _numeric_rows(rng):
@@ -96,6 +100,29 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _run_case(root: Path, runs: Path, record: str, case: str, seed: int, cv,
+              percentiles: list[float]) -> int:
+    """Run one case and print its line; the exit code of ``outreg run``."""
+    config = {"activations": ["sigmoid", "softplus"], "trials": 2,
+              "members_per_trial": 4, "gate_percentiles": percentiles,
+              "master_seed": seed, "store_predictions": True,
+              "collect_extrapolation_records": True}
+    if cv is not None:
+        config["cv"] = cv
+    config_path = root / f"{case}.json"
+    config_path.write_text(json.dumps(config))
+    out = runs / case
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--manifest", str(root / f"{record}.json"),
+                     "--config", str(config_path),
+                     "--format", "both", "--out", str(out)])
+    if code != 0:
+        print(f"{case}: outreg run exited {code}", file=sys.stderr)
+    else:
+        print(case, _digest(out / "report.json"), _digest(out / "trials.csv"))
+    return code
+
+
 def main_digests(argv: list[str]) -> int:
     if len(argv) > 1:
         print("usage: report_digests.py [DIR]", file=sys.stderr)
@@ -103,28 +130,18 @@ def main_digests(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         runs = Path(argv[0]) if argv else root
+        cases = []
         for record in RECORDS:
-            manifest = _write_record(root, record, seed=2024)
-            for seed in SEEDS:
-                for cv_name, cv in CV.items():
-                    case = f"{record}-seed{seed}-{cv_name}-cv"
-                    config = {"activations": ["sigmoid", "softplus"], "trials": 2,
-                              "members_per_trial": 4, "gate_percentiles": [99.0, 75.0],
-                              "master_seed": seed, "store_predictions": True,
-                              "collect_extrapolation_records": True}
-                    if cv is not None:
-                        config["cv"] = cv
-                    config_path = root / f"{case}.json"
-                    config_path.write_text(json.dumps(config))
-                    out = runs / case
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        code = main(["run", "--manifest", str(manifest),
-                                     "--config", str(config_path),
-                                     "--format", "both", "--out", str(out)])
-                    if code != 0:
-                        print(f"{case}: outreg run exited {code}", file=sys.stderr)
-                        return code
-                    print(case, _digest(out / "report.json"), _digest(out / "trials.csv"))
+            _write_record(root, record, seed=2024)
+            cases += [(record, f"{record}-seed{seed}-{cv_name}-cv", seed, cv, PERCENTILES)
+                      for seed in SEEDS for cv_name, cv in CV.items()]
+        # after the cases above, so that their lines keep their places
+        cases += [(record, f"{record}-seed0-default-cv-ascending", 0, None,
+                   sorted(PERCENTILES)) for record in RECORDS]
+        for case in cases:
+            code = _run_case(root, runs, *case)
+            if code != 0:
+                return code
     return 0
 
 
