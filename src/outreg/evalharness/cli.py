@@ -19,6 +19,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ..extrapolate import OrConfig
 from ..outlier_gate import beyond_nearest_neighbor, classify, fit_gate
 from ..preprocess import apply_minmax, fit_minmax
@@ -105,8 +107,12 @@ def _cmd_gate(args) -> int:
                     percentile_q=args.percentile)
     test_scaled = apply_minmax(scaler, dataset.test_inputs)
     partition = classify(gate, test_scaled)
-    write_gate_csv(args.out, partition.distances, gate.threshold_distance,
-                   beyond_nearest_neighbor(gate, test_scaled),
+    # classify ran the neighbour test on the rows over the threshold, and its
+    # outliers are those that passed; only the other rows still need a search
+    rest = ~partition.searched
+    beyond = np.isin(np.arange(rest.size), partition.outlier_indices)
+    beyond[rest] = beyond_nearest_neighbor(gate, test_scaled[rest])
+    write_gate_csv(args.out, partition.distances, gate.threshold_distance, beyond,
                    partition.outlier_indices)
     print(f"{dataset.name}: {partition.outlier_indices.size} of "
           f"{partition.distances.size} test rows gated as outliers at the "

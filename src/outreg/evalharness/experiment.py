@@ -22,7 +22,7 @@ with the same config and dataset produce identical reports.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from ..regress import (Activation, CvConfig, default_node_grid, ensemble_predict
                        ensemble_train, lr_fit, lr_predict, select_node_count)
 from ..seeding import STREAM_CV, STREAM_TRIAL, derive_seed
 from .dataset import Dataset
-from .metrics import boxplot_stats, mad, maen, spearman
+from .metrics import boxplot_rows, mad, maen_at_scale, spearman
 
 MODELS = ("lr", "nlr", "nlr_or")
 SUBSETS = ("all", "outliers", "non_outliers")
@@ -115,11 +115,11 @@ class ExperimentResult:
 def _subset_metrics(prepared, pred, rows):
     if rows.size < prepared.config.min_subset_rows:
         return {"maen": None, "spearman": None}
-    obs = prepared.dataset.test_target
     p = pred[rows]
-    o = obs[rows]
-    # obs is the full test target, the MAD reference of every subset
-    maen_value = None if prepared.dataset_summary["mad_reference"] == 0.0 else maen(p, o, obs)
+    o = prepared.dataset.test_target[rows]
+    # every subset is scored against the full test target's MAD
+    scale = prepared.dataset_summary["mad_reference"]
+    maen_value = None if scale == 0.0 else maen_at_scale(p, o, scale)
     try:
         spearman_value = spearman(p, o)
     except ValueError:
@@ -127,28 +127,33 @@ def _subset_metrics(prepared, pred, rows):
     return {"maen": maen_value, "spearman": spearman_value}
 
 
-def _boxplot_dict(values: np.ndarray) -> dict:
-    stats = asdict(boxplot_stats(values))
-    return {**stats, "outside_points": list(stats["outside_points"]),
-            "mean": float(np.mean(values)), "n": int(values.size)}
-
-
 def _aggregate_cells(trials, percentile_keys):
-    """Boxplot summary across one activation's trials for every score cell."""
+    """Boxplot summary across one activation's trials for every score cell.
+
+    Each cell is a row of one (cells, trials) matrix, NaN where a score is
+    null, and the cells that keep the same trials share a ``boxplot_rows``
+    call."""
+    keys = list(itertools.product(percentile_keys, SUBSETS, METRICS))
+    # a null score converts to NaN
+    scores = {model: np.array([[t.scores[qk][model][subset][metric] for t in trials]
+                               for qk, subset, metric in keys], dtype=float)
+              for model in MODELS}
+    # a difference pairs the two models' scores of the same trial
+    for hi, lo in MODEL_PAIRS:
+        scores[f"{hi}_minus_{lo}"] = scores[hi] - scores[lo]
+    V = np.stack(list(scores.values()), axis=1).reshape(-1, len(trials))
+    masks, group = np.unique(~np.isnan(V), axis=0, return_inverse=True)
+    cells = [None] * len(V)
+    for g, mask in enumerate(masks):
+        rows = np.flatnonzero(group.ravel() == g)
+        if mask.any():
+            for r, cell in zip(rows, boxplot_rows(V[rows][:, mask])):
+                cells[r] = cell
     aggregates: dict = {}
     differences: dict = {}
-    for qk, subset, metric in itertools.product(percentile_keys, SUBSETS, METRICS):
-        scores = {model: [t.scores[qk][model][subset][metric] for t in trials]
-                  for model in MODELS}
-        # a difference pairs the two models' scores of the same trial
-        for hi, lo in MODEL_PAIRS:
-            scores[f"{hi}_minus_{lo}"] = [None if a is None or b is None else a - b
-                                          for a, b in zip(scores[hi], scores[lo])]
-        for name, values in scores.items():
-            kept = np.asarray([v for v in values if v is not None])
-            cell = ((aggregates if name in MODELS else differences)
-                    .setdefault(qk, {}).setdefault(name, {}).setdefault(subset, {}))
-            cell[metric] = _boxplot_dict(kept) if kept.size else None
+    for ((qk, subset, metric), name), cell in zip(itertools.product(keys, scores), cells):
+        ((aggregates if name in MODELS else differences)
+         .setdefault(qk, {}).setdefault(name, {}).setdefault(subset, {}))[metric] = cell
     return aggregates, differences
 
 

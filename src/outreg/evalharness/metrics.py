@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numkernel import as_vector, average_ranks, percentile
+from ..numkernel import as_matrix, as_vector, average_ranks
 
 
 def mad(values) -> float:
@@ -33,13 +33,18 @@ def maen(predictions, observations, mad_reference) -> float:
     constant reference has zero MAD and no meaningful scale, which is an
     error rather than an infinity.
     """
+    return maen_at_scale(predictions, observations, mad(mad_reference))
+
+
+def maen_at_scale(predictions, observations, scale: float) -> float:
+    """MAEn with the reference's MAD given as ``scale``, for callers that
+    score many subsets against one reference."""
     p = as_vector(predictions, "predictions")
     o = as_vector(observations, "observations")
     if p.size != o.size:
         raise ValueError(f"{p.size} predictions for {o.size} observations")
     if p.size == 0:
         raise ValueError("maen of an empty sequence is undefined")
-    scale = mad(mad_reference)
     if scale == 0.0:
         raise ValueError("reference sample is constant: MAD normaliser is zero")
     return float(np.mean(np.abs(p - o)) / scale)
@@ -83,21 +88,41 @@ class BoxplotSummary:
 
 
 def boxplot_stats(values) -> BoxplotSummary:
-    v = as_vector(values, "values")
-    if v.size == 0:
-        raise ValueError("boxplot_stats of an empty sequence is undefined")
-    q25 = percentile(v, 25.0)
-    q75 = percentile(v, 75.0)
+    """One sequence's summary: the one-row case of ``boxplot_rows``."""
+    cell = boxplot_rows(as_vector(values, "values")[None, :])[0]
+    return BoxplotSummary(cell["median"], cell["q25"], cell["q75"], cell["whisker_low"],
+                          cell["whisker_high"], tuple(cell["outside_points"]))
+
+
+def boxplot_rows(values) -> list[dict]:
+    """The summary of each row of a (cells, values) matrix as a report
+    cell: ``BoxplotSummary``'s fields, outside points as a list, plus the
+    row's ``mean`` and ``n``.
+
+    Each row's cell is bitwise what summarising the row alone gives, also
+    in rows that hold both 0.0 and -0.0.  So each quartile takes its own
+    ``np.percentile`` call (a joint call partitions differently), and each
+    whisker reduces the row's own in-fence values rather than a row padded
+    with infinities; either shortcut can return the other zero.
+    """
+    # row-major, so that each row's mean is the pairwise sum a 1-D mean takes
+    V = np.ascontiguousarray(as_matrix(values, "values"))
+    if V.shape[1] == 0:
+        raise ValueError("boxplot of an empty sequence is undefined")
+    q25 = np.percentile(V, 25.0, axis=1)
+    q75 = np.percentile(V, 75.0, axis=1)
     iqr = q75 - q25
-    fence_low = q25 - 1.5 * iqr
-    fence_high = q75 + 1.5 * iqr
-    within = v[(v >= fence_low) & (v <= fence_high)]
-    outside = v[(v < fence_low) | (v > fence_high)]
-    return BoxplotSummary(
-        median=float(np.median(v)),
-        q25=q25,
-        q75=q75,
-        whisker_low=float(within.min()),
-        whisker_high=float(within.max()),
-        outside_points=tuple(float(x) for x in np.sort(outside)),
-    )
+    inside = (V >= (q25 - 1.5 * iqr)[:, None]) & (V <= (q75 + 1.5 * iqr)[:, None])
+    # the box holds a data point, so no row's run of in-fence values is empty
+    counts = inside.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    within = V[inside]
+    rows = zip(np.median(V, axis=1).tolist(), q25.tolist(), q75.tolist(),
+               np.minimum.reduceat(within, starts).tolist(),
+               np.maximum.reduceat(within, starts).tolist(),
+               V.mean(axis=1).tolist(), (counts < V.shape[1]).tolist(), V, inside)
+    return [{"median": median, "q25": low, "q75": high, "whisker_low": w_low,
+             "whisker_high": w_high,
+             "outside_points": np.sort(row[~keep]).tolist() if spills else [],
+             "mean": mean, "n": V.shape[1]}
+            for median, low, high, w_low, w_high, mean, spills, row, keep in rows]

@@ -63,6 +63,9 @@ class OutlierPartition:
     distances: np.ndarray
     # each outlier's nearest training row, aligned with outlier_indices
     nearest_indices: np.ndarray
+    # per test row: over the threshold, so the neighbour test ran on it.  A
+    # searched row passed that test exactly when it is an outlier
+    searched: np.ndarray
 
 
 def _inverse_factor(covariance: np.ndarray) -> np.ndarray:
@@ -168,10 +171,10 @@ def classify(gate: Gate, test_inputs) -> OutlierPartition:
             f"test inputs have {X.shape[1]} columns, gate expects {gate.mean.size}"
         )
     distances = _distances(gate, X)
-    candidates = np.flatnonzero(distances > gate.threshold_distance)
-    nearest, beyond = _beyond(gate, X[candidates])
-    outlier = np.zeros(X.shape[0], dtype=bool)
-    outlier[candidates] = beyond
+    searched = distances > gate.threshold_distance
+    nearest, beyond = _beyond(gate, X[searched])
+    outlier = searched.copy()
+    outlier[searched] = beyond
     return OutlierPartition(outlier_indices=np.flatnonzero(outlier), distances=distances,
                             non_outlier_indices=np.flatnonzero(~outlier),
-                            nearest_indices=nearest[beyond])
+                            nearest_indices=nearest[beyond], searched=searched)

@@ -9,12 +9,14 @@ traceback.
 
 import csv
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from outreg import (CvConfig, OrConfig, apply_minmax, classify, fit_gate,
-                    fit_minmax)
+from outreg import (CvConfig, OrConfig, apply_minmax, beyond_nearest_neighbor,
+                    classify, fit_gate, fit_minmax, outlier_gate)
 from outreg.evalharness import experiment, load_dataset, load_manifest, load_report
 from outreg.evalharness.cli import main
 
@@ -128,6 +130,31 @@ class TestGateCommand:
             assert float(r["mahalanobis_distance"]) == \
                 part.distances[int(r["row"])]
         assert f"{len(flagged)} of 12 test rows" in capsys.readouterr().out
+
+    def test_searches_each_row_once(self, tmp_path, monkeypatch):
+        """The numeric record of tools/report_digests.py has 16 test rows, 8
+        of them over the 95th-percentile threshold: one search per row, and
+        the CSV's neighbour column is that of searching every row."""
+        tool = runpy.run_path(str(Path(__file__).parents[1] / "tools" / "report_digests.py"))
+        manifest_path = tool["_write_record"](tmp_path, "numeric", seed=2024)
+        searched = []
+        search = outlier_gate.nearest_training_neighbor
+        monkeypatch.setattr(outlier_gate, "nearest_training_neighbor",
+                            lambda gate, x: searched.append(x) or search(gate, x))
+        out = tmp_path / "gate.csv"
+        assert main(["gate", "--manifest", str(manifest_path),
+                     "--percentile", "95", "--out", str(out)]) == 0
+        assert len(searched) == 16
+        monkeypatch.undo()
+
+        dataset = load_dataset(load_manifest(manifest_path))
+        scaler = fit_minmax(dataset.train_inputs)
+        gate = fit_gate(apply_minmax(scaler, dataset.train_inputs), 95.0)
+        beyond = beyond_nearest_neighbor(gate, apply_minmax(scaler, dataset.test_inputs))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert sum(r["exceeds_threshold"] == "1" for r in rows) == 8
+        assert [r["beyond_nearest_neighbor"] for r in rows] == \
+            [str(int(b)) for b in beyond]
 
     def test_duplicated_far_training_rows_agree_with_the_label(self, tmp_path):
         # the test rows copy the training rows over the threshold, so each is

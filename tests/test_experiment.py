@@ -11,6 +11,7 @@ master seed must agree cell by cell, bitwise.
 """
 
 import functools
+import itertools
 import pickle
 import warnings
 
@@ -27,6 +28,7 @@ from outreg.evalharness import (ExperimentConfig, dataset_from_arrays, mad,
 from outreg.evalharness import experiment
 from outreg.evalharness.experiment import METRICS, MODEL_PAIRS, MODELS, SUBSETS
 from outreg.evalharness.metrics import boxplot_stats
+from test_metrics import as_json, boxplot_oracle
 from outreg.seeding import STREAM_TRIAL, derive_seed
 
 Q99 = "99.0"
@@ -400,6 +402,44 @@ class TestAggregates:
         assert cell["n"] == 2
         assert cell["mean"] == float(np.mean([0.9 - 0.4, 0.8 - 0.1]))
         assert differences[Q99]["nlr_minus_lr"]["all"]["spearman"] is None
+
+    @staticmethod
+    def _per_cell_loop(trials, percentile_keys):
+        """The aggregates as built before the row-wise kernel: one summary
+        per cell, over the trials whose score is not null."""
+        aggregates: dict = {}
+        differences: dict = {}
+        for qk, subset, metric in itertools.product(percentile_keys, SUBSETS, METRICS):
+            scores = {model: [t.scores[qk][model][subset][metric] for t in trials]
+                      for model in MODELS}
+            for hi, lo in MODEL_PAIRS:
+                scores[f"{hi}_minus_{lo}"] = [None if a is None or b is None else a - b
+                                              for a, b in zip(scores[hi], scores[lo])]
+            for name, values in scores.items():
+                kept = [v for v in values if v is not None]
+                cell = ((aggregates if name in MODELS else differences)
+                        .setdefault(qk, {}).setdefault(name, {}).setdefault(subset, {}))
+                cell[metric] = boxplot_oracle(kept) if kept else None
+        return aggregates, differences
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_per_cell_loop_when_null_masks_differ(self, seed):
+        """25 trials; each cell has its own share of null scores (none, some
+        or all), and the values tie at 0.0 and -0.0 and reach far out."""
+        rng = np.random.default_rng(seed)
+        keys = (Q99, Q95)
+        null_share = {cell: rng.choice([0.0, 0.0, 0.1, 0.4, 1.0])
+                      for cell in itertools.product(keys, MODELS, SUBSETS, METRICS)}
+        trials = []
+        for t in range(25):
+            scores = {}
+            for (qk, model, subset, metric), share in null_share.items():
+                value = float(rng.choice([0.0, -0.0, 0.5, 1.0, rng.normal(), 40.0]))
+                (scores.setdefault(qk, {}).setdefault(model, {}).setdefault(subset, {})
+                 )[metric] = None if rng.random() < share else value
+            trials.append(experiment.TrialReport("sigmoid", t, t, 8, {}, scores))
+        got = experiment._aggregate_cells(trials, keys)
+        assert as_json(got) == as_json(self._per_cell_loop(trials, keys))
 
 
 class TestSmallSubsets:

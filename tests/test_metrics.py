@@ -3,14 +3,42 @@
 Hand-computed anchors: mad([1,2,3,4,5]) = 1; a tie case whose rank
 correlation is 3/sqrt(10); a ten-point boxplot whose quartiles land on
 interpolated values 3.25 and 7.75 so the fences are worked by hand.
+``boxplot_oracle`` is the one-sequence summary as computed before the
+row-wise kernel; the kernel is checked against it here, in
+``test_properties`` and, through the experiment's aggregates, in
+``test_experiment``.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from outreg.evalharness import boxplot_stats, mad, maen, spearman
+from outreg.evalharness.metrics import boxplot_rows, maen_at_scale
+
+
+def boxplot_oracle(values) -> dict:
+    """One sequence's report cell, one numpy call per statistic."""
+    v = np.asarray(values, dtype=float)
+    q25 = float(np.percentile(v, 25.0))
+    q75 = float(np.percentile(v, 75.0))
+    iqr = q75 - q25
+    fence_low = q25 - 1.5 * iqr
+    fence_high = q75 + 1.5 * iqr
+    within = v[(v >= fence_low) & (v <= fence_high)]
+    outside = v[(v < fence_low) | (v > fence_high)]
+    return {"median": float(np.median(v)), "q25": q25, "q75": q75,
+            "whisker_low": float(within.min()), "whisker_high": float(within.max()),
+            "outside_points": [float(x) for x in np.sort(outside)],
+            "mean": float(np.mean(v)), "n": int(v.size)}
+
+
+def as_json(cells) -> str:
+    """JSON text, in which 0.0 and -0.0 differ."""
+    return json.dumps(cells, sort_keys=True)
 
 
 class TestMad:
@@ -90,6 +118,17 @@ class TestMaen:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             maen([], [], [1.0, 2.0, 3.0])
+
+    def test_given_scale_is_the_reference_mad(self):
+        rng = np.random.default_rng(7)
+        obs = rng.normal(size=30)
+        preds = obs + rng.normal(size=30)
+        scale = mad(obs)
+        assert maen_at_scale(preds[:9], obs[:9], scale) == maen(preds[:9], obs[:9], obs)
+
+    def test_zero_scale_rejected(self):
+        with pytest.raises(ValueError, match="constant"):
+            maen_at_scale([1.0], [2.0], 0.0)
 
 
 class TestSpearman:
@@ -199,3 +238,34 @@ class TestBoxplotStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             boxplot_stats([])
+
+
+class TestBoxplotRows:
+    @pytest.mark.parametrize("V", [
+        [[0.0, -0.0, 1.0, -0.0, 0.0, 2.0, -0.0, 0.0],
+         [-0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -0.0, -0.0],
+         [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 100.0],
+         [5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0]],
+        # a joint np.percentile(V, [25, 75], axis=1) returns the other zero
+        [[-0.0, 1.0, 0.0, -0.0, 0.0, -0.0, -1.0]],
+        # so does a whisker taken as np.where(inside, V, inf).min(axis=1)
+        [[0.0, 2.0, 1.0, -0.0, 50.0, 1.0, 50.0, 2.0, 1.0]],
+    ], ids=["ties-far-constant", "joint-quartiles", "padded-whisker"])
+    def test_each_row_is_summarised_alone(self, V):
+        V = np.array(V)
+        assert as_json(boxplot_rows(V)) == as_json([boxplot_oracle(row) for row in V])
+
+    def test_one_row_is_boxplot_stats(self):
+        v = [3.0, -0.0, 0.0, 9.0, -40.0, 2.5]
+        expected = boxplot_oracle(v)
+        del expected["mean"], expected["n"]
+        assert as_json(dataclasses.asdict(boxplot_stats(v))) == as_json(expected)
+
+    def test_column_major_input_summarises_the_same(self):
+        """The mean is a pairwise sum along each row whatever the layout."""
+        V = np.random.default_rng(3).normal(size=(3, 200)) * 1e3
+        assert as_json(boxplot_rows(np.asfortranarray(V))) == as_json(boxplot_rows(V))
+
+    def test_empty_rows_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            boxplot_rows(np.zeros((2, 0)))

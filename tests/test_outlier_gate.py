@@ -213,6 +213,19 @@ class TestClassify:
         for row in tests:
             assert mahalanobis_distance(gate, row) == classify(gate, [row]).distances[0]
 
+    def test_searched_rows_are_those_over_the_threshold(self):
+        rng = np.random.default_rng(31)
+        gate = fit_gate(rng.normal(size=(50, 2)), 90.0)
+        tests = rng.normal(size=(40, 2)) * 2
+        part = classify(gate, tests)
+        np.testing.assert_array_equal(part.searched,
+                                      part.distances > gate.threshold_distance)
+        assert part.searched.any() and not part.searched.all()
+        # a searched row passed the neighbour test exactly when it is an outlier
+        beyond = beyond_nearest_neighbor(gate, tests)
+        np.testing.assert_array_equal(part.outlier_indices,
+                                      np.flatnonzero(part.searched & beyond))
+
     def test_training_rows_are_never_outliers(self):
         """Each training row's neighbour is itself, so the strict farther
         condition can never hold."""

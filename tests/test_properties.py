@@ -1,6 +1,6 @@
 """Invariants of the least-squares solve, the sigmoid, the fallback, the
-gate and its percentiles, model and gate persistence, and average ranks,
-checked as properties over many generated cases rather than on fixed
+gate and its percentiles, model and gate persistence, average ranks and
+the row-wise boxplot summary, checked as properties over many generated cases rather than on fixed
 examples.
 
 Hypothesis draws the shapes, seeds and configurations; the arrays are
@@ -28,6 +28,8 @@ from outreg import (Activation, DegenerateGeometryError, Gate,  # noqa: E402
                     nlror_predict_detailed, nn_linear_extrapolate, pinv_solve,
                     save_ensemble, save_gate)
 from outreg import regress  # noqa: E402
+from outreg.evalharness.metrics import boxplot_rows  # noqa: E402
+from test_metrics import as_json, boxplot_oracle  # noqa: E402
 from test_regress import sign_split_sigmoid  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
@@ -361,3 +363,25 @@ def test_average_ranks_match_a_sort_based_oracle(values):
     expected = [(bisect.bisect_left(ordered, v) + 1
                  + bisect.bisect_right(ordered, v)) / 2 for v in values]
     np.testing.assert_array_equal(average_ranks(values), expected)
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(seed=seeds, rows=st.integers(min_value=1, max_value=6),
+       n=st.integers(min_value=1, max_value=300), integer_levels=st.booleans(),
+       zero_share=st.sampled_from([0.0, 0.3, 0.7]),
+       far_share=st.sampled_from([0.0, 0.02, 0.2]),
+       log_scale=st.floats(min_value=-3.0, max_value=3.0))
+def test_boxplot_rows_match_the_one_row_summary(seed, rows, n, integer_levels, zero_share,
+                                                far_share, log_scale):
+    """Every row's cell renders as the same JSON as summarising it alone.
+    Integer levels tie; 0.0 and -0.0 tie on quartiles, medians, whiskers
+    and outside points; far values make outside points."""
+    rng = np.random.default_rng(seed)
+    V = rng.normal(size=(rows, n))
+    if integer_levels:
+        V = np.round(2.0 * V)
+    V[rng.random((rows, n)) < zero_share] = 0.0
+    V *= rng.choice([-1.0, 1.0], size=(rows, n)) * 10.0 ** log_scale
+    far = rng.random((rows, n)) < far_share
+    V[far] += rng.choice([-1e3, 1e3], size=far.sum()) * 10.0 ** log_scale
+    assert as_json(boxplot_rows(V)) == as_json([boxplot_oracle(row) for row in V])

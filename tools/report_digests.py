@@ -7,8 +7,11 @@ and runs ``outreg run --format both`` on each through ``cli.main``: at two
 master seeds, with sigmoid and softplus members, and with the default and
 a fixed cross-validation, all gating at percentiles 99 and 75.  Two more
 cases follow, one per record at master seed 0 with the default
-cross-validation, that list the percentiles lowest first (75, 99).  One
-line per case:
+cross-validation, that list the percentiles lowest first (75, 99).  The
+last case runs the numeric record at master seed 0 with the fixed
+cross-validation for 24 trials of 2 members each, so that its aggregates
+have quartiles between order statistics and outside points.  One line
+per case:
 
     case sha256(report.json) sha256(trials.csv)
 
@@ -46,6 +49,10 @@ from outreg.evalharness.cli import main
 SEEDS = (0, 1)
 CV = {"default": None, "fixed": {"folds": 4, "candidate_node_counts": [6, 12], "seed": 3}}
 PERCENTILES = [99.0, 75.0]
+# (record, case, seed, cv, percentiles, trials, members): enough trials for
+# quartiles between order statistics and for outside points
+MANY_TRIAL_CASE = ("numeric", "numeric-seed0-fixed-cv-24-trials", 0, CV["fixed"],
+                   PERCENTILES, 24, 2)
 
 
 def _numeric_rows(rng):
@@ -101,10 +108,10 @@ def _digest(path: Path) -> str:
 
 
 def _run_case(root: Path, runs: Path, record: str, case: str, seed: int, cv,
-              percentiles: list[float]) -> int:
+              percentiles: list[float], trials: int = 2, members: int = 4) -> int:
     """Run one case and print its line; the exit code of ``outreg run``."""
-    config = {"activations": ["sigmoid", "softplus"], "trials": 2,
-              "members_per_trial": 4, "gate_percentiles": percentiles,
+    config = {"activations": ["sigmoid", "softplus"], "trials": trials,
+              "members_per_trial": members, "gate_percentiles": percentiles,
               "master_seed": seed, "store_predictions": True,
               "collect_extrapolation_records": True}
     if cv is not None:
@@ -138,6 +145,7 @@ def main_digests(argv: list[str]) -> int:
         # after the cases above, so that their lines keep their places
         cases += [(record, f"{record}-seed0-default-cv-ascending", 0, None,
                    sorted(PERCENTILES)) for record in RECORDS]
+        cases.append(MANY_TRIAL_CASE)
         for case in cases:
             code = _run_case(root, runs, *case)
             if code != 0:
