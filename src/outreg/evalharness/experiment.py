@@ -22,7 +22,7 @@ with the same config and dataset produce identical reports.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,9 +82,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"min_subset_rows must be at least 2, got {self.min_subset_rows}"
             )
-        if self.or_config.categorical_groups:
-            raise ValueError("or_config.categorical_groups must be empty: the "
-                             "fallback takes the dataset's one-hot groups")
 
 
 @dataclass(frozen=True)
@@ -185,8 +182,10 @@ def _prepare(dataset: Dataset, config: ExperimentConfig) -> _Prepared:
 
     # one fit and one partition at the lowest percentile serve them all: a
     # higher percentile's outliers are those above its threshold, since the
-    # neighbour test does not depend on the threshold
-    gate = fit_gate(Ztr, min(config.gate_percentiles))
+    # neighbour test does not depend on the threshold.  The gate sees scaled
+    # rows, so the one-hot groups' levels go through the scaler too
+    gate = fit_gate(Ztr, min(config.gate_percentiles),
+                    tuple(minmax_onehot_group(scaler, g) for g in dataset.onehot_groups))
     part = classify(gate, Zte)
     far = part.distances[part.outlier_indices]
     all_rows = np.arange(Zte.shape[0])
@@ -196,14 +195,8 @@ def _prepare(dataset: Dataset, config: ExperimentConfig) -> _Prepared:
         subsets[repr(float(q))] = {"all": all_rows, "outliers": outliers,
                                    "non_outliers": np.setdiff1d(all_rows, outliers)}
 
-    # the fallback needs indicator-aware geometry whenever the dataset has
-    # one-hot blocks.  It sees scaled rows, so the groups' levels go through
-    # the scaler too
-    or_config = replace(config.or_config, categorical_groups=tuple(
-        minmax_onehot_group(scaler, g) for g in dataset.onehot_groups))
-
     # one plan per gated row serves the row at every percentile
-    plans = {i: extrapolation_plan(gate, Zte[i], or_config, nn_index=nn)
+    plans = {i: extrapolation_plan(gate, Zte[i], config.or_config, nn_index=nn)
              for i, nn in zip(part.outlier_indices, part.nearest_indices)}
     lr_pred = lr_predict(lr_fit(Ztr, dataset.train_target), Zte)
     dataset_summary = {

@@ -72,7 +72,6 @@ class OrConfig:
     delta1_values: tuple[float, ...] = (0.25, 0.5)
     delta2_values: tuple[float, ...] = (0.5, 1.0)
     include_raw_nlr: bool = True
-    categorical_groups: tuple[OneHotGroup, ...] = ()
 
     def __post_init__(self):
         if not self.delta1_values and not self.delta2_values \
@@ -85,6 +84,13 @@ class OrConfig:
             raise ValueError(f"delta1 values must be positive, got {self.delta1_values}")
         if any(not 0.0 < d <= 1.0 for d in self.delta2_values):
             raise ValueError(f"delta2 values must lie in (0, 1], got {self.delta2_values}")
+        for key in ("delta1_values", "delta2_values"):
+            # two values that print alike would label two candidates alike
+            # and count one step twice in the median
+            deltas = getattr(self, key)
+            if len({f"{d:g}" for d in deltas}) < len(deltas):
+                raise ValueError(f"{key} must not repeat a value at 6 significant "
+                                 f"digits, got {list(deltas)}")
 
 
 @dataclass(frozen=True)
@@ -195,15 +201,17 @@ def _check_indicator_block(x: np.ndarray, group: OneHotGroup) -> None:
         )
 
 
-def categorical_center(gate: Gate, x_o, groups: tuple[OneHotGroup, ...]) -> np.ndarray:
-    """Columnwise median of the training rows sharing x_o's categories.
+def categorical_center(gate: Gate, x_o) -> np.ndarray:
+    """Columnwise median of the training rows sharing x_o's categories in
+    every one of the gate's one-hot groups.
 
     Falls back to the gate's global centre when no training row matches
     (the secant anchors still need somewhere to stand).
     """
     xo = gate_point(gate, x_o, "x_o")
+    groups = gate.onehot_groups
     if not groups:
-        raise ValueError("categorical_center requires at least one one-hot group")
+        raise ValueError("categorical_center requires a gate with at least one one-hot group")
     cols = list(indicator_columns(groups))
     for g in groups:
         _check_indicator_block(xo, g)
@@ -255,17 +263,21 @@ def extrapolation_plan(gate: Gate, x_o, config: OrConfig = OrConfig(), *,
     ``nn_index`` is x_o's nearest training row, as ``classify``'s
     ``nearest_indices`` or ``nearest_training_neighbor`` gives it.
 
-    When one-hot groups are configured, the neighbour and centre anchors
-    have their indicator coordinates pinned to x_o's block before any
-    geometry, so every anchor carries a valid indicator block and all
-    line geometry happens in the continuous coordinates.
+    When the gate holds one-hot groups, the centre is the
+    ``categorical_center`` of x_o's categories, and the neighbour and
+    centre anchors have their indicator coordinates pinned to x_o's block
+    before any geometry, so every anchor carries a valid indicator block
+    and all line geometry happens in the continuous coordinates.
     """
     xo = gate_point(gate, x_o, "x_o")
+    n = gate.training_inputs.shape[0]
+    if not 0 <= nn_index < n:
+        raise ValueError(f"nn_index {nn_index} is not a training row index in [0, {n})")
     x_nn = gate.training_inputs[nn_index].copy()
     center = gate.center.copy()
-    if config.categorical_groups:
-        center = categorical_center(gate, xo, config.categorical_groups)
-        pin = list(indicator_columns(config.categorical_groups))
+    if gate.onehot_groups:
+        center = categorical_center(gate, xo)
+        pin = list(indicator_columns(gate.onehot_groups))
         x_nn[pin] = xo[pin]
         center[pin] = xo[pin]
 

@@ -3,18 +3,28 @@
 Uses numpy's npz container with a small versioned header so old files
 fail loudly instead of deserialising into garbage.  All arrays round-trip
 at full float64 precision, so reloaded models predict bit-identically.
+
+A gate file of version 2 also holds the gate's one-hot groups as four
+flat arrays, with no pickled object: each group's column count
+(``onehot_sizes``), then all groups' columns, category labels and
+(absent, present) levels one after another.  A version-1 file loads as
+a gate with no groups.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .outlier_gate import Gate
+from .preprocess import OneHotGroup
 from .regress import Activation, ElmModel, EnsembleModel, TrimPolicy
 
 ENSEMBLE_FORMAT = "outreg-ensemble"
 GATE_FORMAT = "outreg-gate"
-FORMAT_VERSION = 1
+ENSEMBLE_FORMAT_VERSION = 1
+GATE_FORMAT_VERSION = 2
 
 
 def _seed_text(seed) -> str:
@@ -26,7 +36,7 @@ def _seed_value(text) -> int | None:
     return None if value == "none" else int(value)
 
 
-def _check_header(data, path, expected_format):
+def _check_header(data, path, expected_format, supported=(ENSEMBLE_FORMAT_VERSION,)) -> int:
     for key in ("format", "version"):
         if key not in data:
             raise ValueError(f"{path}: not a recognised model file (missing {key!r})")
@@ -34,10 +44,10 @@ def _check_header(data, path, expected_format):
     if found != expected_format:
         raise ValueError(f"{path}: expected format {expected_format!r}, found {found!r}")
     version = int(data["version"])
-    if version != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported format version {version} (supported: {FORMAT_VERSION})"
-        )
+    if version not in supported:
+        raise ValueError(f"{path}: unsupported format version {version} "
+                         f"(supported: {', '.join(map(str, supported))})")
+    return version
 
 
 def save_ensemble(path, ensemble: EnsembleModel) -> None:
@@ -46,7 +56,7 @@ def save_ensemble(path, ensemble: EnsembleModel) -> None:
     # absent seed
     payload = {
         "format": ENSEMBLE_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": ENSEMBLE_FORMAT_VERSION,
         "activation": ensemble.activation.value,
         "trim_policy": ensemble.trim_policy.value,
         "member_count": len(ensemble.members),
@@ -84,10 +94,11 @@ def load_ensemble(path) -> EnsembleModel:
 
 
 def save_gate(path, gate: Gate) -> None:
+    groups = gate.onehot_groups
     np.savez(
         path,
         format=GATE_FORMAT,
-        version=FORMAT_VERSION,
+        version=GATE_FORMAT_VERSION,
         mean=gate.mean,
         covariance=gate.covariance,
         covariance_inverse_factor=gate.covariance_inverse_factor,
@@ -95,6 +106,12 @@ def save_gate(path, gate: Gate) -> None:
         percentile_q=gate.percentile_q,
         center=gate.center,
         training_inputs=gate.training_inputs,
+        onehot_sizes=np.array([len(g.column_indices) for g in groups], dtype=np.int64),
+        onehot_columns=np.array([c for g in groups for c in g.column_indices],
+                                dtype=np.int64),
+        onehot_labels=np.array([c for g in groups for c in g.category_labels], dtype=str),
+        onehot_levels=np.array([v for g in groups for v in g.levels],
+                               dtype=float).reshape(-1, 2),
     )
 
 
@@ -123,10 +140,37 @@ def _check_gate(gate: Gate, path) -> Gate:
     return gate
 
 
+def _onehot_groups(data, path, d: int) -> tuple[OneHotGroup, ...]:
+    """A version-2 file's one-hot groups, else a ValueError naming ``path``
+    and the first array that does not fit the gate's ``d`` inputs."""
+    cols, sizes, labels, levels = (data.get(f"onehot_{name}") for name in
+                                   ("columns", "sizes", "labels", "levels"))
+    k = cols.size if cols is not None else 0
+    for name, value, fits, expected in (
+            ("columns", cols, lambda v: v.ndim == 1 and v.dtype.kind in "iu"
+             and ((0 <= v) & (v < d)).all() and np.unique(v).size == v.size,
+             f"distinct integers in [0, {d})"),
+            ("sizes", sizes, lambda v: v.ndim == 1 and v.dtype.kind in "iu"
+             and (v >= 1).all() and v.sum() == k, f"positive integers summing to {k}"),
+            ("labels", labels, lambda v: v.shape == (k,) and v.dtype.kind == "U",
+             f"{k} strings"),
+            ("levels", levels, lambda v: v.shape == (k, 2) and v.dtype.kind == "f"
+             and np.isfinite(v).all(), f"finite floats of shape ({k}, 2)")):
+        if value is None or not fits(value):
+            raise ValueError(f"{path}: gate field 'onehot_{name}' is "
+                             f"{'missing' if value is None else value.tolist()}, "
+                             f"expected {expected}")
+    ends = np.cumsum(sizes).tolist()
+    return tuple(OneHotGroup(column_indices=tuple(cols[a:b].tolist()),
+                             category_labels=tuple(labels[a:b].tolist()),
+                             levels=tuple(map(tuple, levels[a:b].tolist())))
+                 for a, b in zip([0] + ends, ends))
+
+
 def load_gate(path) -> Gate:
     with np.load(path, allow_pickle=False) as data:
-        _check_header(data, path, GATE_FORMAT)
-        return _check_gate(Gate(
+        version = _check_header(data, path, GATE_FORMAT, (1, GATE_FORMAT_VERSION))
+        gate = _check_gate(Gate(
             mean=data["mean"],
             covariance=data["covariance"],
             covariance_inverse_factor=data["covariance_inverse_factor"],
@@ -135,3 +179,6 @@ def load_gate(path) -> Gate:
             center=data["center"],
             training_inputs=data["training_inputs"],
         ), path)
+        if version == 1:
+            return gate
+        return replace(gate, onehot_groups=_onehot_groups(data, path, gate.mean.size))

@@ -30,6 +30,7 @@ import numpy as np
 
 from .numkernel import (as_matrix, as_vector, columnwise_median, percentile,
                         sample_covariance, sample_mean)
+from .preprocess import OneHotGroup, indicator_columns
 
 # A covariance eigenvalue below RIDGE_TRIGGER * trace/d marks the matrix as
 # numerically singular; RIDGE_SCALE * trace/d is then added to the diagonal.
@@ -44,7 +45,9 @@ class Gate:
     ``covariance`` is the raw sample covariance;
     ``covariance_inverse_factor`` is a matrix F (inverse Cholesky factor of
     the possibly ridge-regularised covariance) such that the Mahalanobis
-    distance of x is ||F (x - mean)||.
+    distance of x is ||F (x - mean)||.  ``onehot_groups`` are the indicator
+    blocks among the inputs, with the levels the inputs carry; the fallback
+    pins them and anchors its centre line in the point's category.
     """
 
     mean: np.ndarray
@@ -54,6 +57,7 @@ class Gate:
     percentile_q: float
     center: np.ndarray
     training_inputs: np.ndarray
+    onehot_groups: tuple[OneHotGroup, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -83,21 +87,27 @@ def _inverse_factor(covariance: np.ndarray) -> np.ndarray:
     return np.linalg.inv(L)
 
 
-def fit_gate(train_inputs, percentile_q: float = 99.0) -> Gate:
+def fit_gate(train_inputs, percentile_q: float = 99.0,
+             onehot_groups: tuple[OneHotGroup, ...] = ()) -> Gate:
     """Fit the gate on normalised training inputs.
 
     The threshold is the ``percentile_q``-th percentile of the training
     rows' own Mahalanobis distances, so by construction roughly
-    (100 - percentile_q) percent of training rows sit above it.
+    (100 - percentile_q) percent of training rows sit above it.  The gate
+    keeps ``onehot_groups``, whose columns must be distinct inputs.
     """
     X = as_matrix(train_inputs, "train_inputs")
     if X.shape[0] < 2:
         raise ValueError(f"fit_gate requires at least two rows, got {X.shape[0]}")
+    cols = indicator_columns(onehot_groups)
+    if cols and not 0 <= cols[0] <= cols[-1] < X.shape[1]:
+        raise ValueError(f"one-hot columns {list(cols)} fall outside the {X.shape[1]} inputs")
     covariance = sample_covariance(X)
     gate = Gate(mean=sample_mean(X), covariance=covariance,
                 covariance_inverse_factor=_inverse_factor(covariance),
                 threshold_distance=np.nan, percentile_q=np.nan,
-                center=columnwise_median(X), training_inputs=X.copy())
+                center=columnwise_median(X), training_inputs=X.copy(),
+                onehot_groups=tuple(onehot_groups))
     return at_percentile(gate, percentile_q)
 
 

@@ -293,7 +293,13 @@ class TestRunCommand:
          "activations must not repeat, got ['sigmoid', 'softplus', 'sigmoid']"),
         ({"gate_percentiles": [95, 99.0, 95.0]},
          "gate percentiles must not repeat, got [95.0, 99.0, 95.0]"),
-    ], ids=["repeated-activation", "repeated-percentile"])
+        ({"or": {"delta1_values": [0.5, 0.5]}},
+         "delta1_values must not repeat a value at 6 significant digits, got [0.5, 0.5]"),
+        ({"or": {"delta2_values": [0.25, 0.2500001]}},
+         "delta2_values must not repeat a value at 6 significant digits, "
+         "got [0.25, 0.2500001]"),
+    ], ids=["repeated-activation", "repeated-percentile", "repeated-delta1",
+            "delta2-alike-at-6-digits"])
     def test_repeated_config_key_exits_2(self, tmp_path, capsys, overrides, message):
         manifest_path = _write_dataset(tmp_path)
         config_path = _write_config(tmp_path, **overrides)

@@ -10,10 +10,13 @@ asserted at the strictest level available: two runs with the same
 master seed must agree cell by cell, bitwise.
 """
 
+import dataclasses
 import functools
 import itertools
 import pickle
+import runpy
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +25,10 @@ from outreg import (Activation, CvConfig, OneHotGroup, OrConfig, TargetTransform
                     apply_minmax, classify, clip_nonnegative,
                     default_node_grid, ensemble_predict, ensemble_train,
                     extrapolate, extrapolation_plan, fit_gate, fit_minmax,
-                    lr_fit, lr_predict, nlror_predict_detailed, outlier_gate)
-from outreg.evalharness import (ExperimentConfig, dataset_from_arrays, mad,
-                                run_experiment)
+                    load_gate, lr_fit, lr_predict, minmax_onehot_group,
+                    nlror_predict_detailed, outlier_gate, save_gate)
+from outreg.evalharness import (ExperimentConfig, dataset_from_arrays, load_dataset,
+                                load_manifest, mad, run_experiment)
 from outreg.evalharness import experiment
 from outreg.evalharness.experiment import METRICS, MODEL_PAIRS, MODELS, SUBSETS
 from outreg.evalharness.metrics import boxplot_stats
@@ -118,10 +122,11 @@ class TestConfigValidation:
             ExperimentConfig(activations=(Activation.SIGMOID, Activation.SIGMOID))
 
     def test_categorical_groups_in_or_config_rejected(self):
-        """The fallback takes the dataset's one-hot groups; the report does
-        not echo any others, so a run could not be reproduced from it."""
+        """The fallback takes the one-hot groups from the gate, which a run
+        fits with the dataset's; OrConfig has no field to give others."""
         group = OneHotGroup(column_indices=(1, 2), category_labels=("a", "b"))
-        with pytest.raises(ValueError, match="categorical_groups"):
+        assert "categorical_groups" not in {f.name for f in dataclasses.fields(OrConfig)}
+        with pytest.raises(TypeError, match="categorical_groups"):
             ExperimentConfig(or_config=OrConfig(categorical_groups=(group,)))
 
     def test_repeated_percentile_rejected(self):
@@ -708,6 +713,43 @@ class TestCategoricalFallback:
         with pytest.warns(UserWarning, match="global training centre"):
             result = self._run(dataset)
         assert 6 in [r["row"] for r in result.extrapolation_records]
+
+    def test_reloaded_gate_plans_bitwise_as_the_run(self, tmp_path):
+        """A deploy caller who fits the gate on the scaled record with its
+        scaled groups, saves and reloads it, builds bitwise the run's
+        plan for every gated row: the groups travel with the gate."""
+        digests = runpy.run_path(str(Path(__file__).parents[1] / "tools"
+                                     / "report_digests.py"))
+        dataset = load_dataset(load_manifest(
+            digests["_write_record"](tmp_path, "categorical", seed=2024)))
+        config = _main_config(gate_percentiles=(99.0, 75.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            prepared = experiment._prepare(dataset, config)
+        scaler = fit_minmax(dataset.train_inputs)
+        gate = fit_gate(prepared.Ztr, 75.0, tuple(minmax_onehot_group(scaler, g)
+                                                  for g in dataset.onehot_groups))
+        save_gate(tmp_path / "gate.npz", gate)
+        loaded = load_gate(tmp_path / "gate.npz")
+        part = classify(loaded, prepared.Zte)
+        assert part.outlier_indices.tolist() == sorted(prepared.plans)
+        assert len(prepared.plans) >= 5
+        categories = {tuple(dataset.test_inputs[i, 2:]) for i in prepared.plans}
+        assert len(categories) >= 2
+        for i, nn in zip(part.outlier_indices, part.nearest_indices):
+            plan, run_plan = (extrapolation_plan(loaded, prepared.Zte[i], config.or_config,
+                                                 nn_index=nn), prepared.plans[i])
+            assert plan.labels == run_plan.labels
+            assert plan.anchors.tobytes() == run_plan.anchors.tobytes()
+            assert plan.slopes.tobytes() == run_plan.slopes.tobytes()
+            assert plan.dropped == run_plan.dropped
+            assert plan.nn_index == run_plan.nn_index
+        # without its groups the gate anchors some row's centre line elsewhere
+        plain = dataclasses.replace(loaded, onehot_groups=())
+        assert any(extrapolation_plan(plain, prepared.Zte[i], config.or_config,
+                                      nn_index=nn).anchors.tobytes()
+                   != prepared.plans[i].anchors.tobytes()
+                   for i, nn in zip(part.outlier_indices, part.nearest_indices))
 
 
 class TestUnits:

@@ -8,12 +8,15 @@ evaluated at 3 gives 7.99.  Affine surfaces must be reproduced exactly
 by every route.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from outreg import (DegenerateGeometryError, NoPredictionError, OneHotGroup,
                     OrConfig, apply_minmax, boundary_extrapolate_1d,
-                    categorical_center, center_linear_extrapolate, fit_gate,
+                    categorical_center, center_linear_extrapolate,
+                    extrapolation_plan, fit_gate,
                     fit_minmax, minmax_onehot_group, nn_linear_extrapolate,
                     nlror_predict, nlror_predict_detailed)
 
@@ -179,6 +182,21 @@ class TestOrConfig:
         with pytest.raises(ValueError, match="delta2"):
             OrConfig(delta2_values=(0.5, 2.0))
 
+    @pytest.mark.parametrize("key, deltas", [
+        ("delta1_values", (0.5, 0.5)),
+        ("delta1_values", (0.25, 0.2500001)),
+        ("delta2_values", (1.0, 0.5, 1)),
+    ], ids=["repeated-delta1", "delta1-alike-at-6-digits", "repeated-delta2"])
+    def test_deltas_that_label_alike_rejected(self, key, deltas):
+        """Two candidates with one label would be told apart by position
+        only, and a repeated step would count twice in the median."""
+        with pytest.raises(ValueError, match=f"{key} must not repeat"):
+            OrConfig(**{key: deltas})
+
+    def test_deltas_that_label_apart_accepted(self):
+        config = OrConfig(delta1_values=(0.25, 0.250001))
+        assert config.delta1_values == (0.25, 0.250001)
+
 
 def line_gate():
     """Training rows spread on the x-axis of a 2-D plane."""
@@ -293,6 +311,14 @@ class TestMedianCombiner:
         with pytest.raises(NoPredictionError, match="dropped"):
             nlror_predict(square, gate, gate.training_inputs[0], config)
 
+    @pytest.mark.parametrize("nn_index", [-1, 21, 100])
+    def test_neighbour_index_outside_the_training_rows_rejected(self, nn_index):
+        """-1 would anchor the plan on the last training row, silently."""
+        gate = line_gate()
+        with pytest.raises(ValueError, match=rf"nn_index {nn_index} is not a "
+                                             r"training row index in \[0, 21\)"):
+            extrapolation_plan(gate, [4.0, 0.0], nn_index=nn_index)
+
     def test_dimension_mismatch_rejected(self):
         gate = line_gate()
         with pytest.raises(ValueError, match="coordinates"):
@@ -311,62 +337,63 @@ def two_category_gate():
         np.column_stack([xs_b, np.zeros(11), np.ones(11)]),
     ])
     group = OneHotGroup(column_indices=(1, 2), category_labels=("A", "B"))
-    return fit_gate(rows, percentile_q=90.0), group
+    return fit_gate(rows, percentile_q=90.0, onehot_groups=(group,)), group
 
 
 class TestCategoricalCenter:
     def test_center_uses_only_matching_rows(self):
         gate, group = two_category_gate()
-        center_b = categorical_center(gate, [20.0, 0.0, 1.0], (group,))
+        center_b = categorical_center(gate, [20.0, 0.0, 1.0])
         np.testing.assert_array_equal(center_b, [7.5, 0.0, 1.0])
-        center_a = categorical_center(gate, [-20.0, 1.0, 0.0], (group,))
+        center_a = categorical_center(gate, [-20.0, 1.0, 0.0])
         np.testing.assert_array_equal(center_a, [-7.5, 1.0, 0.0])
 
     def test_single_category_equals_global_center(self):
         rows = np.column_stack([np.linspace(0, 4, 9), np.ones(9)])
-        gate = fit_gate(rows, percentile_q=90.0)
         group = OneHotGroup(column_indices=(1,), category_labels=("z",))
+        gate = fit_gate(rows, percentile_q=90.0, onehot_groups=(group,))
         np.testing.assert_array_equal(
-            categorical_center(gate, [9.0, 1.0], (group,)), gate.center)
+            categorical_center(gate, [9.0, 1.0]), gate.center)
 
     def test_unmatched_category_falls_back_with_warning(self):
         """No training row carries category B here."""
         rows = np.column_stack([np.linspace(0, 4, 9), np.ones(9), np.zeros(9)])
-        gate = fit_gate(rows, percentile_q=90.0)
         group = OneHotGroup(column_indices=(1, 2), category_labels=("A", "B"))
+        gate = fit_gate(rows, percentile_q=90.0, onehot_groups=(group,))
         with pytest.warns(UserWarning, match="global training centre"):
-            center = categorical_center(gate, [9.0, 0.0, 1.0], (group,))
+            center = categorical_center(gate, [9.0, 0.0, 1.0])
         np.testing.assert_array_equal(center, gate.center)
 
     def test_invalid_indicator_block_rejected(self):
         gate, group = two_category_gate()
         with pytest.raises(ValueError, match="indicator"):
-            categorical_center(gate, [20.0, 1.0, 1.0], (group,))
+            categorical_center(gate, [20.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="indicator"):
-            categorical_center(gate, [20.0, 0.5, 0.5], (group,))
+            categorical_center(gate, [20.0, 0.5, 0.5])
 
     def test_block_read_in_the_groups_levels(self):
         """Min-max scaled indicators read -1/1; raw 0/1 blocks are then invalid."""
         gate, group = two_category_gate()
         scaler = fit_minmax(gate.training_inputs)
-        scaled_gate = fit_gate(apply_minmax(scaler, gate.training_inputs),
-                               percentile_q=90.0)
         scaled = minmax_onehot_group(scaler, group)
-        center = categorical_center(scaled_gate, [3.0, -1.0, 1.0], (scaled,))
+        scaled_gate = fit_gate(apply_minmax(scaler, gate.training_inputs),
+                               percentile_q=90.0, onehot_groups=(scaled,))
+        center = categorical_center(scaled_gate, [3.0, -1.0, 1.0])
         np.testing.assert_array_equal(center[1:], [-1.0, 1.0])
         with pytest.raises(ValueError, match="indicator"):
-            categorical_center(scaled_gate, [3.0, 0.0, 1.0], (scaled,))
+            categorical_center(scaled_gate, [3.0, 0.0, 1.0])
 
     def test_no_groups_rejected(self):
         gate, _ = two_category_gate()
         with pytest.raises(ValueError, match="one-hot group"):
-            categorical_center(gate, [20.0, 0.0, 1.0], ())
+            categorical_center(dataclasses.replace(gate, onehot_groups=()),
+                               [20.0, 0.0, 1.0])
 
 
 class TestCategoricalPinning:
     def test_every_surface_call_carries_the_point_category(self):
-        gate, group = two_category_gate()
-        config = OrConfig(categorical_groups=(group,))
+        gate, _ = two_category_gate()
+        config = OrConfig()
         f, seen = recording(square)
         nlror_predict(f, gate, [20.0, 0.0, 1.0], config)
         assert len(seen) > 0
@@ -377,8 +404,8 @@ class TestCategoricalPinning:
         """With the indicator block pinned, an affine surface is still
         reproduced exactly."""
         rng = np.random.default_rng(13)
-        gate, group = two_category_gate()
-        config = OrConfig(categorical_groups=(group,))
+        gate, _ = two_category_gate()
+        config = OrConfig()
         affine = make_affine(rng, 3)
         x_o = np.array([20.0, 0.0, 1.0])
         value = nlror_predict(affine, gate, x_o, config)
@@ -386,10 +413,9 @@ class TestCategoricalPinning:
                                    rtol=1e-10, atol=1e-10)
 
     def test_center_route_anchors_in_matching_category(self):
-        gate, group = two_category_gate()
+        gate, _ = two_category_gate()
         config = OrConfig(delta1_values=(), delta2_values=(1.0,),
-                          include_raw_nlr=False,
-                          categorical_groups=(group,))
+                          include_raw_nlr=False)
         f, seen = recording(square)
         nlror_predict(f, gate, [20.0, 0.0, 1.0], config)
         np.testing.assert_array_equal(seen[1], [7.5, 0.0, 1.0])

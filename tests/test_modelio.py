@@ -4,7 +4,7 @@ The only interesting property is bit-exactness: a reloaded model must
 predict identically, and a reloaded gate must classify identically.
 Header checks guard against feeding one artifact kind into the other
 loader, and field checks against a gate file whose arrays disagree in
-shape or hold non-finite values.
+shape or hold non-finite values, one-hot group arrays included.
 """
 
 import dataclasses
@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from outreg import (Activation, TrimPolicy, classify, ensemble_predict,
+from outreg import (Activation, OneHotGroup, TrimPolicy, classify, ensemble_predict,
                     ensemble_train, fit_gate, load_ensemble, load_gate,
                     mahalanobis_distance, save_ensemble, save_gate)
 
@@ -65,6 +65,16 @@ class TestEnsembleRoundTrip:
         assert loaded.members[0].seed is None
 
 
+def season_gate():
+    """A gate on a continuous column, then a scaled three-season block."""
+    rng = np.random.default_rng(37)
+    seasons = np.where(np.eye(3)[np.arange(24) % 3] > 0, 1.0, -1.0)
+    group = OneHotGroup(column_indices=(1, 2, 3), category_labels=("dry", "wet", "mixed"),
+                        levels=((-1.0, 1.0),) * 3)
+    return fit_gate(np.column_stack([rng.normal(size=24), seasons]), 95.0,
+                    onehot_groups=(group,))
+
+
 class TestGateRoundTrip:
     def test_classification_bit_identical(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -82,6 +92,12 @@ class TestGateRoundTrip:
         for row in tests[:5]:
             assert (mahalanobis_distance(loaded, row)
                     == mahalanobis_distance(gate, row))
+
+    def test_gate_without_groups_round_trips(self, tmp_path):
+        gate = fit_gate(np.random.default_rng(31).normal(size=(20, 3)))
+        path = tmp_path / "gate.npz"
+        save_gate(path, gate)
+        assert load_gate(path).onehot_groups == ()
 
     def test_scalar_fields_preserved(self, tmp_path):
         rng = np.random.default_rng(19)
@@ -112,6 +128,19 @@ class TestHeaderChecks:
         np.savez(path, stuff=np.ones(3))
         with pytest.raises(ValueError, match="not a recognised model file"):
             load_ensemble(path)
+
+    def test_version_1_file_loads_with_no_groups(self, tmp_path):
+        """A version-1 gate file, written before gates held one-hot groups."""
+        gate = fit_gate(np.random.default_rng(29).normal(size=(20, 3)), 95.0)
+        path = tmp_path / "old.npz"
+        np.savez(path, format="outreg-gate", version=1, **{
+            name: getattr(gate, name) for name in (
+                "mean", "covariance", "covariance_inverse_factor", "threshold_distance",
+                "percentile_q", "center", "training_inputs")})
+        loaded = load_gate(path)
+        assert loaded.onehot_groups == ()
+        np.testing.assert_array_equal(loaded.training_inputs, gate.training_inputs)
+        assert loaded.threshold_distance == gate.threshold_distance
 
     def test_future_version_rejected(self, tmp_path):
         path = tmp_path / "future.npz"
@@ -160,3 +189,41 @@ class TestGateFieldChecks:
         with pytest.raises(ValueError, match=rf"gate\.npz: gate field '{field}'"):
             load_gate(path)
 
+
+
+# id -> (array, its replacement in a saved season_gate file)
+BAD_GROUP_ARRAYS = {
+    "columns-past-the-inputs": ("columns", np.array([1, 2, 4])),
+    "columns-negative": ("columns", np.array([-1, 2, 3])),
+    "columns-repeated": ("columns", np.array([1, 1, 3])),
+    "columns-floats": ("columns", np.array([1.0, 2.0, 3.0])),
+    "columns-2d": ("columns", np.array([[1, 2, 3]])),
+    "sizes-short-of-the-columns": ("sizes", np.array([2])),
+    "sizes-with-an-empty-group": ("sizes", np.array([0, 3])),
+    "sizes-floats": ("sizes", np.array([3.0])),
+    "labels-one-short": ("labels", np.array(["dry", "wet"])),
+    "labels-numbers": ("labels", np.array([1, 2, 3])),
+    "levels-three-per-column": ("levels", np.zeros((3, 3))),
+    "levels-one-row-short": ("levels", np.zeros((2, 2))),
+    "levels-nan": ("levels", np.array([[-1.0, 1.0], [np.nan, 1.0], [-1.0, 1.0]])),
+    "levels-strings": ("levels", np.full((3, 2), "1")),
+    "levels-missing": ("levels", None),
+}
+
+
+class TestGroupArrayChecks:
+    """A version-2 gate file whose one-hot arrays disagree with each other
+    or with the gate's inputs fails at load with the file and the array
+    named."""
+
+    @pytest.mark.parametrize("case", BAD_GROUP_ARRAYS)
+    def test_bad_group_array_rejected(self, tmp_path, case):
+        name, bad = BAD_GROUP_ARRAYS[case]
+        path = tmp_path / "gate.npz"
+        save_gate(path, season_gate())
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[f"onehot_{name}"] = bad
+        np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+        with pytest.raises(ValueError, match=rf"gate\.npz: gate field 'onehot_{name}'"):
+            load_gate(path)

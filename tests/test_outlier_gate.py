@@ -12,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from outreg import (beyond_nearest_neighbor, classify, fit_gate,
-                    mahalanobis_distance, nearest_training_neighbor)
+from outreg import (OneHotGroup, at_percentile, beyond_nearest_neighbor, classify,
+                    fit_gate, mahalanobis_distance, nearest_training_neighbor)
 from outreg.outlier_gate import RIDGE_SCALE
 
 
@@ -105,6 +105,35 @@ class TestFitGate:
     def test_identical_rows_rejected(self):
         with pytest.raises(ValueError, match="identical"):
             fit_gate([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
+
+
+def season_rows():
+    """A continuous column, then a two-column indicator block."""
+    return np.column_stack([np.linspace(0.0, 1.0, 10), np.eye(2)[np.arange(10) % 2]])
+
+
+class TestOneHotGroups:
+    """The gate keeps the one-hot groups it was fitted with; their columns
+    must be distinct input columns."""
+
+    def test_groups_kept_through_a_percentile_move(self):
+        group = OneHotGroup(column_indices=(1, 2), category_labels=("wet", "dry"))
+        gate = fit_gate(season_rows(), 90.0, onehot_groups=(group,))
+        assert gate.onehot_groups == (group,)
+        assert at_percentile(gate, 50.0).onehot_groups == (group,)
+        assert fit_gate(season_rows(), 90.0).onehot_groups == ()
+
+    @pytest.mark.parametrize("groups, message", [
+        (((5, 6),), r"one-hot columns \[5, 6\] fall outside the 3 inputs"),
+        (((2, 3),), r"one-hot columns \[2, 3\] fall outside"),
+        (((-1, 1),), r"one-hot columns \[-1, 1\] fall outside"),
+        (((0, 1), (1, 2)), "one-hot groups must not share columns"),
+    ], ids=["past-the-inputs", "one-past-the-last", "negative", "overlapping"])
+    def test_columns_outside_the_inputs_or_shared_rejected(self, groups, message):
+        groups = tuple(OneHotGroup(column_indices=cols, category_labels=("a", "b"))
+                       for cols in groups)
+        with pytest.raises(ValueError, match=message):
+            fit_gate(season_rows(), 90.0, onehot_groups=groups)
 
 
 class TestRidge:

@@ -21,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from outreg import (Activation, DegenerateGeometryError, Gate,  # noqa: E402
-                    NoPredictionError, OrConfig, at_percentile, average_ranks,
+                    NoPredictionError, OneHotGroup, OrConfig, at_percentile, average_ranks,
                     center_linear_extrapolate, classify, ensemble_predict,
                     ensemble_train, fit_gate, load_ensemble, load_gate,
                     nearest_training_neighbor, nlror_predict,
@@ -43,8 +43,11 @@ percentiles = st.floats(min_value=50.0, max_value=99.9)
 @st.composite
 def or_configs(draw):
     """Any OrConfig with at least one candidate configured."""
-    delta1 = draw(st.lists(st.floats(min_value=0.05, max_value=2.0), max_size=3))
-    delta2 = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), max_size=3))
+    # values that print alike at 6 digits would label two candidates alike
+    delta1 = draw(st.lists(st.floats(min_value=0.05, max_value=2.0), max_size=3,
+                           unique_by="{:g}".format))
+    delta2 = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), max_size=3,
+                           unique_by="{:g}".format))
     include_raw = draw(st.booleans()) if delta1 or delta2 else True
     return OrConfig(delta1_values=tuple(delta1), delta2_values=tuple(delta2),
                     include_raw_nlr=include_raw)
@@ -280,13 +283,36 @@ def test_one_fit_serves_every_percentile(seed, d, q1, q2, n_test):
                                             for i in low.outlier_indices]
 
 
+@st.composite
+def onehot_groups(draw, d):
+    """0 to 2 one-hot groups on distinct columns among ``d``, with any
+    labels free of NUL (which numpy's string arrays strip at the end) and
+    any finite levels, signed zeros and subnormals included."""
+    columns = draw(st.permutations(range(d)))
+    groups = []
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        if not columns:
+            break
+        k = draw(st.integers(min_value=1, max_value=min(3, len(columns))))
+        cols, columns = columns[:k], columns[k:]
+        labels = st.text(st.characters(min_codepoint=1, blacklist_categories=("Cs",)),
+                         max_size=4)
+        levels = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2)
+        groups.append(OneHotGroup(
+            column_indices=tuple(cols),
+            category_labels=tuple(draw(st.lists(labels, min_size=k, max_size=k))),
+            levels=tuple(draw(st.lists(levels, min_size=k, max_size=k)))))
+    return tuple(groups)
+
+
 @DETERMINISTIC
-@given(seed=seeds, d=dims, q=percentiles, n=st.integers(min_value=2, max_value=50))
-def test_gate_save_load_round_trip_is_bitwise(seed, d, q, n):
+@given(seed=seeds, d=dims, q=percentiles, n=st.integers(min_value=2, max_value=50),
+       data=st.data())
+def test_gate_save_load_round_trip_is_bitwise(seed, d, q, n, data):
     _, X = _training_rows(seed, d, n)
     if n <= d:
         X = np.hstack([X[:, :1]] * d) + np.arange(d)   # rank-deficient: ridge path
-    gate = fit_gate(X, q)
+    gate = fit_gate(X, q, data.draw(onehot_groups(d)))
     buffer = io.BytesIO()
     save_gate(buffer, gate)
     buffer.seek(0)
@@ -301,6 +327,12 @@ def test_gate_save_load_round_trip_is_bitwise(seed, d, q, n):
         before, after = getattr(gate, field), getattr(loaded, field)
         assert type(after) is float
         assert np.float64(after).tobytes() == np.float64(before).tobytes()
+    assert loaded.onehot_groups == gate.onehot_groups
+    for before, after in zip(gate.onehot_groups, loaded.onehot_groups):
+        assert {type(c) for c in after.column_indices} == {int}
+        assert {type(c) for c in after.category_labels} == {str}
+        assert {type(v) for level in after.levels for v in level} == {float}
+        assert np.array(after.levels).tobytes() == np.array(before.levels).tobytes()
 
 
 @DETERMINISTIC
