@@ -74,6 +74,9 @@ class Dataset:
     clip_negative_predictions: bool
     dropped_rows: int
 
+    def __post_init__(self):
+        indicator_columns(self.onehot_groups, self.train_inputs.shape[1])
+
     @property
     def indicator_columns(self) -> tuple[int, ...]:
         return indicator_columns(self.onehot_groups)

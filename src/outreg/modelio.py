@@ -170,6 +170,10 @@ def _onehot_groups(data, path, d: int) -> tuple[OneHotGroup, ...]:
 def load_gate(path) -> Gate:
     with np.load(path, allow_pickle=False) as data:
         version = _check_header(data, path, GATE_FORMAT, (1, GATE_FORMAT_VERSION))
+        for name in ("mean", "covariance", "covariance_inverse_factor", "threshold_distance",
+                     "percentile_q", "center", "training_inputs"):
+            if name not in data:
+                raise ValueError(f"{path}: gate field {name!r} is missing")
         gate = _check_gate(Gate(
             mean=data["mean"],
             covariance=data["covariance"],

@@ -24,6 +24,7 @@ above the higher threshold.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,7 +48,9 @@ class Gate:
     the possibly ridge-regularised covariance) such that the Mahalanobis
     distance of x is ||F (x - mean)||.  ``onehot_groups`` are the indicator
     blocks among the inputs, with the levels the inputs carry; the fallback
-    pins them and anchors its centre line in the point's category.
+    pins them and anchors its centre line in the point's category.  The
+    training rows' distances from ``center`` are computed at the first
+    ``classify`` and kept, so the arrays must not be changed in place.
     """
 
     mean: np.ndarray
@@ -58,6 +61,11 @@ class Gate:
     center: np.ndarray
     training_inputs: np.ndarray
     onehot_groups: tuple[OneHotGroup, ...] = ()
+
+    @functools.cached_property
+    def _train_center_norms(self) -> np.ndarray:
+        """Each training row's Euclidean distance from the centre."""
+        return np.linalg.norm(self.training_inputs - self.center, axis=1)
 
 
 @dataclass(frozen=True)
@@ -99,9 +107,7 @@ def fit_gate(train_inputs, percentile_q: float = 99.0,
     X = as_matrix(train_inputs, "train_inputs")
     if X.shape[0] < 2:
         raise ValueError(f"fit_gate requires at least two rows, got {X.shape[0]}")
-    cols = indicator_columns(onehot_groups)
-    if cols and not 0 <= cols[0] <= cols[-1] < X.shape[1]:
-        raise ValueError(f"one-hot columns {list(cols)} fall outside the {X.shape[1]} inputs")
+    indicator_columns(onehot_groups, X.shape[1])
     covariance = sample_covariance(X)
     gate = Gate(mean=sample_mean(X), covariance=covariance,
                 covariance_inverse_factor=_inverse_factor(covariance),
@@ -156,9 +162,8 @@ def _beyond(gate: Gate, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Both center-norm arrays go through the same axis-1 reduction so that a
     # test row identical to a training row compares exactly equal (and the
     # strict inequality below then correctly rejects it).
-    train_center_norms = np.linalg.norm(gate.training_inputs - gate.center, axis=1)
     test_center_norms = np.linalg.norm(X - gate.center, axis=1)
-    return nearest, test_center_norms > train_center_norms[nearest]
+    return nearest, test_center_norms > gate._train_center_norms[nearest]
 
 
 def beyond_nearest_neighbor(gate: Gate, test_inputs) -> np.ndarray:

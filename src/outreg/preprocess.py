@@ -200,11 +200,14 @@ class OneHotGroup:
         return np.where(np.eye(absent.size, dtype=bool), present, absent)
 
 
-def indicator_columns(groups) -> tuple[int, ...]:
-    """The columns of all the one-hot groups, sorted; no two may share one."""
+def indicator_columns(groups, input_count: int | None = None) -> tuple[int, ...]:
+    """The columns of all the one-hot groups, sorted; no two may share one,
+    and with ``input_count`` each must be one of that many inputs."""
     cols = sorted(c for g in groups for c in g.column_indices)
     if len(set(cols)) != len(cols):
         raise ValueError("one-hot groups must not share columns")
+    if input_count is not None and cols and not 0 <= cols[0] <= cols[-1] < input_count:
+        raise ValueError(f"one-hot columns {cols} fall outside the {input_count} inputs")
     return tuple(cols)
 
 

@@ -19,6 +19,19 @@ that the hidden-layer temporaries stay near ``_CHUNK_ELEMENTS`` floats.
 Each member's product is the same BLAS call on the same strides as a
 single-member prediction, so the ensemble output is bitwise that of
 averaging ``elm_predict`` over the members.
+
+The sigmoid is (1 + tanh(z/2))/2, and a sigmoid ensemble stacks W/2, b/2
+and B/2 in place of W, b and B, so its chunk loop runs only ``tanh`` and
+``+= 1``.  Halving is exact in binary floating point: each product and
+partial sum of X (W/2)^T + b/2 is the halved one of X W^T + b, and each
+product of (t + 1) B/2 the halved one of ((t + 1)/2) B, with or without
+fused multiply-adds.  So the fold moves no bit unless a halved value is
+subnormal (the halving then rounds) or X W^T + b overflows where its
+half does not (tanh gives 1 on both).  Every activation runs in the
+pre-activation's own storage, with the same ops in the same order as
+the form that allocates a temporary per op, so the bits are those of
+that form.  A chunk only groups the per-member BLAS calls, so its size,
+2^15 floats (256 KiB), moves no bit either.
 """
 
 from __future__ import annotations
@@ -35,8 +48,8 @@ from .seeding import STREAM_CV, STREAM_MEMBER, derive_rng, derive_seed
 
 DEFAULT_NODE_GRID = (5, 10, 20, 40, 70, 100, 150, 200, 300)
 
-# hidden-layer floats evaluated at once by ensemble_predict (128 KiB)
-_CHUNK_ELEMENTS = 1 << 14
+# hidden-layer floats evaluated at once by ensemble_predict (256 KiB)
+_CHUNK_ELEMENTS = 1 << 15
 
 
 class Activation(enum.Enum):
@@ -55,24 +68,33 @@ def activation_value(kind: Activation, z: float) -> float:
     return float(_activate(kind, np.asarray([float(z)]))[0])
 
 
-def _activate(kind: Activation, z: np.ndarray) -> np.ndarray:
-    """Activation of a pre-activation array; may overwrite ``z``."""
+def _activate(kind: Activation, z: np.ndarray, halved: bool = False) -> np.ndarray:
+    """Activation of a pre-activation array, computed in ``z``'s storage.
+
+    With ``halved`` a sigmoid takes z/2 and returns 2*sigmoid(z): the two
+    exact halvings are left to the caller's weights.  Other kinds ignore it.
+    """
     if kind is Activation.SIGMOID:
-        # 1/(1 + e^-z) = (1 + tanh(z/2))/2, in place: one transcendental
-        # pass, no temporary, nothing to overflow.  (t + 1)/2 rounds as
-        # 0.5 + t/2 does, so this is bitwise 0.5 + 0.5*tanh(0.5*z), and it
-        # is within 2^-52 of the sign-split logistic
-        z *= 0.5
+        # 1/(1 + e^-z) = (1 + tanh(z/2))/2: one transcendental pass, nothing
+        # to overflow.  (t + 1)/2 rounds as 0.5 + t/2 does, so this is
+        # bitwise 0.5 + 0.5*tanh(0.5*z), and it is within 2^-52 of the
+        # sign-split logistic
+        if not halved:
+            z *= 0.5
         np.tanh(z, out=z)
         z += 1.0
-        z *= 0.5
+        if not halved:
+            z *= 0.5
         return z
     if kind is Activation.RADIAL_BASIS:
         # exp(-z^2); |z| capped where the result already underflows to 0
-        return np.exp(-np.square(np.minimum(np.abs(z), 40.0)))
+        np.minimum(np.abs(z, out=z), 40.0, out=z)
+        return np.exp(np.negative(np.square(z, out=z), out=z), out=z)
     if kind is Activation.SOFTPLUS:
         # log(1 + e^z) = max(z, 0) + log1p(e^{-|z|}), stable at both ends
-        return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+        positive = np.maximum(z, 0.0)
+        np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
+        return np.add(positive, np.log1p(z, out=z), out=z)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -95,11 +117,11 @@ class ElmModel:
         return self.hidden_weights.shape[1]
 
 
-def _hidden_layer(X, weights_t, biases, activation):
+def _hidden_layer(X, weights_t, biases, activation, halved=False):
     """activation(X W^T + b); W^T and b may carry a leading member axis."""
     z = np.matmul(X, weights_t)
     z += biases
-    return _activate(activation, z)
+    return _activate(activation, z, halved)
 
 
 def elm_train(inputs, targets, node_count: int, activation: Activation,
@@ -179,7 +201,8 @@ class EnsembleModel:
 
     @functools.cached_property
     def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Member weights stacked as W^T (M, d, L), b (M, 1, L), B (M, L, m).
+        """Member weights stacked as W^T (M, d, L), b (M, 1, L), B (M, L, m),
+        all three halved for a sigmoid (see the module docstring).
 
         W^T is a transposed view of the stacked (M, L, d) weights, so each
         member's slice has the strides of ``hidden_weights.T``.
@@ -187,6 +210,9 @@ class EnsembleModel:
         weights = np.stack([m.hidden_weights for m in self.members])
         biases = np.stack([m.hidden_biases for m in self.members])[:, None, :]
         outputs = np.stack([m.output_weights for m in self.members])
+        if self.activation is Activation.SIGMOID:
+            for stacked in (weights, biases, outputs):
+                stacked *= 0.5
         return weights.transpose(0, 2, 1), biases, outputs
 
 
@@ -229,7 +255,8 @@ def ensemble_predict(ensemble: EnsembleModel, inputs) -> np.ndarray:
     step = max(1, _CHUNK_ELEMENTS // max(1, X.shape[0] * ensemble.node_count))
     for i in range(0, count, step):
         chunk = slice(i, i + step)
-        H = _hidden_layer(X, weights_t[chunk], biases[chunk], ensemble.activation)
+        H = _hidden_layer(X, weights_t[chunk], biases[chunk], ensemble.activation,
+                          halved=True)
         np.matmul(H, outputs[chunk], out=stacked[chunk])
     if ensemble.trim_policy is TrimPolicy.NONE:
         return stacked.mean(axis=0)

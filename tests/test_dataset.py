@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from outreg import TargetTransform
+from outreg import OneHotGroup, TargetTransform
 from outreg.evalharness import (Dataset, IngestionError, ManifestError,
                                 dataset_from_arrays, load_dataset,
                                 load_manifest)
@@ -441,6 +441,17 @@ class TestTargetHandling:
 
 
 class TestDatasetFromArrays:
+    @pytest.mark.parametrize("cols, message", [
+        ((5, 6), r"one-hot columns \[5, 6\] fall outside the 3 inputs"),
+        ((2, 3), r"one-hot columns \[2, 3\] fall outside the 3 inputs"),
+    ], ids=["past-the-inputs", "one-past-the-last"])
+    def test_groups_outside_the_inputs_rejected(self, cols, message):
+        """Caught where the Dataset is built, before a run scales them."""
+        group = OneHotGroup(column_indices=cols, category_labels=("a", "b"))
+        X = np.zeros((4, 3))
+        with pytest.raises(ValueError, match=message):
+            dataset_from_arrays(X, X, np.ones(4), np.ones(4), onehot_groups=(group,))
+
     def test_wraps_and_transforms(self):
         data = dataset_from_arrays(
             [[1.0], [.5]], [[2.0]], [1.0, np.e], [np.e ** 2],

@@ -133,10 +133,8 @@ class TestHeaderChecks:
         """A version-1 gate file, written before gates held one-hot groups."""
         gate = fit_gate(np.random.default_rng(29).normal(size=(20, 3)), 95.0)
         path = tmp_path / "old.npz"
-        np.savez(path, format="outreg-gate", version=1, **{
-            name: getattr(gate, name) for name in (
-                "mean", "covariance", "covariance_inverse_factor", "threshold_distance",
-                "percentile_q", "center", "training_inputs")})
+        np.savez(path, format="outreg-gate", version=1,
+                 **{name: getattr(gate, name) for name in GATE_FIELDS})
         loaded = load_gate(path)
         assert loaded.onehot_groups == ()
         np.testing.assert_array_equal(loaded.training_inputs, gate.training_inputs)
@@ -154,6 +152,9 @@ class TestHeaderChecks:
 def _inf_diagonal(rows):
     return np.where(np.eye(*rows.shape) > 0, np.inf, rows)
 
+
+GATE_FIELDS = ("mean", "covariance", "covariance_inverse_factor", "threshold_distance",
+               "percentile_q", "center", "training_inputs")
 
 # id -> (field, a change to a fitted 3-D gate that breaks one check of load_gate)
 BAD_GATE_FIELDS = {
@@ -187,6 +188,22 @@ class TestGateFieldChecks:
         path = tmp_path / "gate.npz"
         save_gate(path, dataclasses.replace(gate, **{field: bad(gate)}))
         with pytest.raises(ValueError, match=rf"gate\.npz: gate field '{field}'"):
+            load_gate(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("field", GATE_FIELDS)
+    def test_missing_field_named(self, tmp_path, version, field):
+        """A file missing one of the seven gate fields is a ValueError
+        naming the file and the field, not a KeyError from the archive."""
+        path = tmp_path / "gate.npz"
+        save_gate(path, season_gate())
+        with np.load(path) as data:
+            # a version-1 file holds no group arrays
+            arrays = {k: v for k, v in data.items()
+                      if k != field and (version == 2 or not k.startswith("onehot_"))}
+        arrays["version"] = version
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=rf"gate\.npz: gate field '{field}' is missing"):
             load_gate(path)
 
 

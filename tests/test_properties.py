@@ -1,7 +1,7 @@
-"""Invariants of the least-squares solve, the sigmoid, the fallback, the
-gate and its percentiles, model and gate persistence, average ranks and
-the row-wise boxplot summary, checked as properties over many generated cases rather than on fixed
-examples.
+"""Invariants of the least-squares solve, the sigmoid, the stacked
+ensemble pass, the fallback, the gate and its percentiles, model and gate
+persistence, average ranks and the row-wise boxplot summary, checked as
+properties over many generated cases rather than on fixed examples.
 
 Hypothesis draws the shapes, seeds and configurations; the arrays are
 then drawn from numpy generators seeded by it, so every case is a
@@ -13,6 +13,7 @@ import bisect
 import dataclasses
 import io
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from outreg import (Activation, DegenerateGeometryError, Gate,  # noqa: E402
-                    NoPredictionError, OneHotGroup, OrConfig, at_percentile, average_ranks,
-                    center_linear_extrapolate, classify, ensemble_predict,
-                    ensemble_train, fit_gate, load_ensemble, load_gate,
+                    NoPredictionError, OneHotGroup, OrConfig, TrimPolicy, at_percentile,
+                    average_ranks, center_linear_extrapolate, classify, elm_predict,
+                    ensemble_predict, ensemble_train, fit_gate, load_ensemble, load_gate,
                     nearest_training_neighbor, nlror_predict,
                     nlror_predict_detailed, nn_linear_extrapolate, pinv_solve,
                     save_ensemble, save_gate)
@@ -283,6 +284,32 @@ def test_one_fit_serves_every_percentile(seed, d, q1, q2, n_test):
                                             for i in low.outlier_indices]
 
 
+def _partition_bits(partition):
+    return [np.asarray(getattr(partition, f.name)).tobytes()
+            for f in dataclasses.fields(partition)]
+
+
+@DETERMINISTIC
+@given(seed=seeds, d=dims, q1=percentiles, q2=percentiles,
+       n_test=st.integers(min_value=1, max_value=40))
+def test_classify_gives_a_fresh_gates_partition_on_every_gate_and_call(
+        seed, d, q1, q2, n_test):
+    """A gate caches its training rows' centre norms at the first
+    ``classify``; later calls, a saved and reloaded gate and a percentile
+    move all give bitwise the partition of a gate fitted afresh."""
+    rng, X = _training_rows(seed, d, 30)
+    gate = fit_gate(X, q2)
+    spread = rng.uniform(0.5, 4.0, size=(n_test, 1))
+    tests = gate.mean + spread * rng.standard_normal((n_test, d)) * X.std(axis=0)
+    tests[::3] = X[rng.integers(0, len(X), size=tests[::3].shape[0])]
+    buffer = io.BytesIO()
+    save_gate(buffer, gate)
+    buffer.seek(0)
+    expected = _partition_bits(classify(fit_gate(X, q2), tests))
+    for candidate in (gate, gate, load_gate(buffer), at_percentile(fit_gate(X, q1), q2)):
+        assert _partition_bits(classify(candidate, tests)) == expected
+
+
 @st.composite
 def onehot_groups(draw, d):
     """0 to 2 one-hot groups on distinct columns among ``d``, with any
@@ -379,6 +406,47 @@ def test_ensemble_save_load_round_trip_predicts_bitwise(
     before, after = ensemble_predict(ensemble, grid), ensemble_predict(loaded, grid)
     assert after.shape == before.shape == (rows, m)
     assert after.tobytes() == before.tobytes()
+
+
+@DETERMINISTIC
+@given(seed=seeds, activation=st.sampled_from(list(Activation)),
+       d=st.integers(min_value=1, max_value=8),
+       m=st.integers(min_value=1, max_value=2),
+       node_count=st.integers(min_value=1, max_value=60),
+       member_count=st.integers(min_value=1, max_value=12),
+       rows=st.integers(min_value=1, max_value=300),
+       zero_share=st.sampled_from([0.0, 0.3]),
+       chunk_elements=st.sampled_from([regress._CHUNK_ELEMENTS, 40]))
+def test_ensemble_predict_is_the_member_loop_bitwise(
+        seed, activation, d, m, node_count, member_count, rows, zero_share,
+        chunk_elements):
+    """The stacked pass, with the sigmoid's halvings folded into the
+    stacked weights and every kernel in place, gives bitwise the mean (or
+    the drop-min-max trim) of ``elm_predict`` over the members, on inputs
+    with signed zeros and magnitudes from 1e-3 to 1e3, under the default
+    chunk budget and one that splits the members."""
+    if activation is Activation.RADIAL_BASIS:
+        member_count = max(member_count, 3)
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(20, d))
+    Y = rng.standard_normal((20, m))
+    ensemble = ensemble_train(X, Y, node_count, activation,
+                              member_count=member_count, seed=seed)
+    grid = (rng.uniform(-1.0, 1.0, size=(rows, d))
+            * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, d)))
+    grid[rng.uniform(size=(rows, d)) < zero_share] = 0.0
+    grid[rng.uniform(size=(rows, d)) < zero_share / 2] = -0.0
+
+    stacked = np.stack([elm_predict(member, grid) for member in ensemble.members])
+    if ensemble.trim_policy is TrimPolicy.NONE:
+        expected = stacked.mean(axis=0)
+    else:
+        expected = (stacked.sum(axis=0) - stacked.max(axis=0)
+                    - stacked.min(axis=0)) / (member_count - 2)
+    with mock.patch.object(regress, "_CHUNK_ELEMENTS", chunk_elements):
+        got = ensemble_predict(ensemble, grid)
+    assert got.shape == (rows, m)
+    assert got.tobytes() == expected.tobytes()
 
 
 @DETERMINISTIC

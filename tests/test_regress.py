@@ -262,27 +262,49 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
+_TINY = np.finfo(float).tiny
+# +0 and -0, subnormals, the radial-basis cap at 40, where e^z overflows and
+# e^-z underflows (708-746) and the largest float; then 5000 draws over six
+# decades.  Read-only: a kernel must be handed a copy
+KERNEL_GRID_SPECIAL = np.array([0.0, 5e-324, 1e-310, _TINY / 2, _TINY, 1e-300,
+                                1e-16, 0.5, 1.0, 36.0, 37.0, 39.5, 40.0, 40.5,
+                                708.0, 710.0, 745.0, 746.0, 800.0, 1e300,
+                                np.finfo(float).max])
+_GRID_RNG = np.random.default_rng(31)
+KERNEL_GRID = np.concatenate([KERNEL_GRID_SPECIAL, -KERNEL_GRID_SPECIAL,
+                              _GRID_RNG.standard_normal(5000)
+                              * 10.0 ** _GRID_RNG.uniform(-3.0, 3.0, 5000)])
+KERNEL_GRID.flags.writeable = False
+
+
 class TestStackedForwardPass:
     """The stacked ensemble pass reproduces the per-member loop bitwise."""
 
     def test_sigmoid_matches_tanh_form_bitwise(self):
         """Bitwise the (1 + tanh(z/2))/2 form, and within 2^-52 of the
         sign-split logistic, from -0 and subnormals to the largest float."""
-        rng = np.random.default_rng(31)
-        tiny = np.finfo(float).tiny
-        special = np.array([0.0, 5e-324, 1e-310, tiny / 2, tiny, 1e-300,
-                            1e-16, 0.5, 1.0, 36.0, 37.0, 708.0, 710.0,
-                            745.0, 746.0, 800.0, 1e300, np.finfo(float).max])
-        z = np.concatenate([special, -special,
-                            rng.standard_normal(5000)
-                            * 10.0 ** rng.uniform(-3.0, 3.0, 5000)])
-        assert np.signbit(z[special.size])          # -0.0 is on the grid
+        z = KERNEL_GRID
+        assert np.signbit(z[KERNEL_GRID_SPECIAL.size])   # -0.0 is on the grid
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = regress._activate(Activation.SIGMOID, z.copy())
         np.testing.assert_array_equal(bits(got),
                                       bits(0.5 + 0.5 * np.tanh(0.5 * z)))
         assert np.abs(got - sign_split_sigmoid(z)).max() <= 2.0 ** -52
+
+    @pytest.mark.parametrize("activation, temporaries_form", [
+        (Activation.RADIAL_BASIS, lambda z: np.exp(-np.square(np.minimum(np.abs(z), 40.0)))),
+        (Activation.SOFTPLUS, lambda z: np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))),
+    ], ids=["radial-basis", "softplus"])
+    def test_in_place_kernel_matches_temporaries_form_bitwise(self, activation,
+                                                               temporaries_form):
+        """The in-place kernel runs the same ops in the same order as the
+        form with a temporary per op, so it gives the same bits."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = regress._activate(activation, KERNEL_GRID.copy())
+            expected = temporaries_form(KERNEL_GRID)
+        np.testing.assert_array_equal(bits(got), bits(expected))
 
     @pytest.mark.parametrize("activation", list(Activation))
     @pytest.mark.parametrize("rows", [1, 2, 150])
