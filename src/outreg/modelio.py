@@ -43,7 +43,11 @@ def _check_header(data, path, expected_format, supported=(ENSEMBLE_FORMAT_VERSIO
     found = str(data["format"])
     if found != expected_format:
         raise ValueError(f"{path}: expected format {expected_format!r}, found {found!r}")
-    version = int(data["version"])
+    try:
+        version = int(data["version"])
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: format version {data['version'].tolist()!r} "
+                         "is not an integer") from None
     if version not in supported:
         raise ValueError(f"{path}: unsupported format version {version} "
                          f"(supported: {', '.join(map(str, supported))})")
@@ -72,25 +76,96 @@ def save_ensemble(path, ensemble: EnsembleModel) -> None:
     np.savez(path, **payload)
 
 
+def _ensemble_field(data, path, name):
+    if name not in data:
+        raise ValueError(f"{path}: ensemble field {name!r} is missing")
+    return data[name]
+
+
+def _member_seed(text, path, name) -> int | None:
+    """A seed written by ``_seed_text``, else a ValueError naming the field."""
+    try:
+        return _seed_value(text)
+    except ValueError:
+        raise ValueError(f"{path}: ensemble field {name!r} holds {text!r}, "
+                         "expected a decimal seed or 'none'") from None
+
+
+def _member_shape(data, path) -> tuple[int, ...]:
+    """(L, d, m) as member 0's weights give them: hidden (L, d), output (., m)."""
+    shape = ()
+    for name, axes in (("hidden_weights_0", slice(0, 2)), ("output_weights_0", slice(1, 2))):
+        value = _ensemble_field(data, path, name)
+        if value.ndim != 2 or 0 in value.shape:
+            raise ValueError(f"{path}: ensemble field {name!r} has shape {value.shape}, "
+                             "expected a 2-D array with no empty axis")
+        shape += value.shape[axes]
+    return shape
+
+
+def _member_arrays(data, path, i: int, shape) -> list[np.ndarray]:
+    """Member i's (W, b, B) if they have the (L, d), (L,) and (L, m) of
+    ``shape`` and hold finite floats, else a ValueError naming the field."""
+    L, d, m = shape
+    arrays = []
+    for stem, expected in (("hidden_weights", (L, d)), ("hidden_biases", (L,)),
+                           ("output_weights", (L, m))):
+        name = f"{stem}_{i}"
+        value = _ensemble_field(data, path, name)
+        if value.shape != expected:
+            raise ValueError(f"{path}: ensemble field {name!r} has shape {value.shape}, "
+                             f"expected {expected}")
+        if value.dtype.kind != "f" or not np.isfinite(value).all():
+            raise ValueError(f"{path}: ensemble field {name!r} holds values that are "
+                             f"not finite floats (dtype {value.dtype})")
+        arrays.append(value)
+    return arrays
+
+
 def load_ensemble(path) -> EnsembleModel:
+    """The ensemble in ``path``; a ValueError naming the file and the field
+    if a field is missing or disagrees with the others in shape, or an
+    array holds anything but finite floats."""
     with np.load(path, allow_pickle=False) as data:
         _check_header(data, path, ENSEMBLE_FORMAT)
-        activation = Activation(str(data["activation"]))
-        trim = TrimPolicy(str(data["trim_policy"]))
-        count = int(data["member_count"])
-        seeds = data["member_seeds"]
-        members = tuple(
-            ElmModel(
-                hidden_weights=data[f"hidden_weights_{i}"],
-                hidden_biases=data[f"hidden_biases_{i}"],
-                output_weights=data[f"output_weights_{i}"],
-                activation=activation,
-                seed=_seed_value(seeds[i]),
-            )
-            for i in range(count)
-        )
-        top_seed = _seed_value(data["seed"])
-    return EnsembleModel(members=members, trim_policy=trim, seed=top_seed)
+        kinds = {}
+        for name, kind in (("activation", Activation), ("trim_policy", TrimPolicy)):
+            text = str(_ensemble_field(data, path, name))
+            try:
+                kinds[name] = kind(text)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: ensemble field {name!r} is {text!r}, expected one of "
+                    f"{', '.join(repr(k.value) for k in kind)}") from None
+        count = _ensemble_field(data, path, "member_count")
+        if count.shape != () or count.dtype.kind not in "iu" or count < 1:
+            raise ValueError(f"{path}: ensemble field 'member_count' is {count.tolist()!r}, "
+                             "expected a positive integer")
+        count = int(count)
+        stems = ("hidden_weights", "hidden_biases", "output_weights")
+        expected = {f"{stem}_{i}" for stem in stems for i in range(count)}
+        extra = sorted(k for k in data.files if k.startswith(stems) and k not in expected)
+        if extra:
+            raise ValueError(f"{path}: ensemble field 'member_count' is {count}, but the "
+                             f"file also holds {extra[0]!r}")
+        if kinds["trim_policy"] is TrimPolicy.DROP_MIN_MAX and count < 3:
+            raise ValueError(f"{path}: ensemble field 'trim_policy' is 'drop-min-max', "
+                             f"which needs at least 3 members, but 'member_count' is {count}")
+        seeds = _ensemble_field(data, path, "member_seeds")
+        if seeds.shape != (count,) or seeds.dtype.kind != "U":
+            raise ValueError(f"{path}: ensemble field 'member_seeds' has shape {seeds.shape} "
+                             f"and dtype {seeds.dtype}, expected {count} strings")
+        top_seed = _member_seed(str(_ensemble_field(data, path, "seed")), path, "seed")
+        shape = _member_shape(data, path)
+        members = []
+        for i in range(count):
+            W, b, B = _member_arrays(data, path, i, shape)
+            members.append(ElmModel(
+                hidden_weights=W, hidden_biases=b, output_weights=B,
+                activation=kinds["activation"],
+                seed=_member_seed(str(seeds[i]), path, "member_seeds")))
+    return EnsembleModel(members=tuple(members), trim_policy=kinds["trim_policy"],
+                         seed=top_seed)
 
 
 def save_gate(path, gate: Gate) -> None:
@@ -174,6 +249,10 @@ def load_gate(path) -> Gate:
                      "percentile_q", "center", "training_inputs"):
             if name not in data:
                 raise ValueError(f"{path}: gate field {name!r} is missing")
+        for name in ("threshold_distance", "percentile_q"):
+            if data[name].shape != () or data[name].dtype.kind not in "fiu":
+                raise ValueError(f"{path}: gate field {name!r} is {data[name].tolist()!r}, "
+                                 "expected a number")
         gate = _check_gate(Gate(
             mean=data["mean"],
             covariance=data["covariance"],

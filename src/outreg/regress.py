@@ -11,27 +11,40 @@ drawn in that order from a generator derived from the training seed, so a
 given (seed, node_count, activation) triple always yields the same model.
 The output layer has no bias term.
 
-An ensemble is evaluated in one stacked forward pass rather than member
-by member: the members' hidden weights, biases and output weights are
-stacked once per ensemble into (M, d, L), (M, 1, L) and (M, L, m) arrays,
-and ``np.matmul`` runs a chunk of members at a time, with chunks sized so
-that the hidden-layer temporaries stay near ``_CHUNK_ELEMENTS`` floats.
-Each member's product is the same BLAS call on the same strides as a
-single-member prediction, so the ensemble output is bitwise that of
-averaging ``elm_predict`` over the members.
+Training and evaluation use different but equal forms of the network.
+Training computes activation(X W^T + b) as written, and no fitted weight
+depends on how a network is evaluated.  Evaluation folds two affine maps
+into the weights, once per call of ``elm_predict`` and once per ensemble
+(``EnsembleModel._stacked``):
 
-The sigmoid is (1 + tanh(z/2))/2, and a sigmoid ensemble stacks W/2, b/2
-and B/2 in place of W, b and B, so its chunk loop runs only ``tanh`` and
-``+= 1``.  Halving is exact in binary floating point: each product and
-partial sum of X (W/2)^T + b/2 is the halved one of X W^T + b, and each
-product of (t + 1) B/2 the halved one of ((t + 1)/2) B, with or without
-fused multiply-adds.  So the fold moves no bit unless a halved value is
-subnormal (the halving then rounds) or X W^T + b overflows where its
-half does not (tanh gives 1 on both).  Every activation runs in the
-pre-activation's own storage, with the same ops in the same order as
-the form that allocates a temporary per op, so the bits are those of
-that form.  A chunk only groups the per-member BLAS calls, so its size,
-2^15 floats (256 KiB), moves no bit either.
+* The bias joins the input product.  X gains a column of ones and each
+  member's hidden layer is stacked as [W | b], shape (M, L, d+1), so the
+  pre-activation is one product with no separate ``z += b`` pass.
+* A sigmoid network becomes a tanh network.  sigmoid(z) = 1/2 + tanh(z/2)/2,
+  so sigmoid(X W^T + b) B = tanh(X (W/2)^T + b/2) (B/2) + sum_l B_l/2: the
+  stack holds W/2, b/2 and B/2 (halving is exact) plus a per-member
+  offset sum_l B_l/2, shape (M, 1, m), added once to the stacked outputs.
+  The chunk loop then runs only ``tanh``, in place.
+
+Both folds are exact in real arithmetic but not bitwise the plain form,
+nor the version before them, which added the bias after the product and
+the sigmoid's 1 to each activation.  The bias is now summed inside the
+product, in BLAS's order, and the sigmoid's 1/2 moves onto the output
+sum, so each output moves by rounding, within 8 eps sum_l |B_l| (S_l +
+|h_l| + 1), where S_l is the sum of the magnitudes that make up z_l and
+h_l is the activation (a property test checks this bound).
+
+``_forward`` is the one evaluation kernel.  It runs a chunk of members
+at a time, with chunks sized so that the hidden-layer temporaries stay
+near ``_CHUNK_ELEMENTS`` floats, and each member's two products are the
+same BLAS calls on the same strides as for a lone member, since
+``np.matmul`` loops over the leading member axis.  The offsets are one
+whole-array sum and add, which sum each member's L values in the same
+order whatever else the stack holds.  So an ensemble's output is bitwise
+that of averaging ``elm_predict`` over its members, whatever the chunk
+size.  Every activation runs in the pre-activation's own storage, with
+the same ops in the same order as the form that allocates a temporary
+per op.
 """
 
 from __future__ import annotations
@@ -68,23 +81,17 @@ def activation_value(kind: Activation, z: float) -> float:
     return float(_activate(kind, np.asarray([float(z)]))[0])
 
 
-def _activate(kind: Activation, z: np.ndarray, halved: bool = False) -> np.ndarray:
-    """Activation of a pre-activation array, computed in ``z``'s storage.
-
-    With ``halved`` a sigmoid takes z/2 and returns 2*sigmoid(z): the two
-    exact halvings are left to the caller's weights.  Other kinds ignore it.
-    """
+def _activate(kind: Activation, z: np.ndarray) -> np.ndarray:
+    """Activation of a pre-activation array, computed in ``z``'s storage."""
     if kind is Activation.SIGMOID:
         # 1/(1 + e^-z) = (1 + tanh(z/2))/2: one transcendental pass, nothing
         # to overflow.  (t + 1)/2 rounds as 0.5 + t/2 does, so this is
         # bitwise 0.5 + 0.5*tanh(0.5*z), and it is within 2^-52 of the
         # sign-split logistic
-        if not halved:
-            z *= 0.5
+        z *= 0.5
         np.tanh(z, out=z)
         z += 1.0
-        if not halved:
-            z *= 0.5
+        z *= 0.5
         return z
     if kind is Activation.RADIAL_BASIS:
         # exp(-z^2); |z| capped where the result already underflows to 0
@@ -117,11 +124,48 @@ class ElmModel:
         return self.hidden_weights.shape[1]
 
 
-def _hidden_layer(X, weights_t, biases, activation, halved=False):
-    """activation(X W^T + b); W^T and b may carry a leading member axis."""
-    z = np.matmul(X, weights_t)
-    z += biases
-    return _activate(activation, z, halved)
+def _stack(members) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Members folded for ``_forward`` (see the module docstring): [W | b]^T
+    (M, d+1, L), B (M, L, m) and the sigmoid's offsets (M, 1, m) or None.
+
+    [W | b]^T is a transposed view of a C-ordered (M, L, d+1) array, so
+    each member's slice has the strides of a lone member's.
+    """
+    first = members[0]
+    L, d = first.hidden_weights.shape
+    layer = np.empty((len(members), L, d + 1))
+    # np.stack, without its per-call checks: elm_predict stacks one member
+    np.concatenate([m.hidden_weights[None] for m in members], out=layer[:, :, :d])
+    np.concatenate([m.hidden_biases[None] for m in members], out=layer[:, :, d])
+    outputs = np.concatenate([m.output_weights[None] for m in members])
+    offsets = None
+    if first.activation is Activation.SIGMOID:
+        layer *= 0.5
+        outputs *= 0.5
+        offsets = outputs.sum(axis=1, keepdims=True)
+    return layer.transpose(0, 2, 1), outputs, offsets
+
+
+def _forward(X, stacked, activation) -> np.ndarray:
+    """Each stacked member's outputs on the rows of X, shape (M, N, m)."""
+    layer_t, outputs, offsets = stacked
+    N, d = X.shape
+    X1 = np.empty((N, d + 1))
+    X1[:, :d] = X
+    X1[:, d] = 1.0
+    count, _, L = layer_t.shape
+    result = np.empty((count, N, outputs.shape[2]))
+    step = max(1, _CHUNK_ELEMENTS // max(1, N * L))
+    for i in range(0, count, step):
+        chunk = slice(i, i + step)
+        z = np.matmul(X1, layer_t[chunk])
+        # a folded sigmoid is a tanh network
+        H = (np.tanh(z, out=z) if activation is Activation.SIGMOID
+             else _activate(activation, z))
+        np.matmul(H, outputs[chunk], out=result[chunk])
+    if offsets is not None:
+        result += offsets
+    return result
 
 
 def elm_train(inputs, targets, node_count: int, activation: Activation,
@@ -143,7 +187,10 @@ def elm_train(inputs, targets, node_count: int, activation: Activation,
     rng = derive_rng(seed)
     W = rng.uniform(-1.0, 1.0, size=(node_count, X.shape[1]))
     b = rng.uniform(0.0, 1.0, size=node_count)
-    H = _hidden_layer(X, W.T, b, activation)
+    # the plain form activation(X W^T + b); evaluation folds it (module docstring)
+    z = X @ W.T
+    z += b
+    H = _activate(activation, z)
     if not np.isfinite(H).all():
         raise RuntimeError(
             f"hidden activations are not finite (activation={activation.value}, "
@@ -161,9 +208,7 @@ def elm_predict(model: ElmModel, inputs) -> np.ndarray:
         raise ValueError(
             f"inputs have {X.shape[1]} columns, model expects {model.input_dim}"
         )
-    H = _hidden_layer(X, model.hidden_weights.T, model.hidden_biases,
-                      model.activation)
-    return H @ model.output_weights
+    return _forward(X, _stack((model,)), model.activation)[0]
 
 
 @dataclass(frozen=True)
@@ -200,20 +245,9 @@ class EnsembleModel:
         return self.members[0].input_dim
 
     @functools.cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Member weights stacked as W^T (M, d, L), b (M, 1, L), B (M, L, m),
-        all three halved for a sigmoid (see the module docstring).
-
-        W^T is a transposed view of the stacked (M, L, d) weights, so each
-        member's slice has the strides of ``hidden_weights.T``.
-        """
-        weights = np.stack([m.hidden_weights for m in self.members])
-        biases = np.stack([m.hidden_biases for m in self.members])[:, None, :]
-        outputs = np.stack([m.output_weights for m in self.members])
-        if self.activation is Activation.SIGMOID:
-            for stacked in (weights, biases, outputs):
-                stacked *= 0.5
-        return weights.transpose(0, 2, 1), biases, outputs
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The members folded for ``_forward``, built once per ensemble."""
+        return _stack(self.members)
 
 
 def ensemble_train(inputs, targets, node_count: int, activation: Activation,
@@ -249,15 +283,8 @@ def ensemble_predict(ensemble: EnsembleModel, inputs) -> np.ndarray:
         raise ValueError(
             f"inputs have {X.shape[1]} columns, model expects {ensemble.input_dim}"
         )
-    weights_t, biases, outputs = ensemble._stacked
+    stacked = _forward(X, ensemble._stacked, ensemble.activation)
     count = len(ensemble.members)
-    stacked = np.empty((count, X.shape[0], outputs.shape[2]))
-    step = max(1, _CHUNK_ELEMENTS // max(1, X.shape[0] * ensemble.node_count))
-    for i in range(0, count, step):
-        chunk = slice(i, i + step)
-        H = _hidden_layer(X, weights_t[chunk], biases[chunk], ensemble.activation,
-                          halved=True)
-        np.matmul(H, outputs[chunk], out=stacked[chunk])
     if ensemble.trim_policy is TrimPolicy.NONE:
         return stacked.mean(axis=0)
     total = stacked.sum(axis=0) - stacked.max(axis=0) - stacked.min(axis=0)

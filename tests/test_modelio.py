@@ -3,8 +3,10 @@
 The only interesting property is bit-exactness: a reloaded model must
 predict identically, and a reloaded gate must classify identically.
 Header checks guard against feeding one artifact kind into the other
-loader, and field checks against a gate file whose arrays disagree in
-shape or hold non-finite values, one-hot group arrays included.
+loader, and field checks against a file with a missing field, or whose
+arrays disagree in shape or hold non-finite values: a gate's, one-hot
+group arrays included, and an ensemble's, member count and seeds
+included.
 """
 
 import dataclasses
@@ -63,6 +65,95 @@ class TestEnsembleRoundTrip:
         loaded = load_ensemble(path)
         assert loaded.seed is None
         assert loaded.members[0].seed is None
+
+
+def _rewrite(path, change):
+    """Rewrite a saved file with ``change(arrays)`` applied to its arrays;
+    an array set to None is left out."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    change(arrays)
+    np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+
+
+def _set(**fields):
+    return lambda arrays: arrays.update(fields)
+
+
+def _nan_at(name, index):
+    def change(arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name][index] = np.nan
+    return change
+
+
+# id -> (the field named, a change to a saved 3-member, L = 4, d = 2 sigmoid
+# ensemble file)
+BAD_ENSEMBLE_FIELDS = {
+    **{f"{name}-missing": (name, _set(**{name: None})) for name in (
+        "activation", "trim_policy", "member_count", "seed", "member_seeds",
+        "hidden_weights_0", "hidden_biases_2", "output_weights_1")},
+    "activation-unknown": ("activation", _set(activation="relu")),
+    "trim-policy-unknown": ("trim_policy", _set(trim_policy="median")),
+    "member-count-short-drops-a-member": ("member_count", _set(member_count=2)),
+    "member-count-long": ("member_seeds", _set(member_count=4)),
+    "member-count-zero": ("member_count", _set(member_count=0)),
+    "member-count-float": ("member_count", _set(member_count=3.0)),
+    "member-count-1d": ("member_count", _set(member_count=np.array([3]))),
+    "drop-min-max-on-2-members": ("trim_policy", lambda a: a.update(
+        trim_policy="drop-min-max", member_count=2, member_seeds=a["member_seeds"][:2],
+        hidden_weights_2=None, hidden_biases_2=None, output_weights_2=None)),
+    "member-seeds-one-for-three": ("member_seeds", _set(member_seeds=np.array(["5"]))),
+    "member-seeds-integers": ("member_seeds", _set(member_seeds=np.array([1, 2, 3]))),
+    "member-seeds-not-decimal": ("member_seeds",
+                                 _set(member_seeds=np.array(["1", "two", "3"]))),
+    "seed-not-decimal": ("seed", _set(seed="eleven")),
+    "hidden-weights-nan": ("hidden_weights_1", _nan_at("hidden_weights_1", (2, 0))),
+    "hidden-weights-integers": ("hidden_weights_2",
+                                _set(hidden_weights_2=np.ones((4, 2), dtype=np.int64))),
+    "hidden-weights-other-width": ("hidden_weights_1", _set(hidden_weights_1=np.ones((4, 3)))),
+    "hidden-weights-1d": ("hidden_weights_0", _set(hidden_weights_0=np.ones(4))),
+    "hidden-weights-no-nodes": ("hidden_weights_0", _set(hidden_weights_0=np.ones((0, 2)))),
+    "hidden-biases-5-for-4-nodes": ("hidden_biases_0", _set(hidden_biases_0=np.ones(5))),
+    "hidden-biases-inf": ("hidden_biases_2", _set(hidden_biases_2=np.full(4, np.inf))),
+    "output-weights-1d": ("output_weights_0", _set(output_weights_0=np.ones(4))),
+    "output-weights-1d-later": ("output_weights_2", _set(output_weights_2=np.ones(4))),
+    "output-weights-other-outputs": ("output_weights_1",
+                                     _set(output_weights_1=np.ones((4, 2)))),
+    "output-weights-strings": ("output_weights_1",
+                               _set(output_weights_1=np.full((4, 1), "1"))),
+}
+
+
+class TestEnsembleFieldChecks:
+    """An ensemble file with a missing field, a member count that disagrees
+    with its arrays, or member arrays of the wrong shape or type fails at
+    load with the file and the field named, not with a KeyError or
+    IndexError, nor by loading a different ensemble."""
+
+    @pytest.mark.parametrize("case", BAD_ENSEMBLE_FIELDS)
+    def test_bad_field_rejected(self, tmp_path, case):
+        field, change = BAD_ENSEMBLE_FIELDS[case]
+        X = np.linspace(-1, 1, 20).reshape(10, 2)
+        path = tmp_path / "model.npz"
+        save_ensemble(path, ensemble_train(X, X[:, :1], 4, Activation.SIGMOID,
+                                           member_count=3, seed=5))
+        _rewrite(path, change)
+        with pytest.raises(ValueError, match=rf"model\.npz: ensemble field '{field}'"):
+            load_ensemble(path)
+
+    def test_negative_and_absent_seeds_round_trip(self, tmp_path):
+        from outreg import ElmModel, EnsembleModel
+        members = tuple(ElmModel(hidden_weights=np.ones((2, 1)), hidden_biases=np.zeros(2),
+                                 output_weights=np.ones((2, 1)),
+                                 activation=Activation.SIGMOID, seed=seed)
+                        for seed in (-3, None, 2 ** 64 + 1))
+        path = tmp_path / "model.npz"
+        save_ensemble(path, EnsembleModel(members=members, trim_policy=TrimPolicy.NONE,
+                                          seed=-1))
+        loaded = load_ensemble(path)
+        assert loaded.seed == -1
+        assert [m.seed for m in loaded.members] == [-3, None, 2 ** 64 + 1]
 
 
 def season_gate():
@@ -206,6 +297,34 @@ class TestGateFieldChecks:
         with pytest.raises(ValueError, match=rf"gate\.npz: gate field '{field}' is missing"):
             load_gate(path)
 
+
+
+class TestScalarFieldChecks:
+    """A gate's threshold or percentile that is not one number, or a format
+    version that is not an integer, fails at load with the file named,
+    not with a TypeError or an unnamed ValueError."""
+
+    @pytest.mark.parametrize("field, bad", [
+        ("threshold_distance", np.array([1.0, 2.0])),
+        ("percentile_q", "ninety"),
+        ("percentile_q", np.array([[95.0]])),
+    ])
+    def test_gate_scalar_field_named(self, tmp_path, field, bad):
+        path = tmp_path / "gate.npz"
+        save_gate(path, season_gate())
+        _rewrite(path, _set(**{field: bad}))
+        with pytest.raises(ValueError, match=rf"gate\.npz: gate field '{field}'"):
+            load_gate(path)
+
+    @pytest.mark.parametrize("bad", ["two", np.array([1, 2])])
+    def test_version_that_is_not_an_integer_named(self, tmp_path, bad):
+        gate_path, model_path = tmp_path / "gate.npz", tmp_path / "model.npz"
+        save_gate(gate_path, season_gate())
+        save_ensemble(model_path, small_ensemble())
+        for path, load in ((gate_path, load_gate), (model_path, load_ensemble)):
+            _rewrite(path, _set(version=bad))
+            with pytest.raises(ValueError, match=rf"{path.name}: format version .* is not"):
+                load(path)
 
 
 # id -> (array, its replacement in a saved season_gate file)

@@ -449,6 +449,63 @@ def test_ensemble_predict_is_the_member_loop_bitwise(
     assert got.tobytes() == expected.tobytes()
 
 
+def textbook_outputs(member, X):
+    """activation(X W^T + b) B in the unfolded form, the bias added after
+    the product and the sigmoid unhalved; with the per-output rounding
+    bound 8 eps sum_l |B_l| (S_l + |h_l| + 1), where S_l = sum_j |x_j W_lj|
+    + |b_l| is the magnitude the pre-activation's rounding scales with and
+    h_l the activation."""
+    z = X @ member.hidden_weights.T
+    z += member.hidden_biases
+    h = regress._activate(member.activation, z)
+    S = np.abs(X) @ np.abs(member.hidden_weights.T) + np.abs(member.hidden_biases)
+    bound = 8.0 * np.finfo(float).eps * ((S + np.abs(h) + 1.0) @ np.abs(member.output_weights))
+    return h @ member.output_weights, bound
+
+
+@pytest.mark.parametrize("activation", list(Activation), ids=lambda a: a.value)
+@DETERMINISTIC
+@given(seed=seeds, d=st.integers(min_value=1, max_value=8),
+       m=st.integers(min_value=1, max_value=2),
+       node_count=st.integers(min_value=1, max_value=60),
+       member_count=st.integers(min_value=1, max_value=12),
+       rows=st.integers(min_value=1, max_value=300),
+       zero_share=st.sampled_from([0.0, 0.3]))
+def test_ensemble_predict_is_the_textbook_form_within_rounding(
+        activation, seed, d, m, node_count, member_count, rows, zero_share):
+    """The folded kernel (bias inside the input product, a sigmoid run as
+    a tanh network plus an offset) moves each member's output from the
+    textbook form by at most the bound of ``textbook_outputs``.  The mean
+    (or drop-min-max trim) of the members then moves by at most the mean
+    (or the largest) member bound, plus 2 M eps of the largest member
+    output for the rounding of the two combinations.  Inputs have signed
+    zeros and magnitudes from 1e-3 to 1e3."""
+    if activation is Activation.RADIAL_BASIS:
+        member_count = max(member_count, 3)
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(20, d))
+    Y = rng.standard_normal((20, m))
+    ensemble = ensemble_train(X, Y, node_count, activation,
+                              member_count=member_count, seed=seed)
+    grid = (rng.uniform(-1.0, 1.0, size=(rows, d))
+            * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, d)))
+    grid[rng.uniform(size=(rows, d)) < zero_share] = 0.0
+    grid[rng.uniform(size=(rows, d)) < zero_share / 2] = -0.0
+
+    outputs, bounds = map(np.stack, zip(*(textbook_outputs(member, grid)
+                                          for member in ensemble.members)))
+    if ensemble.trim_policy is TrimPolicy.NONE:
+        expected, bound = outputs.mean(axis=0), bounds.mean(axis=0)
+    else:
+        expected = (outputs.sum(axis=0) - outputs.max(axis=0)
+                    - outputs.min(axis=0)) / (member_count - 2)
+        bound = bounds.max(axis=0)
+    bound += 2 * member_count * np.finfo(float).eps * np.abs(outputs).max(axis=0)
+    got = ensemble_predict(ensemble, grid)
+    assert got.shape == (rows, m)
+    assert (np.abs(got - expected) <= bound).all()
+
+
 @DETERMINISTIC
 @given(values=st.lists(st.one_of(st.integers(min_value=-3, max_value=3),
                                  st.sampled_from([-0.0, 0.0, 0.5, 1e-300]),

@@ -24,11 +24,11 @@ Run it against two source trees and compare, e.g.
 No output line differs when a change keeps every report byte.  With a
 directory argument, each case's run is kept as ``DIR/<case>/report.json``
 and ``DIR/<case>/trials.csv``, so that a change which moves bytes on
-purpose can be measured with ``tools/report_diff.py``:
+purpose can be measured with ``tools/report_diff.py``, case by case:
 
+    PYTHONPATH=../parent/src python tools/report_digests.py ../parent > parent.txt
     PYTHONPATH=src python tools/report_digests.py ../change > change.txt
-    python tools/report_diff.py ../parent/numeric-seed0-default-cv/report.json \
-        ../change/numeric-seed0-default-cv/report.json
+    python tools/report_diff.py ../parent ../change
 """
 
 from __future__ import annotations
