@@ -2,7 +2,11 @@
 
 The regressor is deliberately cheap to train: hidden weights and biases
 are drawn at random and never touched again, and only the linear output
-layer is fitted, by minimum-norm least squares on the hidden activations.
+layer is fitted, by minimum-norm least squares on the hidden activations
+(``pinv_solve``: a QR solve where the design is provably well
+conditioned, LAPACK's xGELSD otherwise).  Where ``pinv_solve`` will try
+the QR solve, ``elm_train`` writes the activations H and the targets Y
+side by side into one array, [H | Y], which it factors as it is.
 Averaging an ensemble of such networks (here 100 by default) smooths out
 the variance of the random hidden layer.
 
@@ -56,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import as_matrix, as_vector, pinv_solve
+from .numkernel import as_matrix, as_vector, pinv_solve, tries_qr
 from .seeding import STREAM_CV, STREAM_MEMBER, derive_rng, derive_seed
 
 DEFAULT_NODE_GRID = (5, 10, 20, 40, 70, 100, 150, 200, 300)
@@ -188,15 +192,28 @@ def elm_train(inputs, targets, node_count: int, activation: Activation,
     W = rng.uniform(-1.0, 1.0, size=(node_count, X.shape[1]))
     b = rng.uniform(0.0, 1.0, size=node_count)
     # the plain form activation(X W^T + b); evaluation folds it (module docstring)
-    z = X @ W.T
-    z += b
-    H = _activate(activation, z)
-    if not np.isfinite(H).all():
+    n, m = Y.shape
+    if tries_qr(n, node_count, m):
+        # H and Y share one array, [H | Y], which pinv_solve's QR path
+        # factors without a copy.  The Y columns go through the activation
+        # as zeros, so that every pass runs on contiguous storage, and are
+        # then overwritten
+        z = np.zeros((n, node_count + m))
+        np.matmul(X, W.T, out=z[:, :node_count])
+        z += np.concatenate((b, np.zeros(m)))
+    else:
+        z = X @ W.T
+        z += b
+    _activate(activation, z)
+    if not np.isfinite(z).all():
         raise RuntimeError(
             f"hidden activations are not finite (activation={activation.value}, "
             f"node_count={node_count}); input scaling is probably missing"
         )
-    B = pinv_solve(H, Y)
+    if z.shape[1] > node_count:
+        z[:, node_count:] = Y
+        Y = z[:, node_count:]
+    B = pinv_solve(z[:, :node_count], Y)
     return ElmModel(hidden_weights=W, hidden_biases=b, output_weights=B,
                     activation=activation, seed=int(seed))
 
@@ -377,7 +394,11 @@ class LinearModel:
 
 
 def lr_fit(inputs, targets) -> LinearModel:
-    """Ordinary least squares with an intercept, via ``pinv_solve`` (xGELSD).
+    """Ordinary least squares with an intercept, via ``pinv_solve``.
+
+    With fewer than 15 inputs the design's d + 1 columns fall below
+    ``pinv_solve``'s QR crossover of 16, so xGELSD solves it; a wider
+    design takes the guarded QR solve.
 
     Rank-deficient inputs (e.g. duplicated columns) get the minimum-norm
     coefficient split rather than an error.

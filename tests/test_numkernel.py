@@ -9,11 +9,20 @@ cases are asserted much tighter.  The truncation rule is pinned on
 designs built from known singular values.
 """
 
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from outreg import (average_ranks, columnwise_median, percentile, pinv_solve,
                     sample_covariance, sample_mean)
+from outreg.evalharness.cli import main
+from outreg.numkernel import _QR_MIN_COLUMNS
+from outreg.regress import DEFAULT_NODE_GRID
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def eig_pinv_solve(H, Y, rel_tol=1e-12):
@@ -156,6 +165,180 @@ class TestTruncationBoundary:
     def test_target_without_columns_gives_empty_solution(self):
         B = pinv_solve(np.ones((4, 3)), np.ones((4, 0)))
         assert B.shape == (3, 0)
+
+
+@pytest.fixture
+def lstsq_designs(monkeypatch):
+    """The design shape of every ``np.linalg.lstsq`` call made in the test."""
+    shapes = []
+    solve = np.linalg.lstsq
+
+    def counting(a, b, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return solve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    return shapes
+
+
+def sigmoid_design(rng, n, p):
+    """An ELM hidden layer on n rows of 4 inputs in [-1, 1]."""
+    X = rng.uniform(-1.0, 1.0, size=(n, 4))
+    W = rng.uniform(-1.0, 1.0, size=(p, 4))
+    b = rng.uniform(0.0, 1.0, size=p)
+    return 1.0 / (1.0 + np.exp(-(X @ W.T + b))), X
+
+
+def known_spectrum(rng, n, S):
+    """U diag(S) Vt with random orthonormal U (n, p) and V (p, p)."""
+    U = np.linalg.qr(rng.standard_normal((n, S.size)))[0]
+    Vt = np.linalg.qr(rng.standard_normal((S.size, S.size)))[0].T
+    return U @ np.diag(S) @ Vt
+
+
+class TestSolveRouting:
+    """Which designs skip xGELSD, and what the QR path gives where it runs.
+
+    The QR path runs on designs with at least ``_QR_MIN_COLUMNS`` columns
+    and no more columns than rows, when both bounds on the condition
+    number clear the cutoff.  Every other design makes one xGELSD call."""
+
+    @pytest.mark.parametrize("n, p", [(399, 150), (319, 40)])
+    def test_well_conditioned_design_skips_xgelsd(self, lstsq_designs, n, p):
+        rng = np.random.default_rng(n + p)
+        H, _ = sigmoid_design(rng, n, p)
+        Y = rng.standard_normal((n, 2))
+        B = pinv_solve(H, Y)
+        assert lstsq_designs == []
+        oracle = np.linalg.pinv(H, rcond=1e-10) @ Y
+        np.testing.assert_allclose(B, oracle, rtol=0,
+                                   atol=1e-8 * np.abs(oracle).max())
+
+    def test_rank_deficient_design_goes_to_xgelsd_on_its_r_factor(
+            self, lstsq_designs, monkeypatch):
+        """Copied columns give R a zero diagonal entry, up to rounding, so
+        the design is sent on before R is inverted."""
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((60, 16))
+        H = np.hstack([base, base[:, :4]])
+        Y = rng.standard_normal((60, 1))
+        inversions = []
+        invert = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: inversions.append(1) or invert(a))
+        B = pinv_solve(H, Y)
+        assert lstsq_designs == [(20, 20)]
+        assert inversions == []
+        oracle = np.linalg.pinv(H, rcond=1e-10) @ Y
+        np.testing.assert_allclose(B, oracle, rtol=0, atol=1e-10)
+
+    def test_values_below_the_cutoff_send_a_design_to_xgelsd(self,
+                                                             lstsq_designs):
+        """Full rank, but two singular values fall below 1e-10 * s[0]: the
+        solution drops their directions, as the pseudoinverse does."""
+        rng = np.random.default_rng(5)
+        S = np.r_[np.logspace(0.0, -8.0, 18), 1e-12, 1e-14]
+        H = known_spectrum(rng, 60, S)
+        Y = rng.standard_normal((60, 1))
+        B = pinv_solve(H, Y)
+        assert lstsq_designs == [(20, 20)]
+        oracle = np.linalg.pinv(H, rcond=1e-10) @ Y
+        np.testing.assert_allclose(B, oracle, rtol=0,
+                                   atol=1e-6 * np.abs(oracle).max())
+
+    def test_a_tiny_singular_value_behind_a_unit_diagonal_goes_to_xgelsd(
+            self, lstsq_designs):
+        """R = I minus the strictly upper ones, at 40 columns, has every
+        |r_ii| = 1 but singular values from 24.6 down to 2.7e-12: only the
+        bound through inv(R) sees that the last one is below the cutoff."""
+        rng = np.random.default_rng(7)
+        Q = np.linalg.qr(rng.standard_normal((60, 40)))[0]
+        H = Q @ (np.eye(40) - np.triu(np.ones((40, 40)), 1))
+        Y = rng.standard_normal((60, 1))
+        B = pinv_solve(H, Y)
+        assert lstsq_designs == [(40, 40)]
+        oracle = np.linalg.pinv(H, rcond=1e-10) @ Y
+        np.testing.assert_allclose(B, oracle, rtol=0,
+                                   atol=1e-8 * np.abs(oracle).max())
+
+    @pytest.mark.parametrize("diagonal", [
+        [1.0, 1e-10], [2.0, 2e-10], [4.0, 3.0, 4e-10],
+        [1.0, 1e-10 * (1 + 2**-50)]])
+    def test_truncation_boundary_diagonals_go_to_xgelsd(self, lstsq_designs,
+                                                        diagonal):
+        pinv_solve(np.diag(diagonal), np.ones((len(diagonal), 1)))
+        assert lstsq_designs == [(len(diagonal),) * 2]
+
+    @pytest.mark.parametrize("n, p, m", [
+        (10, 20, 1),                    # wide: more columns than rows
+        (150, _QR_MIN_COLUMNS - 1, 1),  # below the crossover
+        (40, 20, 0),                    # a target without columns
+    ])
+    def test_other_designs_make_one_xgelsd_call_on_the_design(
+            self, lstsq_designs, n, p, m):
+        rng = np.random.default_rng(n * p)
+        H = rng.standard_normal((n, p))
+        Y = rng.standard_normal((n, m))
+        B = pinv_solve(H, Y)
+        assert lstsq_designs == [(n, p)]
+        assert B.shape == (p, m)
+
+    def test_each_target_column_is_solved_as_if_alone(self):
+        rng = np.random.default_rng(9)
+        H, _ = sigmoid_design(rng, 200, 40)
+        Y = rng.standard_normal((200, 3))
+        B = pinv_solve(H, Y)
+        for j in range(3):
+            np.testing.assert_array_equal(B[:, j:j + 1],
+                                          pinv_solve(H, Y[:, j:j + 1]))
+
+    @pytest.mark.parametrize("p", DEFAULT_NODE_GRID)
+    def test_agrees_with_xgelsd_within_the_condition_number(self, lstsq_designs,
+                                                            p):
+        """On a 399-row sigmoid layer at every node count of the default
+        grid, the solution is within eps * k of xGELSD's, relative, where
+        k is the condition number: the scale at which either backward
+        stable solve can move it.  The QR path runs from the crossover
+        up, and xGELSD itself below it."""
+        rng = np.random.default_rng(p)
+        H, X = sigmoid_design(rng, 399, p)
+        y = (np.sin(2.0 * X[:, 0] + X[:, 1]) + 0.3 * np.cos(2.0 * X[:, 2]))[:, None]
+        expected = np.linalg.lstsq(H, y, rcond=1e-10)[0]
+        lstsq_designs.clear()
+        B = pinv_solve(H, y)
+        if p < _QR_MIN_COLUMNS:
+            assert lstsq_designs == [H.shape]
+            np.testing.assert_array_equal(B, expected)
+            return
+        assert lstsq_designs == []
+        s = np.linalg.svd(H, compute_uv=False)
+        bound = np.finfo(float).eps * s[0] / s[-1] * np.linalg.norm(expected)
+        assert np.linalg.norm(B - expected) <= bound
+
+    def test_protocol_train_shaped_run_calls_xgelsd_only_below_the_crossover(
+            self, lstsq_designs, tmp_path):
+        """``outreg run`` on a 570-row record (399 training rows), one
+        sigmoid trial of 100 members, 5-fold CV over 10 to 150 nodes: the
+        guard clears every fit it sees, so xGELSD runs only for the five
+        10-node CV fits and the 5-column linear baseline."""
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        try:
+            import inputs
+        finally:
+            sys.path.remove(str(ROOT / "perfbench"))
+        manifest = inputs.write_river(inputs.river_record(1, 570, 3),
+                                      tmp_path, "river", False)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "activations": ["sigmoid"], "trials": 1, "members_per_trial": 100,
+            "gate_percentiles": [99.0, 95.0], "master_seed": 1,
+            "cv": {"folds": 5, "candidate_node_counts": [10, 20, 40, 70, 100, 150],
+                   "seed": 1}}))
+        assert main(["run", "--manifest", str(manifest), "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["node_counts"] == {"sigmoid": 150}
+        assert sorted(p for _, p in lstsq_designs) == [5, 10, 10, 10, 10, 10]
 
 
 class TestMoments:
