@@ -4,6 +4,16 @@ Uses numpy's npz container with a small versioned header so old files
 fail loudly instead of deserialising into garbage.  All arrays round-trip
 at full float64 precision, so reloaded models predict bit-identically.
 
+Each format version has one field table.  A row gives a field's dtype
+kind, its shape in symbolic dimensions (``L`` nodes, ``d`` inputs, ``m``
+outputs, ``n`` training rows, ``k`` indicator columns, ``g`` groups) and
+at most one value rule.  ``_read_fields`` reads each field once and
+checks it against its row: a dimension is bound by the first field that
+has it, and a scalar integer field binds a dimension of its own name.  A
+file that is not an NPZ archive, lacks a field or breaks a row raises a
+ValueError naming the file and the field, so the loaders only build
+objects.
+
 A gate file of version 2 also holds the gate's one-hot groups as four
 flat arrays, with no pickled object: each group's column count
 (``onehot_sizes``), then all groups' columns, category labels and
@@ -13,7 +23,9 @@ a gate with no groups.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import re
+import zipfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -36,22 +48,113 @@ def _seed_value(text) -> int | None:
     return None if value == "none" else int(value)
 
 
-def _check_header(data, path, expected_format, supported=(ENSEMBLE_FORMAT_VERSION,)) -> int:
-    for key in ("format", "version"):
-        if key not in data:
-            raise ValueError(f"{path}: not a recognised model file (missing {key!r})")
-    found = str(data["format"])
-    if found != expected_format:
-        raise ValueError(f"{path}: expected format {expected_format!r}, found {found!r}")
+def _one_of(kind):
+    values = [k.value for k in kind]
+    return lambda v, dims: str(v) in values, "one of " + ", ".join(map(repr, values))
+
+
+# value rules: (test of the array and the bound dimensions, what it expects)
+_FINITE = (lambda v, dims: np.isfinite(v).all(), "finite values")
+_SEEDS = (lambda v, dims: all(re.fullmatch("none|-?[0-9]+", s) for s in v.ravel().tolist()),
+          "decimal seeds or 'none'")
+_KINDS = {"f": "floats", "iu": "integers", "fiu": "numbers", "U": "strings"}
+_LEAST = {"n": 2, "k": 0, "g": 0}   # every other dimension is at least 1
+
+# rows: (name, dtype kinds, shape, value rule or None)
+_ENSEMBLE_FIELDS = (
+    ("activation", "U", (), _one_of(Activation)),
+    ("trim_policy", "U", (), _one_of(TrimPolicy)),
+    ("member_count", "iu", (), (lambda v, dims: v >= 1, "a count of at least 1")),
+    ("seed", "U", (), _SEEDS),
+)
+_MEMBER_FIELDS = (
+    ("hidden_weights_{}", "f", ("L", "d"), _FINITE),
+    ("hidden_biases_{}", "f", ("L",), _FINITE),
+    ("output_weights_{}", "f", ("L", "m"), _FINITE),
+)
+_GATE_FIELDS = (
+    ("mean", "f", ("d",), _FINITE),
+    ("covariance", "f", ("d", "d"), _FINITE),
+    ("covariance_inverse_factor", "f", ("d", "d"), _FINITE),
+    ("threshold_distance", "fiu", (), (lambda v, dims: 0 <= v < np.inf, "a finite value >= 0")),
+    ("percentile_q", "fiu", (), (lambda v, dims: 0 < v < 100, "a value in (0, 100)")),
+    ("center", "f", ("d",), _FINITE),
+    ("training_inputs", "f", ("n", "d"), _FINITE),
+)
+_ONEHOT_FIELDS = (
+    ("onehot_columns", "iu", ("k",), (
+        lambda v, dims: ((0 <= v) & (v < dims["d"])).all() and np.unique(v).size == v.size,
+        "distinct columns in [0, {d})")),
+    ("onehot_sizes", "iu", ("g",), (lambda v, dims: (v >= 1).all() and v.sum() == dims["k"],
+                                    "positive sizes that sum to {k}")),
+    ("onehot_labels", "U", ("k",), None),
+    ("onehot_levels", "f", ("k", 2), _FINITE),
+)
+_TABLES = {ENSEMBLE_FORMAT: {ENSEMBLE_FORMAT_VERSION: _ENSEMBLE_FIELDS},
+           GATE_FORMAT: {1: _GATE_FIELDS, 2: _GATE_FIELDS + _ONEHOT_FIELDS}}
+
+
+def _read(data, path, what, name) -> np.ndarray:
+    """Field ``name`` of ``data``, else a ValueError naming ``path`` and the field."""
+    if name not in data:
+        raise ValueError(f"{path}: {what} field {name!r} is missing")
     try:
-        version = int(data["version"])
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: format version {data['version'].tolist()!r} "
-                         "is not an integer") from None
-    if version not in supported:
-        raise ValueError(f"{path}: unsupported format version {version} "
-                         f"(supported: {', '.join(map(str, supported))})")
-    return version
+        return data[name]
+    except (ValueError, zipfile.BadZipFile) as error:
+        raise ValueError(f"{path}: {what} field {name!r} cannot be read ({error})") from None
+
+
+@contextmanager
+def _archive(path, expected_format):
+    """The open archive in ``path`` and its version's field table, else a
+    ValueError naming ``path``."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (EOFError, ValueError, zipfile.BadZipFile):
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not a recognised model file (not an NPZ archive)")
+    with data:
+        for key in ("format", "version"):
+            if key not in data:
+                raise ValueError(f"{path}: not a recognised model file (missing {key!r})")
+        found, version = (_read(data, path, "header", key) for key in ("format", "version"))
+        if str(found) != expected_format:
+            raise ValueError(f"{path}: expected format {expected_format!r}, found {str(found)!r}")
+        if version.shape != () or version.dtype.kind not in "iu":
+            raise ValueError(f"{path}: format version {version.tolist()!r} is not an integer")
+        tables = _TABLES[expected_format]
+        if int(version) not in tables:
+            raise ValueError(f"{path}: unsupported format version {int(version)} "
+                             f"(supported: {', '.join(map(str, tables))})")
+        yield data, tables[int(version)]
+
+
+def _read_fields(data, path, what, table, dims) -> dict[str, np.ndarray]:
+    """Each field of ``table`` read once from ``data`` and checked for its
+    kind, its shape against ``dims`` (binding each dimension it is first
+    to have) and its value rule; else a ValueError naming ``path`` and the
+    first field that fails."""
+    fields = {}
+    for name, kinds, shape, rule in table:
+        value = fields[name] = _read(data, path, what, name)
+
+        def fail(found, expected):
+            raise ValueError(f"{path}: {what} field {name!r} {found}, expected {expected}")
+        if value.dtype.kind not in kinds:
+            fail(f"has dtype {value.dtype}", _KINDS[kinds])
+        expected = ", ".join(str(dims.get(dim, dim if isinstance(dim, int) else
+                                          f"{dim} >= {_LEAST.get(dim, 1)}")) for dim in shape)
+        if value.ndim != len(shape) or not all(
+                size == (dim if isinstance(dim, int) else dims.setdefault(dim, size))
+                and size >= _LEAST.get(dim, 1) for size, dim in zip(value.shape, shape)):
+            fail(f"has shape {value.shape}", f"({expected})")
+        if shape == () and kinds == "iu":   # a count binds a dimension of its own name
+            dims[name] = int(value)
+        if rule is not None and not rule[0](value, dims):
+            fail(f"holds {np.array2string(value.ravel() if value.ndim else value, threshold=6)}",
+                 rule[1].format(**dims))
+    return fields
 
 
 def save_ensemble(path, ensemble: EnsembleModel) -> None:
@@ -76,96 +179,30 @@ def save_ensemble(path, ensemble: EnsembleModel) -> None:
     np.savez(path, **payload)
 
 
-def _ensemble_field(data, path, name):
-    if name not in data:
-        raise ValueError(f"{path}: ensemble field {name!r} is missing")
-    return data[name]
-
-
-def _member_seed(text, path, name) -> int | None:
-    """A seed written by ``_seed_text``, else a ValueError naming the field."""
-    try:
-        return _seed_value(text)
-    except ValueError:
-        raise ValueError(f"{path}: ensemble field {name!r} holds {text!r}, "
-                         "expected a decimal seed or 'none'") from None
-
-
-def _member_shape(data, path) -> tuple[int, ...]:
-    """(L, d, m) as member 0's weights give them: hidden (L, d), output (., m)."""
-    shape = ()
-    for name, axes in (("hidden_weights_0", slice(0, 2)), ("output_weights_0", slice(1, 2))):
-        value = _ensemble_field(data, path, name)
-        if value.ndim != 2 or 0 in value.shape:
-            raise ValueError(f"{path}: ensemble field {name!r} has shape {value.shape}, "
-                             "expected a 2-D array with no empty axis")
-        shape += value.shape[axes]
-    return shape
-
-
-def _member_arrays(data, path, i: int, shape) -> list[np.ndarray]:
-    """Member i's (W, b, B) if they have the (L, d), (L,) and (L, m) of
-    ``shape`` and hold finite floats, else a ValueError naming the field."""
-    L, d, m = shape
-    arrays = []
-    for stem, expected in (("hidden_weights", (L, d)), ("hidden_biases", (L,)),
-                           ("output_weights", (L, m))):
-        name = f"{stem}_{i}"
-        value = _ensemble_field(data, path, name)
-        if value.shape != expected:
-            raise ValueError(f"{path}: ensemble field {name!r} has shape {value.shape}, "
-                             f"expected {expected}")
-        if value.dtype.kind != "f" or not np.isfinite(value).all():
-            raise ValueError(f"{path}: ensemble field {name!r} holds values that are "
-                             f"not finite floats (dtype {value.dtype})")
-        arrays.append(value)
-    return arrays
-
-
 def load_ensemble(path) -> EnsembleModel:
     """The ensemble in ``path``; a ValueError naming the file and the field
-    if a field is missing or disagrees with the others in shape, or an
-    array holds anything but finite floats."""
-    with np.load(path, allow_pickle=False) as data:
-        _check_header(data, path, ENSEMBLE_FORMAT)
-        kinds = {}
-        for name, kind in (("activation", Activation), ("trim_policy", TrimPolicy)):
-            text = str(_ensemble_field(data, path, name))
-            try:
-                kinds[name] = kind(text)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: ensemble field {name!r} is {text!r}, expected one of "
-                    f"{', '.join(repr(k.value) for k in kind)}") from None
-        count = _ensemble_field(data, path, "member_count")
-        if count.shape != () or count.dtype.kind not in "iu" or count < 1:
-            raise ValueError(f"{path}: ensemble field 'member_count' is {count.tolist()!r}, "
-                             "expected a positive integer")
-        count = int(count)
-        stems = ("hidden_weights", "hidden_biases", "output_weights")
-        expected = {f"{stem}_{i}" for stem in stems for i in range(count)}
-        extra = sorted(k for k in data.files if k.startswith(stems) and k not in expected)
-        if extra:
+    if a field is missing, disagrees with the others in shape or breaks its
+    value rule, if the file holds more member arrays than its member count,
+    or if its trim policy needs more members than it holds."""
+    dims = {}
+    with _archive(path, ENSEMBLE_FORMAT) as (data, table):
+        head = _read_fields(data, path, "ensemble", table, dims)
+        count, trim_policy = dims["member_count"], TrimPolicy(str(head["trim_policy"]))
+        held = sum(k.startswith(("hidden_", "output_")) for k in data.files)
+        if held > 3 * count:
             raise ValueError(f"{path}: ensemble field 'member_count' is {count}, but the "
-                             f"file also holds {extra[0]!r}")
-        if kinds["trim_policy"] is TrimPolicy.DROP_MIN_MAX and count < 3:
+                             f"file holds {held} member arrays")
+        if trim_policy is TrimPolicy.DROP_MIN_MAX and count < 3:
             raise ValueError(f"{path}: ensemble field 'trim_policy' is 'drop-min-max', "
                              f"which needs at least 3 members, but 'member_count' is {count}")
-        seeds = _ensemble_field(data, path, "member_seeds")
-        if seeds.shape != (count,) or seeds.dtype.kind != "U":
-            raise ValueError(f"{path}: ensemble field 'member_seeds' has shape {seeds.shape} "
-                             f"and dtype {seeds.dtype}, expected {count} strings")
-        top_seed = _member_seed(str(_ensemble_field(data, path, "seed")), path, "seed")
-        shape = _member_shape(data, path)
-        members = []
-        for i in range(count):
-            W, b, B = _member_arrays(data, path, i, shape)
-            members.append(ElmModel(
-                hidden_weights=W, hidden_biases=b, output_weights=B,
-                activation=kinds["activation"],
-                seed=_member_seed(str(seeds[i]), path, "member_seeds")))
-    return EnsembleModel(members=tuple(members), trim_policy=kinds["trim_policy"],
-                         seed=top_seed)
+        seeds, *arrays = _read_fields(data, path, "ensemble", [
+            ("member_seeds", "U", ("member_count",), _SEEDS),
+            *((name.format(i), *row) for i in range(count) for name, *row in _MEMBER_FIELDS),
+        ], dims).values()
+    activation = Activation(str(head["activation"]))
+    members = (ElmModel(*arrays[3 * i:3 * i + 3], activation, _seed_value(seed))
+               for i, seed in enumerate(seeds.tolist()))
+    return EnsembleModel(tuple(members), trim_policy, _seed_value(head["seed"]))
 
 
 def save_gate(path, gate: Gate) -> None:
@@ -190,78 +227,17 @@ def save_gate(path, gate: Gate) -> None:
     )
 
 
-def _check_gate(gate: Gate, path) -> Gate:
-    """``gate`` if its fields agree in shape and hold finite values, else a
-    ValueError naming ``path`` and the first field that does not."""
-    d = gate.mean.shape[0] if gate.mean.ndim == 1 and gate.mean.size else 1
-    n = max(2, gate.training_inputs.shape[0] if gate.training_inputs.ndim == 2 else 0)
-    for name, shape, expected in (
-            ("mean", (d,), "(d,) with d >= 1"), ("covariance", (d, d), f"({d}, {d})"),
-            ("covariance_inverse_factor", (d, d), f"({d}, {d})"), ("center", (d,), f"({d},)"),
-            ("training_inputs", (n, d), f"(n >= 2, {d})")):
-        value = getattr(gate, name)
-        if value.shape != shape:
-            raise ValueError(f"{path}: gate field {name!r} has shape {value.shape}, "
-                             f"expected {expected}")
-        if value.dtype.kind != "f" or not np.isfinite(value).all():
-            raise ValueError(f"{path}: gate field {name!r} holds values that are not "
-                             f"finite floats (dtype {value.dtype})")
-    if not np.isfinite(gate.threshold_distance):
-        raise ValueError(f"{path}: gate field 'threshold_distance' is "
-                         f"{gate.threshold_distance}, expected a finite value")
-    if not 0.0 < gate.percentile_q < 100.0:
-        raise ValueError(f"{path}: gate field 'percentile_q' is {gate.percentile_q}, "
-                         "expected a value in (0, 100)")
-    return gate
-
-
-def _onehot_groups(data, path, d: int) -> tuple[OneHotGroup, ...]:
-    """A version-2 file's one-hot groups, else a ValueError naming ``path``
-    and the first array that does not fit the gate's ``d`` inputs."""
-    cols, sizes, labels, levels = (data.get(f"onehot_{name}") for name in
-                                   ("columns", "sizes", "labels", "levels"))
-    k = cols.size if cols is not None else 0
-    for name, value, fits, expected in (
-            ("columns", cols, lambda v: v.ndim == 1 and v.dtype.kind in "iu"
-             and ((0 <= v) & (v < d)).all() and np.unique(v).size == v.size,
-             f"distinct integers in [0, {d})"),
-            ("sizes", sizes, lambda v: v.ndim == 1 and v.dtype.kind in "iu"
-             and (v >= 1).all() and v.sum() == k, f"positive integers summing to {k}"),
-            ("labels", labels, lambda v: v.shape == (k,) and v.dtype.kind == "U",
-             f"{k} strings"),
-            ("levels", levels, lambda v: v.shape == (k, 2) and v.dtype.kind == "f"
-             and np.isfinite(v).all(), f"finite floats of shape ({k}, 2)")):
-        if value is None or not fits(value):
-            raise ValueError(f"{path}: gate field 'onehot_{name}' is "
-                             f"{'missing' if value is None else value.tolist()}, "
-                             f"expected {expected}")
-    ends = np.cumsum(sizes).tolist()
-    return tuple(OneHotGroup(column_indices=tuple(cols[a:b].tolist()),
-                             category_labels=tuple(labels[a:b].tolist()),
-                             levels=tuple(map(tuple, levels[a:b].tolist())))
-                 for a, b in zip([0] + ends, ends))
-
-
 def load_gate(path) -> Gate:
-    with np.load(path, allow_pickle=False) as data:
-        version = _check_header(data, path, GATE_FORMAT, (1, GATE_FORMAT_VERSION))
-        for name in ("mean", "covariance", "covariance_inverse_factor", "threshold_distance",
-                     "percentile_q", "center", "training_inputs"):
-            if name not in data:
-                raise ValueError(f"{path}: gate field {name!r} is missing")
-        for name in ("threshold_distance", "percentile_q"):
-            if data[name].shape != () or data[name].dtype.kind not in "fiu":
-                raise ValueError(f"{path}: gate field {name!r} is {data[name].tolist()!r}, "
-                                 "expected a number")
-        gate = _check_gate(Gate(
-            mean=data["mean"],
-            covariance=data["covariance"],
-            covariance_inverse_factor=data["covariance_inverse_factor"],
-            threshold_distance=float(data["threshold_distance"]),
-            percentile_q=float(data["percentile_q"]),
-            center=data["center"],
-            training_inputs=data["training_inputs"],
-        ), path)
-        if version == 1:
-            return gate
-        return replace(gate, onehot_groups=_onehot_groups(data, path, gate.mean.size))
+    """The gate in ``path``, with no one-hot groups if the file is at
+    version 1; a ValueError naming the file and the field if a field is
+    missing, disagrees with the others in shape, or breaks its value rule."""
+    with _archive(path, GATE_FORMAT) as (data, table):
+        fields = _read_fields(data, path, "gate", table, {})
+    ends = np.cumsum(fields.pop("onehot_sizes", ())).tolist()
+    cols, labels, levels = (fields.pop(f"onehot_{n}", None)
+                            for n in ("columns", "labels", "levels"))
+    groups = tuple(OneHotGroup(tuple(cols[a:b].tolist()), tuple(labels[a:b].tolist()),
+                               tuple(map(tuple, levels[a:b].tolist())))
+                   for a, b in zip([0] + ends, ends))
+    fields.update((n, float(fields[n])) for n in ("threshold_distance", "percentile_q"))
+    return Gate(**fields, onehot_groups=groups)

@@ -56,3 +56,17 @@ def test_directory_listing_and_total(tmp_path, capsys):
 def test_more_than_one_argument_exits_2(capsys):
     assert tool["main"](["a", "b"]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_file_argument_counts_that_file(tmp_path, capsys):
+    (tmp_path / "b.py").write_text("x = 1\n\n# note\ny = 2\n")
+    (tmp_path / "c.py").write_text("z = 3\n")
+    assert tool["main"]([str(tmp_path / "b.py")]) == 0
+    assert capsys.readouterr().out.splitlines() == ["2 b.py", "2 total"]
+
+
+def test_missing_path_exits_2(tmp_path, capsys):
+    assert tool["main"]([str(tmp_path / "no" / "such")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no such file or directory" in captured.err

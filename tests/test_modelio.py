@@ -6,7 +6,8 @@ Header checks guard against feeding one artifact kind into the other
 loader, and field checks against a file with a missing field, or whose
 arrays disagree in shape or hold non-finite values: a gate's, one-hot
 group arrays included, and an ensemble's, member count and seeds
-included.
+included.  A file that is not an NPZ archive is named too, and the
+written layout of each format is pinned field by field.
 """
 
 import dataclasses
@@ -108,6 +109,8 @@ BAD_ENSEMBLE_FIELDS = {
     "member-seeds-not-decimal": ("member_seeds",
                                  _set(member_seeds=np.array(["1", "two", "3"]))),
     "seed-not-decimal": ("seed", _set(seed="eleven")),
+    "seed-integer": ("seed", _set(seed=11)),
+    "seed-objects": ("seed", _set(seed=np.array("11", dtype=object))),
     "hidden-weights-nan": ("hidden_weights_1", _nan_at("hidden_weights_1", (2, 0))),
     "hidden-weights-integers": ("hidden_weights_2",
                                 _set(hidden_weights_2=np.ones((4, 2), dtype=np.int64))),
@@ -200,6 +203,23 @@ class TestGateRoundTrip:
         assert loaded.threshold_distance == gate.threshold_distance
 
 
+def _as_npy(path):
+    with open(path, "wb") as file:
+        np.save(file, np.ones(3))
+
+
+# id -> (a change to a saved ensemble file, what the error says after its name)
+NOT_ARCHIVES = {
+    "npy-array": (_as_npy, "not a recognised model file"),
+    "empty": (lambda path: path.write_bytes(b""), "not a recognised model file"),
+    "text": (lambda path: path.write_text("mean,center\n0,1\n"), "not a recognised model file"),
+    "truncated": (lambda path: path.write_bytes(path.read_bytes()[:200]),
+                  "not a recognised model file"),
+    "version-objects": (lambda path: _rewrite(path, _set(version=np.array(1, dtype=object))),
+                        "header field 'version' cannot be read"),
+}
+
+
 class TestHeaderChecks:
     def test_wrong_kind_rejected(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -230,6 +250,24 @@ class TestHeaderChecks:
         assert loaded.onehot_groups == ()
         np.testing.assert_array_equal(loaded.training_inputs, gate.training_inputs)
         assert loaded.threshold_distance == gate.threshold_distance
+
+    @pytest.mark.parametrize("load", [load_ensemble, load_gate])
+    @pytest.mark.parametrize("case", NOT_ARCHIVES)
+    def test_file_that_is_not_an_archive_named(self, tmp_path, case, load):
+        """A file that numpy does not open as an NPZ archive, or whose
+        header field holds pickled objects, is a ValueError naming the file,
+        not a TypeError, EOFError or an unnamed ValueError from numpy."""
+        change, message = NOT_ARCHIVES[case]
+        path = tmp_path / "model.npz"
+        save_ensemble(path, small_ensemble())
+        change(path)
+        with pytest.raises(ValueError, match=rf"model\.npz: {message}"):
+            load(path)
+
+    def test_absent_file_stays_file_not_found(self, tmp_path):
+        for load in (load_ensemble, load_gate):
+            with pytest.raises(FileNotFoundError):
+                load(tmp_path / "absent.npz")
 
     def test_future_version_rejected(self, tmp_path):
         path = tmp_path / "future.npz"
@@ -264,6 +302,7 @@ BAD_GATE_FIELDS = {
     "threshold-inf": ("threshold_distance", lambda g: float("inf")),
     "percentile-0": ("percentile_q", lambda g: 0.0),
     "percentile-100": ("percentile_q", lambda g: 100.0),
+    "threshold-negative": ("threshold_distance", lambda g: -1.0),
 }
 
 
@@ -316,7 +355,7 @@ class TestScalarFieldChecks:
         with pytest.raises(ValueError, match=rf"gate\.npz: gate field '{field}'"):
             load_gate(path)
 
-    @pytest.mark.parametrize("bad", ["two", np.array([1, 2])])
+    @pytest.mark.parametrize("bad", ["two", np.array([1, 2]), 1.5, True, 2.0])
     def test_version_that_is_not_an_integer_named(self, tmp_path, bad):
         gate_path, model_path = tmp_path / "gate.npz", tmp_path / "model.npz"
         save_gate(gate_path, season_gate())
@@ -344,6 +383,7 @@ BAD_GROUP_ARRAYS = {
     "levels-nan": ("levels", np.array([[-1.0, 1.0], [np.nan, 1.0], [-1.0, 1.0]])),
     "levels-strings": ("levels", np.full((3, 2), "1")),
     "levels-missing": ("levels", None),
+    "labels-objects": ("labels", np.array(["dry", "wet", "mixed"], dtype=object)),
 }
 
 
@@ -363,3 +403,44 @@ class TestGroupArrayChecks:
         np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
         with pytest.raises(ValueError, match=rf"gate\.npz: gate field 'onehot_{name}'"):
             load_gate(path)
+
+
+def _layout(path):
+    with np.load(path) as data:
+        return [(name, data[name].dtype.str, data[name].shape) for name in data.files]
+
+
+class TestWrittenLayout:
+    """The writers' output, field by field: its names in archive order,
+    their dtypes and shapes.  A saved file must not change within a format
+    version, so a change here needs a new version or a reason it loads the
+    same."""
+
+    def test_ensemble_layout(self, tmp_path):
+        X = np.linspace(-1, 1, 20).reshape(10, 2)
+        path = tmp_path / "model.npz"
+        save_ensemble(path, ensemble_train(X, X[:, :1], 4, Activation.SIGMOID,
+                                           member_count=3, seed=5))
+        assert _layout(path) == [
+            ("format", "<U15", ()), ("version", "<i8", ()), ("activation", "<U7", ()),
+            ("trim_policy", "<U4", ()), ("member_count", "<i8", ()), ("seed", "<U1", ()),
+            ("member_seeds", "<U20", (3,)),
+            ("hidden_weights_0", "<f8", (4, 2)), ("hidden_biases_0", "<f8", (4,)),
+            ("output_weights_0", "<f8", (4, 1)),
+            ("hidden_weights_1", "<f8", (4, 2)), ("hidden_biases_1", "<f8", (4,)),
+            ("output_weights_1", "<f8", (4, 1)),
+            ("hidden_weights_2", "<f8", (4, 2)), ("hidden_biases_2", "<f8", (4,)),
+            ("output_weights_2", "<f8", (4, 1)),
+        ]
+
+    def test_gate_layout(self, tmp_path):
+        path = tmp_path / "gate.npz"
+        save_gate(path, season_gate())
+        assert _layout(path) == [
+            ("format", "<U11", ()), ("version", "<i8", ()), ("mean", "<f8", (4,)),
+            ("covariance", "<f8", (4, 4)), ("covariance_inverse_factor", "<f8", (4, 4)),
+            ("threshold_distance", "<f8", ()), ("percentile_q", "<f8", ()),
+            ("center", "<f8", (4,)), ("training_inputs", "<f8", (24, 4)),
+            ("onehot_sizes", "<i8", (1,)), ("onehot_columns", "<i8", (3,)),
+            ("onehot_labels", "<U5", (3,)), ("onehot_levels", "<f8", (3, 2)),
+        ]

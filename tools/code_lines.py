@@ -1,14 +1,16 @@
-"""Count the code lines of every ``.py`` file under a directory.
+"""Count the code lines of every ``.py`` file under a directory, or of one file.
 
-    python tools/code_lines.py [DIR]
+    python tools/code_lines.py [PATH]
 
 A code line holds at least one token that is not a comment.  Blank
 lines, comment lines and docstrings (the leading string of a module,
 class or function, found with ``ast``) do not count; a line that holds
 both code and a trailing comment does.  Prints one ``count path`` line
-per file, sorted by path relative to DIR (the current directory by
-default), then ``count total``.  Run it on two trees to compare their
-size the same way, e.g. ``python tools/code_lines.py src``.
+per file, sorted by path relative to PATH (the current directory by
+default; the file's own directory if PATH is a file), then ``count
+total``.  A PATH that does not exist exits 2, so a mistyped path cannot
+read as an empty tree.  Run it on two trees to compare their size the
+same way, e.g. ``python tools/code_lines.py src``.
 """
 
 from __future__ import annotations
@@ -47,11 +49,18 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     if len(argv) > 1:
-        print("usage: code_lines.py [DIR]", file=sys.stderr)
+        print("usage: code_lines.py [PATH]", file=sys.stderr)
         return 2
     root = Path(argv[0] if argv else ".")
+    if not root.exists():
+        print(f"code_lines.py: {root}: no such file or directory", file=sys.stderr)
+        return 2
+    if root.is_file():
+        files, root = [root], root.parent
+    else:
+        files = sorted(root.rglob("*.py"))
     total = 0
-    for path in sorted(root.rglob("*.py")):
+    for path in files:
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count} {path.relative_to(root).as_posix()}")
