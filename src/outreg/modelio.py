@@ -158,9 +158,9 @@ def _read_fields(data, path, what, table, dims) -> dict[str, np.ndarray]:
 
 
 def save_ensemble(path, ensemble: EnsembleModel) -> None:
-    # seeds are arbitrary-precision non-negative ints (derived seeds use the
-    # full 64-bit range), so they travel as decimal strings; "none" marks an
-    # absent seed
+    # seeds are arbitrary-precision ints of either sign (derived seeds use
+    # the full 64-bit range), so they travel as decimal strings, with a
+    # leading "-" when negative; "none" marks an absent seed
     payload = {
         "format": ENSEMBLE_FORMAT,
         "version": ENSEMBLE_FORMAT_VERSION,

@@ -9,8 +9,10 @@ Conventions fixed here, once, for the whole package:
 
 * ``pinv_solve`` returns the minimum-norm least-squares solution, with
   singular values ``s <= rel_tol * s[0]`` treated as zero.  A design
-  that provably has no such value is solved through its QR factor;
-  every other design goes to LAPACK's xGELSD.
+  that provably has no such value is solved through the Cholesky factor
+  of its Gram matrix when it is at least four times as tall as it is
+  wide, and through its QR factor otherwise; every other design goes to
+  LAPACK's xGELSD.
 * ``sample_covariance`` uses the unbiased 1/(N-1) normaliser.
 * ``percentile`` interpolates linearly between order statistics (the
   position for probability q is q/100 * (N-1)).
@@ -19,6 +21,8 @@ Conventions fixed here, once, for the whole package:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -48,6 +52,15 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
 # AVX-512 Xeon, best of 400, xGELSD against QR took 35 against 44 us at
 # 150x10, 62 against 55 us at 150x16 and 110 against 83 us at 319x20
 _QR_MIN_COLUMNS = 16
+# designs with at least this many rows per column try the Gram route first.
+# Its guard quantity rho (``pinv_solve``), over 20 sigmoid layers on the
+# 399 training rows of protocol-train's river record, was at most 0.071 at
+# 100 columns (n/p = 3.99) but 0.96-5.0 at 150 (n/p = 2.66), where every
+# layer fails the guard's 1/2: below this ratio an attempt mostly wastes a Gram
+_GRAM_MIN_RATIO = 4
+# corrected semi-normal steps are capped here; each costs O(np) per column
+_GRAM_MAX_STEPS = 8
+_UNIT_ROUNDOFF = 2.0 ** -53
 # triangles at most this wide are inverted by LU: of 16, 32 and 64, 32 was
 # fastest at 150 and 300 columns, by 5-20 %
 _INVERSE_LEAF = 32
@@ -61,25 +74,52 @@ def pinv_solve(design, targets, rel_tol: float = 1e-10) -> np.ndarray:
     (the rank-deficient directions simply receive zero coefficient,
     giving the minimum-norm solution).
 
-    A design with at least as many rows as columns, and at least
-    ``_QR_MIN_COLUMNS`` columns, is first factored with each target
-    column y as the R factor of [H | y] (Householder QR, which never
-    forms Q): its leading block R_H has the singular values of H, and the
-    first p entries c of its last column are Q^T y, so that H b = y in
-    the least-squares sense is R_H b = c.  The solution is ``inv(R_H) @
-    c`` when two bounds on the condition number k = s[0] / s[-1] show that
-    no singular value falls at or below the cutoff:
+    Three routes give that solution.  The first two run only where they
+    show that no singular value of the (n, p) design H falls at or below
+    the cutoff: the least-squares solution is then unique, so it is the
+    minimum-norm one up to rounding (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., sect. 5.3).
 
-    * max|r_ii| / min|r_ii| <= k, so the design is sent on when
-      min|r_ii| <= rel_tol * max|r_ii|, before R_H is inverted;
-    * k <= ||R_H||_F ||inv(R_H)||_F, which must be below 1 / rel_tol.
+    * The Gram route, for designs with at least ``_QR_MIN_COLUMNS``
+      columns and ``_GRAM_MIN_RATIO`` rows per column.  It forms
+      G = H^T H once, R = chol(G)^T and X = inv(R), so that
+      inv(G) = X X^T.  The computed R^T R is H^T H + E with
+      ||E||_F <= e = gamma_n ||H||_F^2 + gamma_{p+1} ||R||_F^2, where
+      gamma_k = k u / (1 - k u) and u = 2^-53 (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, 2nd ed., sect. 3.1 and
+      Thm 10.3).  So s[-1]^2 >= 1 / ||X||_F^2 - e, taking the computed
+      X's norm as exact, as the QR route takes inv(R_H)'s.  With
+      rho = ||X||_F^2 e, the route runs when
+      rho + rel_tol^2 ||H||_F^2 ||X||_F^2 < 1/2, which puts s[-1] above
+      rel_tol * s[0].  Each target column y is solved as
+      b = X X^T H^T y, the semi-normal equations, and then corrected
+      k times, b += X X^T H^T (y - H b), where k is the smallest count
+      with rho^k <= u, at most ``_GRAM_MAX_STEPS``: each step shrinks
+      the error by a factor of at most rho, which brings the solution
+      back to QR's accuracy (Bjorck, *Linear Algebra Appl.* 88/89,
+      1987).  A design that fails the guard, or whose G is not positive
+      definite, goes to the QR route; since ||X||_F^2 >= sum 1 / r_ii^2,
+      one whose Cholesky diagonal alone fails it goes before R is
+      inverted.
+    * The QR route, for every other design with at least as many rows as
+      columns and at least ``_QR_MIN_COLUMNS`` columns.  It factors
+      [H | y] for each target column y as its R factor (Householder QR,
+      which never forms Q): the leading block R_H has the singular values
+      of H, and the first p entries c of its last column are Q^T y, so
+      that H b = y in the least-squares sense is R_H b = c.  The solution
+      is ``inv(R_H) @ c`` when two bounds on the condition number
+      k = s[0] / s[-1] clear the cutoff:
 
-    The least-squares solution is then unique, so it is the minimum-norm
-    one up to rounding (Golub & Van Loan, *Matrix Computations*, 4th ed.,
-    sect. 5.3).  Otherwise, and for every other design, LAPACK's xGELSD
-    (``np.linalg.lstsq``) solves with the cutoff: on (R_H, c), which has
-    the same minimum-norm solution as (H, y) at less cost, or on the
-    design itself.  Each target column is factored on its own, so a
+      - max|r_ii| / min|r_ii| <= k, so the design is sent on when
+        min|r_ii| <= rel_tol * max|r_ii|, before R_H is inverted;
+      - k <= ||R_H||_F ||inv(R_H)||_F, which must be below 1 / rel_tol.
+
+      Otherwise xGELSD solves (R_H, c), which has the same minimum-norm
+      solution as (H, y) at less cost.
+    * LAPACK's xGELSD (``np.linalg.lstsq``) on the design itself, with
+      the cutoff, for every other design.
+
+    Each target column is solved on its own, on every route, so a
     column's solution does not depend on the other columns.
 
     Parameters
@@ -105,19 +145,58 @@ def pinv_solve(design, targets, rel_tol: float = 1e-10) -> np.ndarray:
         )
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
-    n, p = H.shape
-    if not tries_qr(n, p, Y.shape[1]):
+    (n, p), m = H.shape, Y.shape[1]
+    if not (n >= p >= _QR_MIN_COLUMNS and m > 0):
         return np.linalg.lstsq(H, Y, rcond=rel_tol)[0]
-    B = np.empty((p, Y.shape[1]))
-    for j in range(Y.shape[1]):
-        B[:, j:j + 1] = _qr_solve(_joined(H, Y[:, j:j + 1]), rel_tol)
+    B = None if factors_joined(n, p, m) else _gram_solve(H, Y, rel_tol)
+    if B is None:
+        B = np.empty((p, m))
+        for j in range(m):
+            B[:, j:j + 1] = _qr_solve(_joined(H, Y[:, j:j + 1]), rel_tol)
     return B
 
 
-def tries_qr(n: int, p: int, m: int) -> bool:
-    """Whether ``pinv_solve`` tries the QR path on an (n, p) design with
-    m target columns."""
-    return n >= p >= _QR_MIN_COLUMNS and m > 0
+def factors_joined(n: int, p: int, m: int) -> bool:
+    """Whether ``pinv_solve`` on an (n, p) design with m target columns
+    goes straight to the QR route, which factors [H | y] and takes H and
+    Y laid out as one array without a copy (``_joined``)."""
+    return n >= p >= _QR_MIN_COLUMNS and m > 0 and n < _GRAM_MIN_RATIO * p
+
+
+def _gram_solve(H: np.ndarray, Y: np.ndarray, rel_tol: float) -> np.ndarray | None:
+    """``pinv_solve``'s Gram route, or None where its guard fails."""
+    n, p = H.shape
+    gamma = sum(k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF) for k in (n, p + 1))
+    # a Gram or an inverse that overflows gives an infinite or NaN rho,
+    # which fails the guard
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = H.T @ H
+        try:
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            return None
+        # ||H||_F^2 and ||R||_F^2 are trace(G) within a factor 1 + gamma_n,
+        # which the margin of 1/2 absorbs.  ||X||_F^2 >= sum 1 / r_ii^2,
+        # so a design that this lower bound on rho fails is sent on before
+        # R is inverted
+        trace = np.trace(G)
+        if not trace * gamma * np.sum(np.diagonal(L) ** -2.0) < 0.5:
+            return None
+        X = _triangular_inverse(L.T)
+        scale = trace * np.vdot(X, X)
+        rho = scale * gamma
+        if not rho + rel_tol ** 2 * scale < 0.5:
+            return None
+    steps = min(_GRAM_MAX_STEPS,
+                math.ceil(math.log(_UNIT_ROUNDOFF) / math.log(rho)))
+    B = np.empty((p, Y.shape[1]))
+    for j in range(Y.shape[1]):
+        y = np.ascontiguousarray(Y[:, j])
+        b = X @ (X.T @ (H.T @ y))
+        for _ in range(steps):
+            b += X @ (X.T @ (H.T @ (y - H @ b)))
+        B[:, j] = b
+    return B
 
 
 def _joined(H: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -3,10 +3,12 @@
 The regressor is deliberately cheap to train: hidden weights and biases
 are drawn at random and never touched again, and only the linear output
 layer is fitted, by minimum-norm least squares on the hidden activations
-(``pinv_solve``: a QR solve where the design is provably well
-conditioned, LAPACK's xGELSD otherwise).  Where ``pinv_solve`` will try
-the QR solve, ``elm_train`` writes the activations H and the targets Y
-side by side into one array, [H | Y], which it factors as it is.
+(``pinv_solve``: where the design is provably well conditioned, a
+Cholesky solve of its Gram matrix when it has at least four rows per
+hidden node, a QR solve otherwise; LAPACK's xGELSD on any other design).
+Where ``pinv_solve`` will go straight to the QR solve, ``elm_train``
+writes the activations H and the targets Y side by side into one array,
+[H | Y], which it factors as it is; every other design gets H alone.
 Averaging an ensemble of such networks (here 100 by default) smooths out
 the variance of the random hidden layer.
 
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import as_matrix, as_vector, pinv_solve, tries_qr
+from .numkernel import as_matrix, as_vector, factors_joined, pinv_solve
 from .seeding import STREAM_CV, STREAM_MEMBER, derive_rng, derive_seed
 
 DEFAULT_NODE_GRID = (5, 10, 20, 40, 70, 100, 150, 200, 300)
@@ -193,8 +195,8 @@ def elm_train(inputs, targets, node_count: int, activation: Activation,
     b = rng.uniform(0.0, 1.0, size=node_count)
     # the plain form activation(X W^T + b); evaluation folds it (module docstring)
     n, m = Y.shape
-    if tries_qr(n, node_count, m):
-        # H and Y share one array, [H | Y], which pinv_solve's QR path
+    if factors_joined(n, node_count, m):
+        # H and Y share one array, [H | Y], which pinv_solve's QR route
         # factors without a copy.  The Y columns go through the activation
         # as zeros, so that every pass runs on contiguous storage, and are
         # then overwritten
@@ -397,8 +399,9 @@ def lr_fit(inputs, targets) -> LinearModel:
     """Ordinary least squares with an intercept, via ``pinv_solve``.
 
     With fewer than 15 inputs the design's d + 1 columns fall below
-    ``pinv_solve``'s QR crossover of 16, so xGELSD solves it; a wider
-    design takes the guarded QR solve.
+    ``pinv_solve``'s crossover of 16, so xGELSD solves it; a wider design
+    takes the guarded Gram solve when it has at least four rows per
+    column, and the guarded QR solve otherwise.
 
     Rank-deficient inputs (e.g. duplicated columns) get the minimum-norm
     coefficient split rather than an error.

@@ -18,8 +18,9 @@ import pytest
 
 from outreg import (average_ranks, columnwise_median, percentile, pinv_solve,
                     sample_covariance, sample_mean)
+from outreg import numkernel
 from outreg.evalharness.cli import main
-from outreg.numkernel import _QR_MIN_COLUMNS
+from outreg.numkernel import _GRAM_MIN_RATIO, _QR_MIN_COLUMNS
 from outreg.regress import DEFAULT_NODE_GRID
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -339,6 +340,164 @@ class TestSolveRouting:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["node_counts"] == {"sigmoid": 150}
         assert sorted(p for _, p in lstsq_designs) == [5, 10, 10, 10, 10, 10]
+
+
+HIDDEN_ACTIVATIONS = {
+    "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
+    "softplus": lambda z: np.log1p(np.exp(z)),
+    "radial-basis": lambda z: np.exp(-z * z),
+}
+
+
+def hidden_layer(rng, n, p, kind):
+    """An ELM hidden layer of the textbook ``kind`` on n rows of 4 inputs
+    in [-1, 1], with a smooth target of them."""
+    X = rng.uniform(-1.0, 1.0, size=(n, 4))
+    W = rng.uniform(-1.0, 1.0, size=(p, 4))
+    b = rng.uniform(0.0, 1.0, size=p)
+    y = np.sin(2.0 * X[:, 0] + X[:, 1]) + 0.3 * np.cos(2.0 * X[:, 2])
+    return HIDDEN_ACTIVATIONS[kind](X @ W.T + b), y[:, None]
+
+
+@pytest.fixture
+def routes(monkeypatch, lstsq_designs):
+    """The calls of each route made in the test: ``gram`` holds the design
+    shape of each Gram route attempt and whether its guard cleared, ``qr``
+    the shape of each ``np.linalg.qr`` input and ``lstsq`` each xGELSD
+    design."""
+    log = {"gram": [], "qr": [], "lstsq": lstsq_designs}
+    gram, factor = numkernel._gram_solve, np.linalg.qr
+
+    def gram_counting(H, Y, rel_tol):
+        B = gram(H, Y, rel_tol)
+        log["gram"].append((H.shape, B is not None))
+        return B
+
+    def qr_counting(a, *args, **kwargs):
+        log["qr"].append(np.shape(a))
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(numkernel, "_gram_solve", gram_counting)
+    monkeypatch.setattr(np.linalg, "qr", qr_counting)
+    return log
+
+
+def clear(routes):
+    for calls in routes.values():
+        calls.clear()
+
+
+class TestGramRoute:
+    """Designs with at least ``_GRAM_MIN_RATIO`` rows per column, and at
+    least ``_QR_MIN_COLUMNS`` columns, are solved from their Gram matrix
+    when its guard clears, with neither xGELSD nor a QR factorisation;
+    the others take the QR route or xGELSD as before."""
+
+    @pytest.mark.parametrize("n, p", [(2000, 50), (319, 40)])
+    @pytest.mark.parametrize("kind", list(HIDDEN_ACTIVATIONS))
+    def test_tall_design_skips_xgelsd_and_qr(self, routes, kind, n, p):
+        """The solution is within eps * k * (||x|| + k ||r|| / s[0]) of
+        xGELSD's x, where r is its residual and k = s[0] / s[-1]: the
+        first-order sensitivity of the least-squares problem, at which
+        either backward stable solve can move it.  The second term is
+        needed on the radial-basis layers, where k is a few hundred and
+        the two terms are of one size, for the QR route as for this one;
+        uncorrected semi-normal equations exceed the bound 2-1000 times."""
+        H, y = hidden_layer(np.random.default_rng(n + p), n, p, kind)
+        expected = np.linalg.lstsq(H, y, rcond=1e-10)[0]
+        clear(routes)
+        B = pinv_solve(H, y)
+        assert routes == {"gram": [((n, p), True)], "qr": [], "lstsq": []}
+        s = np.linalg.svd(H, compute_uv=False)
+        k = s[0] / s[-1]
+        residual = np.linalg.norm(y - H @ expected)
+        bound = np.finfo(float).eps * k * (np.linalg.norm(expected)
+                                           + k * residual / s[0])
+        assert np.linalg.norm(B - expected) <= bound
+
+    def test_copied_columns_go_to_xgelsd_on_the_r_factor(self, routes):
+        rng = np.random.default_rng(11)
+        base = rng.standard_normal((2000, 40))
+        H = np.hstack([base, base[:, :10]])
+        Y = rng.standard_normal((2000, 1))
+        B = pinv_solve(H, Y)
+        assert routes == {"gram": [((2000, 50), False)], "qr": [(2000, 51)],
+                          "lstsq": [(50, 50)]}
+        oracle = np.linalg.pinv(H, rcond=1e-10) @ Y
+        np.testing.assert_allclose(B, oracle, rtol=0, atol=1e-10)
+
+    def test_a_design_its_cholesky_diagonal_fails_is_not_inverted_twice(
+            self, routes, monkeypatch):
+        """A 2000x300 sigmoid layer on 4 inputs: sum 1 / r_ii^2 alone puts
+        rho far above 1/2, so the Gram route sends it on without inverting
+        R, and the only inverse taken is the QR route's inv(R_H)."""
+        inverted = []
+        invert = numkernel._triangular_inverse
+        monkeypatch.setattr(numkernel, "_triangular_inverse",
+                            lambda R: inverted.append(R.shape) or invert(R))
+        H, y = hidden_layer(np.random.default_rng(17), 2000, 300, "sigmoid")
+        B = pinv_solve(H, y)
+        assert routes == {"gram": [((2000, 300), False)], "qr": [(2000, 301)],
+                          "lstsq": []}
+        assert inverted.count((300, 300)) == 1
+        expected = np.linalg.lstsq(H, y, rcond=1e-10)[0]
+        np.testing.assert_allclose(H @ B, H @ expected, rtol=0, atol=1e-8)
+
+    def test_condition_number_1e7_fails_the_guard_and_takes_the_qr_route(
+            self, routes):
+        """k = 1e7 puts rho near k^2 (n + p) u, about 3, over the guard,
+        while the QR route's bounds clear it."""
+        H = known_spectrum(np.random.default_rng(13), 200, np.logspace(0.0, -7.0, 20))
+        Y = np.random.default_rng(14).standard_normal((200, 1))
+        clear(routes)
+        B = pinv_solve(H, Y)
+        assert routes == {"gram": [((200, 20), False)], "qr": [(200, 21)],
+                          "lstsq": []}
+        oracle = np.linalg.pinv(H, rcond=1e-10) @ Y
+        np.testing.assert_allclose(B, oracle, rtol=0,
+                                   atol=1e-6 * np.abs(oracle).max())
+
+    def test_each_target_column_is_solved_as_if_alone(self, routes):
+        """Joint and lone solves agree bitwise, whether the lone column is a
+        strided view of the joint target or a contiguous copy."""
+        rng = np.random.default_rng(15)
+        H, _ = hidden_layer(rng, 2000, 50, "sigmoid")
+        Y = rng.standard_normal((2000, 3))
+        B = pinv_solve(H, Y)
+        for j in range(3):
+            np.testing.assert_array_equal(B[:, j:j + 1],
+                                          pinv_solve(H, Y[:, j:j + 1]))
+            np.testing.assert_array_equal(B[:, j:j + 1], pinv_solve(H, Y[:, [j]]))
+        assert routes["gram"] == [((2000, 50), True)] * 7
+        assert routes["qr"] == routes["lstsq"] == []
+
+    def test_protocol_train_shaped_run_forms_no_gram_for_its_member_fits(
+            self, routes, tmp_path):
+        """The run of ``TestSolveRouting``'s protocol-train test: its CV
+        fits at 20, 40 and 70 nodes on 319-320 rows take the Gram route;
+        those at 100 and 150 nodes and the 100 member fits at 399x150,
+        under ``_GRAM_MIN_RATIO`` rows per column, go straight to the QR
+        route, so none of them pays for a Gram."""
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        try:
+            import inputs
+        finally:
+            sys.path.remove(str(ROOT / "perfbench"))
+        manifest = inputs.write_river(inputs.river_record(1, 570, 3),
+                                      tmp_path, "river", False)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "activations": ["sigmoid"], "trials": 1, "members_per_trial": 100,
+            "gate_percentiles": [99.0, 95.0], "master_seed": 1,
+            "cv": {"folds": 5, "candidate_node_counts": [10, 20, 40, 70, 100, 150],
+                   "seed": 1}}))
+        assert main(["run", "--manifest", str(manifest), "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert sorted(p for (_, p), _ in routes["gram"]) == [20] * 5 + [40] * 5 + [70] * 5
+        assert all(cleared and n >= _GRAM_MIN_RATIO * p
+                   for (n, p), cleared in routes["gram"])
+        assert routes["qr"].count((399, 151)) == 100
+        assert sorted(p for _, p in routes["lstsq"]) == [5, 10, 10, 10, 10, 10]
 
 
 class TestMoments:

@@ -151,6 +151,30 @@ class TestElmTraining:
             np.hstack([first.output_weights, second.output_weights]),
             rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("rows, nodes, joined", [(2000, 50, False),
+                                                     (399, 150, True)])
+    def test_hidden_layer_is_laid_out_for_the_route_it_takes(
+            self, monkeypatch, rows, nodes, joined):
+        """A design with four rows per column or more goes to the Gram route
+        as the hidden layer alone, and the targets as they were passed; a
+        shorter one is handed over as two views of one [H | Y] array."""
+        seen = []
+        solve = regress.pinv_solve
+        monkeypatch.setattr(regress, "pinv_solve",
+                            lambda H, Y: seen.append((H, Y)) or solve(H, Y))
+        rng = np.random.default_rng(rows)
+        X = rng.uniform(-1, 1, size=(rows, 6))
+        Y = np.sin(X[:, :1])
+        elm_train(X, Y, nodes, Activation.SIGMOID, seed=2)
+        (H, Y_seen), = seen
+        owner = H if H.base is None else H.base
+        assert H.shape == (rows, nodes)
+        if joined:
+            assert owner.shape == (rows, nodes + 1) and Y_seen.base is owner
+        else:
+            assert owner.shape == (rows, nodes) and H.flags.c_contiguous
+            assert Y_seen is Y
+
     def test_no_output_bias_flag(self):
         X = np.linspace(-1, 1, 10)[:, None]
         model = elm_train(X, X, 4, Activation.SIGMOID, seed=0)

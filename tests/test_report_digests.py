@@ -6,6 +6,8 @@ import json
 import runpy
 from pathlib import Path
 
+from outreg import numkernel
+
 tool = runpy.run_path(str(Path(__file__).parents[1] / "tools" / "report_digests.py"))
 
 
@@ -28,3 +30,26 @@ def test_many_trial_case_reaches_outside_points_and_inner_quartiles(tmp_path, ca
     assert any(cell["n"] == trials for cell in cells)
     assert any(cell["outside_points"] for cell in cells)
     assert any(cell["q25"] < cell["median"] < cell["q75"] for cell in cells)
+
+
+def test_tall_case_reaches_the_gram_route(tmp_path, capsys, monkeypatch):
+    """Every other case trains on 60 rows, too few for ``pinv_solve``'s Gram
+    route at 16 nodes or more, so only this case lets the byte-parity
+    check see it: its CV fits (180 rows) and member fits (240 rows) at 16
+    and 32 nodes all take that route."""
+    designs = []
+    gram = numkernel._gram_solve
+
+    def counting(H, Y, rel_tol):
+        B = gram(H, Y, rel_tol)
+        designs.append((H.shape, B is not None))
+        return B
+
+    monkeypatch.setattr(numkernel, "_gram_solve", counting)
+    record, case, *_ = tool["TALL_CASE"]
+    tool["_write_record"](tmp_path, record, seed=2024)
+    assert tool["_run_case"](tmp_path, tmp_path, *tool["TALL_CASE"]) == 0
+    assert capsys.readouterr().out.startswith(case + " ")
+    assert {shape for shape, _ in designs} >= {(180, 16), (180, 32)}
+    assert {n for (n, _), _ in designs} == {180, 240}
+    assert all(cleared for _, cleared in designs)

@@ -10,8 +10,12 @@ cases follow, one per record at master seed 0 with the default
 cross-validation, that list the percentiles lowest first (75, 99).  The
 last case runs the numeric record at master seed 0 with the fixed
 cross-validation for 24 trials of 2 members each, so that its aggregates
-have quartiles between order statistics and outside points.  One line
-per case:
+have quartiles between order statistics and outside points.  A twelfth
+case runs a taller numeric record, 240 training rows, at master seed 0
+with a fixed cross-validation over 16 and 32 nodes, so that its member
+and CV fits have at least four rows per column and reach
+``pinv_solve``'s Gram route; every other case trains on 60 rows.  One
+line per case:
 
     case sha256(report.json) sha256(trials.csv)
 
@@ -53,13 +57,18 @@ PERCENTILES = [99.0, 75.0]
 # quartiles between order statistics and for outside points
 MANY_TRIAL_CASE = ("numeric", "numeric-seed0-fixed-cv-24-trials", 0, CV["fixed"],
                    PERCENTILES, 24, 2)
+TALL_CASE = ("tall", "tall-seed0-fixed-cv", 0,
+             {"folds": 4, "candidate_node_counts": [16, 32], "seed": 3}, PERCENTILES)
+TEST_ROWS = 16
+# the records that every seed and cross-validation of the grid runs on
+GRID_RECORDS = ("numeric", "categorical")
 
 
-def _numeric_rows(rng):
-    """60 train rows and 16 test rows in 3-D: 8 inside, 3 just past the
-    training range, which only the looser gate flags, and 5 far out.  The
-    target is positive, so it can be log-transformed."""
-    train = rng.uniform(0.0, 1.0, size=(60, 3))
+def _numeric_rows(rng, train_rows=60):
+    """``train_rows`` train rows and 16 test rows in 3-D: 8 inside, 3 just
+    past the training range, which only the looser gate flags, and 5 far
+    out.  The target is positive, so it can be log-transformed."""
+    train = rng.uniform(0.0, 1.0, size=(train_rows, 3))
     interior = rng.uniform(0.1, 0.9, size=(8, 3))
     edge = rng.uniform(1.0, 1.3, size=(3, 3))
     far = rng.uniform(2.0, 4.0, size=(5, 3)) * rng.choice([-1.0, 1.0], size=(5, 3))
@@ -85,21 +94,26 @@ RECORDS = {
                     {"categorical_groups": [{"column": "season",
                                              "categories": ["dry", "wet", "mixed"]}],
                      "clip_negative_predictions": True}),
+    "tall": (["x0", "x1", "x2", "y"], lambda rng: _numeric_rows(rng, 240),
+             {"target_transform": "natural-log"}),
 }
 
 
 def _write_record(directory: Path, name: str, seed: int) -> Path:
-    header, rows, extra = RECORDS[name]
+    header, draw, extra = RECORDS[name]
     csv_path = directory / f"{name}.csv"
+    rows = draw(np.random.default_rng(seed))
     with open(csv_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(rows(np.random.default_rng(seed)))
+        writer.writerows(rows)
+    train = len(rows) - TEST_ROWS
     manifest = directory / f"{name}.json"
     manifest.write_text(json.dumps({
         "name": name, "csv_path": csv_path.name, "feature_columns": header[:-1],
         "target_column": header[-1],
-        "split": {"train_range": [0, 60], "test_range": [60, 76]}, **extra}))
+        "split": {"train_range": [0, train], "test_range": [train, len(rows)]},
+        **extra}))
     return manifest
 
 
@@ -137,15 +151,15 @@ def main_digests(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         runs = Path(argv[0]) if argv else root
-        cases = []
         for record in RECORDS:
             _write_record(root, record, seed=2024)
-            cases += [(record, f"{record}-seed{seed}-{cv_name}-cv", seed, cv, PERCENTILES)
-                      for seed in SEEDS for cv_name, cv in CV.items()]
+        cases = [(record, f"{record}-seed{seed}-{cv_name}-cv", seed, cv, PERCENTILES)
+                 for record in GRID_RECORDS
+                 for seed in SEEDS for cv_name, cv in CV.items()]
         # after the cases above, so that their lines keep their places
         cases += [(record, f"{record}-seed0-default-cv-ascending", 0, None,
-                   sorted(PERCENTILES)) for record in RECORDS]
-        cases.append(MANY_TRIAL_CASE)
+                   sorted(PERCENTILES)) for record in GRID_RECORDS]
+        cases += [MANY_TRIAL_CASE, TALL_CASE]
         for case in cases:
             code = _run_case(root, runs, *case)
             if code != 0:
