@@ -11,8 +11,10 @@ Conventions fixed here, once, for the whole package:
   singular values ``s <= rel_tol * s[0]`` treated as zero.  A design
   that provably has no such value is solved through the Cholesky factor
   of its Gram matrix when it is at least four times as tall as it is
-  wide, and through its QR factor otherwise; every other design goes to
-  LAPACK's xGELSD.
+  wide, and through its QR factor otherwise, however few its columns;
+  every other design goes to LAPACK's xGELSD.  It also takes a stack of
+  same-shape designs and solves each member bitwise as if it were alone,
+  so that many small fits share each call's fixed costs.
 * ``sample_covariance`` uses the unbiased 1/(N-1) normaliser.
 * ``percentile`` interpolates linearly between order statistics (the
   position for probability q is q/100 * (N-1)).
@@ -29,29 +31,23 @@ import numpy as np
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array or raise ValueError."""
-    array = np.asarray(values, dtype=float)
-    if array.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {array.shape}")
-    if array.size and not np.isfinite(array).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return array
+    return _as_finite(values, name, 2)
 
 
 def as_vector(values, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array or raise ValueError."""
+    return _as_finite(values, name, 1)
+
+
+def _as_finite(values, name: str, ndim: int) -> np.ndarray:
     array = np.asarray(values, dtype=float)
-    if array.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {array.shape}")
+    if array.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {array.shape}")
     if array.size and not np.isfinite(array).all():
         raise ValueError(f"{name} contains non-finite entries")
     return array
 
 
-# Designs with fewer columns than this go straight to xGELSD, whose time
-# the QR path's fixed costs match near here: with one BLAS thread on an
-# AVX-512 Xeon, best of 400, xGELSD against QR took 35 against 44 us at
-# 150x10, 62 against 55 us at 150x16 and 110 against 83 us at 319x20
-_QR_MIN_COLUMNS = 16
 # designs with at least this many rows per column try the Gram route first.
 # Its guard quantity rho (``pinv_solve``), over 20 sigmoid layers on the
 # 399 training rows of protocol-train's river record, was at most 0.071 at
@@ -69,21 +65,26 @@ _INVERSE_LEAF = 32
 def pinv_solve(design, targets, rel_tol: float = 1e-10) -> np.ndarray:
     """Minimum-norm least-squares solution of ``design @ B = targets``.
 
+    ``design`` is one (n, p) matrix with (n, m) targets, or a stack of k
+    designs, (k, n, p), with targets (k, n, m).  Each member of a stack
+    is solved bitwise as if it were alone.
+
     Singular values ``s <= rel_tol * s[0]`` are treated as exactly zero,
     which keeps the solve well behaved on rank-deficient design matrices
     (the rank-deficient directions simply receive zero coefficient,
     giving the minimum-norm solution).
 
-    Three routes give that solution.  The first two run only where they
-    show that no singular value of the (n, p) design H falls at or below
-    the cutoff: the least-squares solution is then unique, so it is the
-    minimum-norm one up to rounding (Golub & Van Loan, *Matrix
-    Computations*, 4th ed., sect. 5.3).
+    Three routes give that solution, whatever the number of columns.  The
+    first two run only where they show that no singular value of the
+    (n, p) design H falls at or below the cutoff: the least-squares
+    solution is then unique, so it is the minimum-norm one up to rounding
+    (Golub & Van Loan, *Matrix Computations*, 4th ed., sect. 5.3).  Both
+    run on a whole stack at once, with each member's own guards, and only
+    the members that fail a route go on to the next one.
 
-    * The Gram route, for designs with at least ``_QR_MIN_COLUMNS``
-      columns and ``_GRAM_MIN_RATIO`` rows per column.  It forms
-      G = H^T H once, R = chol(G)^T and X = inv(R), so that
-      inv(G) = X X^T.  The computed R^T R is H^T H + E with
+    * The Gram route, for designs with at least ``_GRAM_MIN_RATIO`` rows
+      per column.  It forms G = H^T H once, R = chol(G)^T and X = inv(R),
+      so that inv(G) = X X^T.  The computed R^T R is H^T H + E with
       ||E||_F <= e = gamma_n ||H||_F^2 + gamma_{p+1} ||R||_F^2, where
       gamma_k = k u / (1 - k u) and u = 2^-53 (Higham, *Accuracy and
       Stability of Numerical Algorithms*, 2nd ed., sect. 3.1 and
@@ -102,13 +103,12 @@ def pinv_solve(design, targets, rel_tol: float = 1e-10) -> np.ndarray:
       one whose Cholesky diagonal alone fails it goes before R is
       inverted.
     * The QR route, for every other design with at least as many rows as
-      columns and at least ``_QR_MIN_COLUMNS`` columns.  It factors
-      [H | y] for each target column y as its R factor (Householder QR,
-      which never forms Q): the leading block R_H has the singular values
-      of H, and the first p entries c of its last column are Q^T y, so
-      that H b = y in the least-squares sense is R_H b = c.  The solution
-      is ``inv(R_H) @ c`` when two bounds on the condition number
-      k = s[0] / s[-1] clear the cutoff:
+      columns.  It factors [H | y] for each target column y as its R
+      factor (Householder QR, which never forms Q): the leading block R_H
+      has the singular values of H, and the first p entries c of its last
+      column are Q^T y, so that H b = y in the least-squares sense is
+      R_H b = c.  The solution is ``inv(R_H) @ c`` when two bounds on the
+      condition number k = s[0] / s[-1] clear the cutoff:
 
       - max|r_ii| / min|r_ii| <= k, so the design is sent on when
         min|r_ii| <= rel_tol * max|r_ii|, before R_H is inverted;
@@ -117,127 +117,199 @@ def pinv_solve(design, targets, rel_tol: float = 1e-10) -> np.ndarray:
       Otherwise xGELSD solves (R_H, c), which has the same minimum-norm
       solution as (H, y) at less cost.
     * LAPACK's xGELSD (``np.linalg.lstsq``) on the design itself, with
-      the cutoff, for every other design.
+      the cutoff, for a design with more columns than rows or a target
+      without columns, one member at a time.
 
     Each target column is solved on its own, on every route, so a
     column's solution does not depend on the other columns.
 
     Parameters
     ----------
-    design : (n, p) array
-    targets : (n, m) array
+    design : (n, p) or (k, n, p) array
+    targets : (n, m) or (k, n, m) array
     rel_tol : float
         Relative singular value cutoff, strictly between 0 and 1.
 
     Returns
     -------
-    (p, m) array
+    (p, m) or (k, p, m) array
     """
-    H = as_matrix(design, "design")
-    Y = as_matrix(targets, "targets")
-    if H.shape[0] == 0:
-        raise ValueError("design must have at least one row")
+    ndim = 3 if np.ndim(design) == 3 else 2
+    H = _as_finite(design, "design", ndim)
+    Y = _as_finite(targets, "targets", ndim)
+    if ndim == 2:
+        H, Y = H[None], Y[None]
     if H.shape[1] == 0:
+        raise ValueError("design must have at least one row")
+    if H.shape[2] == 0:
         raise ValueError("design must have at least one column")
+    if Y.shape[1] != H.shape[1]:
+        raise ValueError(
+            f"design has {H.shape[1]} rows but targets has {Y.shape[1]}"
+        )
     if Y.shape[0] != H.shape[0]:
         raise ValueError(
-            f"design has {H.shape[0]} rows but targets has {Y.shape[0]}"
+            f"design stacks {H.shape[0]} members but targets {Y.shape[0]}"
         )
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
-    (n, p), m = H.shape, Y.shape[1]
-    if not (n >= p >= _QR_MIN_COLUMNS and m > 0):
-        return np.linalg.lstsq(H, Y, rcond=rel_tol)[0]
-    B = None if factors_joined(n, p, m) else _gram_solve(H, Y, rel_tol)
-    if B is None:
-        B = np.empty((p, m))
-        for j in range(m):
-            B[:, j:j + 1] = _qr_solve(_joined(H, Y[:, j:j + 1]), rel_tol)
+    B = pinv_solve_stack(H, Y, rel_tol)
+    return B[0] if ndim == 2 else B
+
+
+def pinv_solve_stack(H: np.ndarray, Y: np.ndarray,
+                     rel_tol: float = 1e-10) -> np.ndarray:
+    """``pinv_solve`` on a checked stack: finite (k, n, p) designs with
+    (k, n, m) targets, p >= 1 and n >= 1; the result is (k, p, m).
+
+    The QR route factors [H | y].  Where H and Y are the two column
+    blocks of one array, as ``regress`` lays out the designs that
+    ``factors_joined``, it factors that array without a copy (``_joined``).
+    """
+    k, n, p = H.shape
+    m = Y.shape[2]
+    if n < p or m == 0:
+        B = np.empty((k, p, m))
+        for i in range(k):
+            B[i] = np.linalg.lstsq(H[i], Y[i], rcond=rel_tol)[0]
+        return B
+    if factors_joined(n, p):
+        return _qr_solve(_joined(H, Y), p, rel_tol)
+    cleared, solved = _gram_solve(H, Y, rel_tol)
+    if cleared.all():
+        return solved
+    B = np.empty((k, p, m))
+    B[cleared] = solved
+    B[~cleared] = _qr_solve(_joined(H[~cleared], Y[~cleared]), p, rel_tol)
     return B
 
 
-def factors_joined(n: int, p: int, m: int) -> bool:
-    """Whether ``pinv_solve`` on an (n, p) design with m target columns
-    goes straight to the QR route, which factors [H | y] and takes H and
-    Y laid out as one array without a copy (``_joined``)."""
-    return n >= p >= _QR_MIN_COLUMNS and m > 0 and n < _GRAM_MIN_RATIO * p
+def factors_joined(n: int, p: int) -> bool:
+    """Whether ``pinv_solve_stack`` takes an (n, p) design straight to the
+    QR route, which factors [H | y], so that a caller building the design
+    can write it beside its targets as one array."""
+    return p <= n < _GRAM_MIN_RATIO * p
 
 
-def _gram_solve(H: np.ndarray, Y: np.ndarray, rel_tol: float) -> np.ndarray | None:
-    """``pinv_solve``'s Gram route, or None where its guard fails."""
-    n, p = H.shape
-    gamma = sum(k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF) for k in (n, p + 1))
+def _joined(H: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """[H | Y] as one (k, n, p + m) array.
+
+    When H and Y are already the two column blocks of one C-ordered array,
+    as ``regress`` lays out the designs that ``factors_joined``, that array
+    is returned, so the solve adds no copy of the design.
+    """
+    base = H.base
+    k, n, p = H.shape
+    if (isinstance(base, np.ndarray) and Y.base is base
+            and base.shape == (k, n, p + Y.shape[2])
+            and base.flags.c_contiguous
+            and H.strides == Y.strides == base.strides):
+        start = base.__array_interface__["data"][0]
+        if (H.__array_interface__["data"][0] == start
+                and Y.__array_interface__["data"][0] == start + p * H.itemsize):
+            return base
+    return np.concatenate((H, Y), axis=2)
+
+
+def _take(stack: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The members of a stack a boolean mask selects, without a copy when
+    it selects them all."""
+    return stack if np.count_nonzero(members) == len(members) else stack[members]
+
+
+def _squared_norms(stack: np.ndarray) -> np.ndarray:
+    """Each member's sum of squares, summed as ``np.vdot`` sums one member
+    (a BLAS dot over its C-ordered entries)."""
+    flat = stack.reshape(stack.shape[0], 1, -1)
+    return np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0]
+
+
+def _gram_solve(H: np.ndarray, Y: np.ndarray,
+                rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``pinv_solve``'s Gram route on a stack of (n, p) designs: which
+    members clear its guard, and the solutions of those that do."""
+    k, n, p = H.shape
+    gamma = sum(i * _UNIT_ROUNDOFF / (1.0 - i * _UNIT_ROUNDOFF) for i in (n, p + 1))
     # a Gram or an inverse that overflows gives an infinite or NaN rho,
     # which fails the guard
     with np.errstate(over="ignore", invalid="ignore"):
-        G = H.T @ H
+        G = np.matmul(H.transpose(0, 2, 1), H)
         try:
             L = np.linalg.cholesky(G)
         except np.linalg.LinAlgError:
-            return None
+            # a member whose G is not positive definite keeps a NaN
+            # factor, which fails the guard below
+            L = np.full_like(G, np.nan)
+            for i in range(k):
+                try:
+                    L[i] = np.linalg.cholesky(G[i])
+                except np.linalg.LinAlgError:
+                    pass
         # ||H||_F^2 and ||R||_F^2 are trace(G) within a factor 1 + gamma_n,
         # which the margin of 1/2 absorbs.  ||X||_F^2 >= sum 1 / r_ii^2,
         # so a design that this lower bound on rho fails is sent on before
         # R is inverted
-        trace = np.trace(G)
-        if not trace * gamma * np.sum(np.diagonal(L) ** -2.0) < 0.5:
-            return None
-        X = _triangular_inverse(L.T)
-        scale = trace * np.vdot(X, X)
+        trace = np.trace(G, axis1=1, axis2=2)
+        floor = np.sum(np.diagonal(L, axis1=1, axis2=2) ** -2.0, axis=1)
+        cleared = trace * gamma * floor < 0.5
+        if not cleared.any():
+            return cleared, np.empty((0, p, Y.shape[2]))
+        X = _triangular_inverse(_take(L, cleared).transpose(0, 2, 1))
+        scale = trace[cleared] * _squared_norms(X)
         rho = scale * gamma
-        if not rho + rel_tol ** 2 * scale < 0.5:
-            return None
-    steps = min(_GRAM_MAX_STEPS,
-                math.ceil(math.log(_UNIT_ROUNDOFF) / math.log(rho)))
-    B = np.empty((p, Y.shape[1]))
-    for j in range(Y.shape[1]):
-        y = np.ascontiguousarray(Y[:, j])
-        b = X @ (X.T @ (H.T @ y))
-        for _ in range(steps):
-            b += X @ (X.T @ (H.T @ (y - H @ b)))
-        B[:, j] = b
+        passed = rho + rel_tol ** 2 * scale < 0.5
+    cleared[cleared] = passed
+    X, H, Y = _take(X, passed), _take(H, cleared), _take(Y, cleared)
+    counts = [min(_GRAM_MAX_STEPS, math.ceil(math.log(_UNIT_ROUNDOFF) / math.log(r)))
+              for r in rho[passed].tolist()]
+    steps = np.array(counts)
+    Ht, Xt = H.transpose(0, 2, 1), X.transpose(0, 2, 1)
+    B = np.empty((X.shape[0], p, Y.shape[2]))
+    for j in range(Y.shape[2]):
+        y = np.ascontiguousarray(Y[:, :, j:j + 1])
+        b = X @ (Xt @ (Ht @ y))
+        for step in range(max(counts, default=0)):
+            correction = X @ (Xt @ (Ht @ (y - H @ b)))
+            # a member stops after its own count of steps
+            if step < min(counts):
+                b += correction
+            else:
+                np.add(b, correction, out=b, where=(steps > step)[:, None, None])
+        B[:, :, j] = b[:, :, 0]
+    return cleared, B
+
+
+def _qr_solve(joined: np.ndarray, p: int, rel_tol: float) -> np.ndarray:
+    """``pinv_solve``'s QR route, and xGELSD on (R_H, c) where its bounds
+    fail, on a stack of [H | Y] with n >= p."""
+    k, _, width = joined.shape
+    B = np.empty((k, p, width - p))
+    for j in range(width - p):
+        Hy = joined if width == p + 1 else np.concatenate(
+            (joined[:, :, :p], joined[:, :, p + j:p + j + 1]), axis=2)
+        R = np.linalg.qr(Hy, mode="r")
+        R_H, c = R[:, :p, :p], R[:, :p, p:]
+        diagonal = np.abs(np.diagonal(R_H, axis1=1, axis2=2))
+        cleared = diagonal.min(axis=1) > rel_tol * diagonal.max(axis=1)
+        if cleared.any():
+            R_kept = _take(R_H, cleared)
+            R_inv = _triangular_inverse(R_kept)
+            # an inverse that overflows gives an infinite or NaN bound, and
+            # the design goes to xGELSD
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = (np.sqrt(_squared_norms(R_kept))
+                         * np.sqrt(_squared_norms(R_inv)) * rel_tol)
+            passed = bound < 1.0
+            cleared[cleared] = passed
+            B[cleared, :, j] = (_take(R_inv, passed) @ _take(c, cleared))[:, :, 0]
+        for i in np.flatnonzero(~cleared):
+            B[i, :, j] = np.linalg.lstsq(R_H[i], c[i], rcond=rel_tol)[0][:, 0]
     return B
 
 
-def _joined(H: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[H | y] as one (n, p+1) array.
-
-    When H and y are already the two column blocks of one C-ordered array,
-    as ``elm_train`` lays them out, that array is returned, so the solve
-    adds no copy of the design.
-    """
-    base = H.base
-    n, p = H.shape
-    if (isinstance(base, np.ndarray) and y.base is base
-            and base.shape == (n, p + 1)
-            and base.flags.c_contiguous
-            and H.strides == y.strides == base.strides):
-        start = base.__array_interface__["data"][0]
-        if (H.__array_interface__["data"][0] == start
-                and y.__array_interface__["data"][0] == start + p * H.itemsize):
-            return base
-    return np.column_stack((H, y))
-
-
-def _qr_solve(joined: np.ndarray, rel_tol: float) -> np.ndarray:
-    """``pinv_solve`` for one target column, from [H | y] with n >= p."""
-    p = joined.shape[1] - 1
-    R = np.linalg.qr(joined, mode="r")
-    R_H, c = R[:p, :p], R[:p, p:]
-    diagonal = np.abs(np.diagonal(R_H))
-    if diagonal.min() > rel_tol * diagonal.max():
-        R_inv = _triangular_inverse(R_H)
-        # an inverse that overflows gives an infinite or NaN bound, and
-        # the design goes to xGELSD
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = np.linalg.norm(R_H) * np.linalg.norm(R_inv) * rel_tol
-        if bound < 1.0:
-            return R_inv @ c
-    return np.linalg.lstsq(R_H, c, rcond=rel_tol)[0]
-
-
 def _triangular_inverse(R: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular upper-triangular matrix, by halves.
+    """Inverse of each nonsingular upper-triangular matrix of a stack, by
+    halves.
 
     inv([[A, B], [0, C]]) = [[inv(A), -inv(A) B inv(C)], [0, inv(C)]]
     costs about 2p^3/3 flops in matrix products, where ``np.linalg.inv``
@@ -245,16 +317,16 @@ def _triangular_inverse(R: np.ndarray) -> np.ndarray:
     (8p^3/3).  Blocks of at most ``_INVERSE_LEAF`` columns go to
     ``np.linalg.inv``, whose pivoting never swaps a row of a triangle.
     """
-    p = R.shape[0]
+    p = R.shape[-1]
     if p <= _INVERSE_LEAF:
         return np.linalg.inv(R)
     k = p // 2
-    A = _triangular_inverse(R[:k, :k])
-    C = _triangular_inverse(R[k:, k:])
+    A = _triangular_inverse(R[..., :k, :k])
+    C = _triangular_inverse(R[..., k:, k:])
     inverse = np.zeros_like(R)
-    inverse[:k, :k] = A
-    inverse[k:, k:] = C
-    inverse[:k, k:] = -(A @ (R[:k, k:] @ C))
+    inverse[..., :k, :k] = A
+    inverse[..., k:, k:] = C
+    inverse[..., :k, k:] = -(A @ (R[..., :k, k:] @ C))
     return inverse
 
 

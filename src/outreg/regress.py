@@ -6,11 +6,21 @@ layer is fitted, by minimum-norm least squares on the hidden activations
 (``pinv_solve``: where the design is provably well conditioned, a
 Cholesky solve of its Gram matrix when it has at least four rows per
 hidden node, a QR solve otherwise; LAPACK's xGELSD on any other design).
-Where ``pinv_solve`` will go straight to the QR solve, ``elm_train``
-writes the activations H and the targets Y side by side into one array,
-[H | Y], which it factors as it is; every other design gets H alone.
 Averaging an ensemble of such networks (here 100 by default) smooths out
 the variance of the random hidden layer.
+
+``ensemble_train`` trains its members a chunk at a time, with chunks
+sized so that the hidden layers stay near ``_CHUNK_ELEMENTS`` floats.
+For a chunk of k members it writes every member's activations H into
+one (k, N, L) array with one product, one activation pass and one finite
+check, and solves the whole chunk with one ``pinv_solve_stack`` call.
+Where that solve goes straight to the QR route, which factors [H | Y]
+(``factors_joined``), the array is (k, N, L+m) instead and holds the
+targets Y beside H, so the route factors it without a copy.  Each
+member's product, activation and solve are the same operations on the
+same strides as for a lone member, so member i is bitwise ``elm_train``
+on its derived seed, whatever the chunk size; ``elm_train`` is the
+one-member case of the same code.
 
 Hidden weights are uniform on [-1, 1] and hidden biases uniform on [0, 1],
 drawn in that order from a generator derived from the training seed, so a
@@ -62,12 +72,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import as_matrix, as_vector, factors_joined, pinv_solve
+from .numkernel import (as_matrix, as_vector, factors_joined, pinv_solve,
+                        pinv_solve_stack)
 from .seeding import STREAM_CV, STREAM_MEMBER, derive_rng, derive_seed
 
 DEFAULT_NODE_GRID = (5, 10, 20, 40, 70, 100, 150, 200, 300)
 
-# hidden-layer floats evaluated at once by ensemble_predict (256 KiB)
+# hidden-layer floats trained or evaluated at once (256 KiB)
 _CHUNK_ELEMENTS = 1 << 15
 
 
@@ -174,12 +185,8 @@ def _forward(X, stacked, activation) -> np.ndarray:
     return result
 
 
-def elm_train(inputs, targets, node_count: int, activation: Activation,
-              seed: int) -> ElmModel:
-    """Draw a random hidden layer and fit the output weights to targets.
-
-    ``targets`` is (N, m); pass a single-column matrix for scalar targets.
-    """
+def _checked(inputs, targets, node_count: int, activation: Activation):
+    """The training inputs and targets as finite matrices, once checked."""
     X = as_matrix(inputs, "inputs")
     Y = as_matrix(targets, "targets")
     if X.shape[0] < 1:
@@ -190,34 +197,70 @@ def elm_train(inputs, targets, node_count: int, activation: Activation,
         raise ValueError(f"node_count must be at least 1, got {node_count}")
     if not isinstance(activation, Activation):
         raise ValueError(f"activation must be an Activation, got {activation!r}")
-    rng = derive_rng(seed)
-    W = rng.uniform(-1.0, 1.0, size=(node_count, X.shape[1]))
-    b = rng.uniform(0.0, 1.0, size=node_count)
-    # the plain form activation(X W^T + b); evaluation folds it (module docstring)
+    return X, Y
+
+
+def _train(X, Y, node_count: int, activation: Activation, seeds) -> list[ElmModel]:
+    """One member per seed, trained a chunk of members at a time (module
+    docstring) on checked inputs and targets."""
     n, m = Y.shape
-    if factors_joined(n, node_count, m):
-        # H and Y share one array, [H | Y], which pinv_solve's QR route
-        # factors without a copy.  The Y columns go through the activation
-        # as zeros, so that every pass runs on contiguous storage, and are
-        # then overwritten
-        z = np.zeros((n, node_count + m))
-        np.matmul(X, W.T, out=z[:, :node_count])
-        z += np.concatenate((b, np.zeros(m)))
-    else:
-        z = X @ W.T
-        z += b
+    width = node_count + m if factors_joined(n, node_count) else node_count
+    step = max(1, _CHUNK_ELEMENTS // (n * width))
+    members = []
+    for start in range(0, len(seeds), step):
+        members.extend(_train_chunk(X, Y, node_count, activation, width,
+                                    seeds[start:start + step]))
+    return members
+
+
+def _train_chunk(X, Y, node_count: int, activation: Activation, width: int,
+                 seeds) -> list[ElmModel]:
+    """The members of one chunk, whose hidden layers share one (k, N, width)
+    array: H, then Y where ``width`` has room for it.  The array is freed on
+    return, before the next chunk's is allocated."""
+    (n, d), m = X.shape, Y.shape[1]
+    layers = []
+    for seed in seeds:
+        rng = derive_rng(seed)
+        layers.append((rng.uniform(-1.0, 1.0, size=(node_count, d)),
+                       rng.uniform(0.0, 1.0, size=node_count)))
+    bias = np.zeros((len(seeds), 1, width))
+    bias[:, 0, :node_count] = [b for _, b in layers]
+    # the plain form activation(X W^T + b); evaluation folds it (module
+    # docstring).  Where the solve factors [H | Y], H and Y share one array,
+    # whose Y columns go through the activation as zeros, so that every
+    # pass runs on contiguous storage, and are then overwritten
+    z = np.empty((len(seeds), n, width))
+    z[:, :, node_count:] = 0.0
+    np.matmul(X, np.stack([W for W, _ in layers]).transpose(0, 2, 1),
+              out=z[:, :, :node_count])
+    z += bias
     _activate(activation, z)
     if not np.isfinite(z).all():
         raise RuntimeError(
             f"hidden activations are not finite (activation={activation.value}, "
             f"node_count={node_count}); input scaling is probably missing"
         )
-    if z.shape[1] > node_count:
-        z[:, node_count:] = Y
-        Y = z[:, node_count:]
-    B = pinv_solve(z[:, :node_count], Y)
-    return ElmModel(hidden_weights=W, hidden_biases=b, output_weights=B,
-                    activation=activation, seed=int(seed))
+    if width > node_count:
+        z[:, :, node_count:] = Y
+        targets = z[:, :, node_count:]
+    else:
+        targets = np.broadcast_to(Y, (len(seeds), n, m))
+    B = pinv_solve_stack(z[:, :, :node_count], targets)
+    return [ElmModel(hidden_weights=W, hidden_biases=b, output_weights=B[i],
+                     activation=activation, seed=int(seed))
+            for i, ((W, b), seed) in enumerate(zip(layers, seeds))]
+
+
+def elm_train(inputs, targets, node_count: int, activation: Activation,
+              seed: int) -> ElmModel:
+    """Draw a random hidden layer and fit the output weights to targets.
+
+    ``targets`` is (N, m); pass a single-column matrix for scalar targets.
+    This is ``ensemble_train``'s code for one member.
+    """
+    X, Y = _checked(inputs, targets, node_count, activation)
+    return _train(X, Y, node_count, activation, (seed,))[0]
 
 
 def elm_predict(model: ElmModel, inputs) -> np.ndarray:
@@ -281,13 +324,12 @@ def ensemble_train(inputs, targets, node_count: int, activation: Activation,
     """
     if member_count < 1:
         raise ValueError(f"member_count must be at least 1, got {member_count}")
+    X, Y = _checked(inputs, targets, node_count, activation)
     trim = (TrimPolicy.DROP_MIN_MAX if activation is Activation.RADIAL_BASIS
             else TrimPolicy.NONE)
-    members = tuple(
-        elm_train(inputs, targets, node_count, activation,
-                  seed=derive_seed(seed, STREAM_MEMBER, i))
-        for i in range(member_count)
-    )
+    members = tuple(_train(X, Y, node_count, activation,
+                           [derive_seed(seed, STREAM_MEMBER, i)
+                            for i in range(member_count)]))
     return EnsembleModel(members=members, trim_policy=trim, seed=int(seed))
 
 
@@ -398,10 +440,9 @@ class LinearModel:
 def lr_fit(inputs, targets) -> LinearModel:
     """Ordinary least squares with an intercept, via ``pinv_solve``.
 
-    With fewer than 15 inputs the design's d + 1 columns fall below
-    ``pinv_solve``'s crossover of 16, so xGELSD solves it; a wider design
-    takes the guarded Gram solve when it has at least four rows per
-    column, and the guarded QR solve otherwise.
+    The design's d + 1 columns take the guarded Gram solve when there are
+    at least four rows per column, and the guarded QR solve otherwise;
+    xGELSD solves a design that fails their guards.
 
     Rank-deficient inputs (e.g. duplicated columns) get the minimum-norm
     coefficient split rather than an error.

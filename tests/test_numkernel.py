@@ -20,7 +20,7 @@ from outreg import (average_ranks, columnwise_median, percentile, pinv_solve,
                     sample_covariance, sample_mean)
 from outreg import numkernel
 from outreg.evalharness.cli import main
-from outreg.numkernel import _GRAM_MIN_RATIO, _QR_MIN_COLUMNS
+from outreg.numkernel import _GRAM_MIN_RATIO
 from outreg.regress import DEFAULT_NODE_GRID
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -200,9 +200,10 @@ def known_spectrum(rng, n, S):
 class TestSolveRouting:
     """Which designs skip xGELSD, and what the QR path gives where it runs.
 
-    The QR path runs on designs with at least ``_QR_MIN_COLUMNS`` columns
-    and no more columns than rows, when both bounds on the condition
-    number clear the cutoff.  Every other design makes one xGELSD call."""
+    The QR path runs on designs with no more columns than rows, however
+    few, when both bounds on the condition number clear the cutoff.  A
+    wide design or a target without columns makes one xGELSD call on the
+    design."""
 
     @pytest.mark.parametrize("n, p", [(399, 150), (319, 40)])
     def test_well_conditioned_design_skips_xgelsd(self, lstsq_designs, n, p):
@@ -263,16 +264,24 @@ class TestSolveRouting:
                                    atol=1e-8 * np.abs(oracle).max())
 
     @pytest.mark.parametrize("diagonal", [
-        [1.0, 1e-10], [2.0, 2e-10], [4.0, 3.0, 4e-10],
-        [1.0, 1e-10 * (1 + 2**-50)]])
+        [1.0, 1e-10], [2.0, 2e-10], [4.0, 3.0, 4e-10]])
     def test_truncation_boundary_diagonals_go_to_xgelsd(self, lstsq_designs,
                                                         diagonal):
         pinv_solve(np.diag(diagonal), np.ones((len(diagonal), 1)))
         assert lstsq_designs == [(len(diagonal),) * 2]
 
+    def test_a_diagonal_just_above_the_cutoff_takes_the_qr_route(
+            self, lstsq_designs):
+        """Both condition bounds are tight on a diagonal: at 1e-10 (1 + 2^-50)
+        the QR route's bound reads 1 - 2^-50, so it solves the design
+        itself and keeps the value's direction."""
+        diagonal = [1.0, 1e-10 * (1 + 2**-50)]
+        B = pinv_solve(np.diag(diagonal), np.ones((2, 1)))
+        assert lstsq_designs == []
+        np.testing.assert_array_equal(B[:, 0], [1.0, 1.0 / diagonal[1]])
+
     @pytest.mark.parametrize("n, p, m", [
         (10, 20, 1),                    # wide: more columns than rows
-        (150, _QR_MIN_COLUMNS - 1, 1),  # below the crossover
         (40, 20, 0),                    # a target without columns
     ])
     def test_other_designs_make_one_xgelsd_call_on_the_design(
@@ -299,18 +308,13 @@ class TestSolveRouting:
         """On a 399-row sigmoid layer at every node count of the default
         grid, the solution is within eps * k of xGELSD's, relative, where
         k is the condition number: the scale at which either backward
-        stable solve can move it.  The QR path runs from the crossover
-        up, and xGELSD itself below it."""
+        stable solve can move it.  No node count goes to xGELSD."""
         rng = np.random.default_rng(p)
         H, X = sigmoid_design(rng, 399, p)
         y = (np.sin(2.0 * X[:, 0] + X[:, 1]) + 0.3 * np.cos(2.0 * X[:, 2]))[:, None]
         expected = np.linalg.lstsq(H, y, rcond=1e-10)[0]
         lstsq_designs.clear()
         B = pinv_solve(H, y)
-        if p < _QR_MIN_COLUMNS:
-            assert lstsq_designs == [H.shape]
-            np.testing.assert_array_equal(B, expected)
-            return
         assert lstsq_designs == []
         s = np.linalg.svd(H, compute_uv=False)
         bound = np.finfo(float).eps * s[0] / s[-1] * np.linalg.norm(expected)
@@ -319,9 +323,10 @@ class TestSolveRouting:
     def test_protocol_train_shaped_run_calls_xgelsd_only_below_the_crossover(
             self, lstsq_designs, tmp_path):
         """``outreg run`` on a 570-row record (399 training rows), one
-        sigmoid trial of 100 members, 5-fold CV over 10 to 150 nodes: the
-        guard clears every fit it sees, so xGELSD runs only for the five
-        10-node CV fits and the 5-column linear baseline."""
+        sigmoid trial of 100 members, 5-fold CV over 10 to 150 nodes: no
+        crossover sends narrow designs to xGELSD any more, and the guards
+        clear every fit, the five 10-node CV fits and the 5-column linear
+        baseline included, so xGELSD is never called."""
         sys.path.insert(0, str(ROOT / "perfbench"))
         try:
             import inputs
@@ -339,7 +344,7 @@ class TestSolveRouting:
                      "--out", str(tmp_path / "out")]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["node_counts"] == {"sigmoid": 150}
-        assert sorted(p for _, p in lstsq_designs) == [5, 10, 10, 10, 10, 10]
+        assert lstsq_designs == []
 
 
 HIDDEN_ACTIVATIONS = {
@@ -361,20 +366,21 @@ def hidden_layer(rng, n, p, kind):
 
 @pytest.fixture
 def routes(monkeypatch, lstsq_designs):
-    """The calls of each route made in the test: ``gram`` holds the design
-    shape of each Gram route attempt and whether its guard cleared, ``qr``
-    the shape of each ``np.linalg.qr`` input and ``lstsq`` each xGELSD
-    design."""
+    """The calls of each route made in the test, one entry per member of a
+    stack: ``gram`` holds the design shape of each Gram route attempt and
+    whether its guard cleared, ``qr`` the shape of each ``np.linalg.qr``
+    input and ``lstsq`` each xGELSD design."""
     log = {"gram": [], "qr": [], "lstsq": lstsq_designs}
     gram, factor = numkernel._gram_solve, np.linalg.qr
 
     def gram_counting(H, Y, rel_tol):
-        B = gram(H, Y, rel_tol)
-        log["gram"].append((H.shape, B is not None))
-        return B
+        cleared, B = gram(H, Y, rel_tol)
+        log["gram"].extend((H.shape[1:], bool(c)) for c in cleared)
+        return cleared, B
 
     def qr_counting(a, *args, **kwargs):
-        log["qr"].append(np.shape(a))
+        shape = np.shape(a)
+        log["qr"].extend([shape[-2:]] * (shape[0] if len(shape) == 3 else 1))
         return factor(a, *args, **kwargs)
 
     monkeypatch.setattr(numkernel, "_gram_solve", gram_counting)
@@ -388,10 +394,10 @@ def clear(routes):
 
 
 class TestGramRoute:
-    """Designs with at least ``_GRAM_MIN_RATIO`` rows per column, and at
-    least ``_QR_MIN_COLUMNS`` columns, are solved from their Gram matrix
-    when its guard clears, with neither xGELSD nor a QR factorisation;
-    the others take the QR route or xGELSD as before."""
+    """Designs with at least ``_GRAM_MIN_RATIO`` rows per column, however
+    few their columns, are solved from their Gram matrix when its guard
+    clears, with neither xGELSD nor a QR factorisation; the others take
+    the QR route or xGELSD as before."""
 
     @pytest.mark.parametrize("n, p", [(2000, 50), (319, 40)])
     @pytest.mark.parametrize("kind", list(HIDDEN_ACTIVATIONS))
@@ -434,7 +440,7 @@ class TestGramRoute:
         inverted = []
         invert = numkernel._triangular_inverse
         monkeypatch.setattr(numkernel, "_triangular_inverse",
-                            lambda R: inverted.append(R.shape) or invert(R))
+                            lambda R: inverted.append(R.shape[-2:]) or invert(R))
         H, y = hidden_layer(np.random.default_rng(17), 2000, 300, "sigmoid")
         B = pinv_solve(H, y)
         assert routes == {"gram": [((2000, 300), False)], "qr": [(2000, 301)],
@@ -474,10 +480,11 @@ class TestGramRoute:
     def test_protocol_train_shaped_run_forms_no_gram_for_its_member_fits(
             self, routes, tmp_path):
         """The run of ``TestSolveRouting``'s protocol-train test: its CV
-        fits at 20, 40 and 70 nodes on 319-320 rows take the Gram route;
-        those at 100 and 150 nodes and the 100 member fits at 399x150,
-        under ``_GRAM_MIN_RATIO`` rows per column, go straight to the QR
-        route, so none of them pays for a Gram."""
+        fits at 10, 20, 40 and 70 nodes on 319-320 rows and its 5-column
+        linear baseline on 399 rows take the Gram route; the CV fits at 100
+        and 150 nodes and the 100 member fits at 399x150, under
+        ``_GRAM_MIN_RATIO`` rows per column, go straight to the QR route,
+        so none of them pays for a Gram."""
         sys.path.insert(0, str(ROOT / "perfbench"))
         try:
             import inputs
@@ -493,11 +500,70 @@ class TestGramRoute:
                    "seed": 1}}))
         assert main(["run", "--manifest", str(manifest), "--config", str(config),
                      "--out", str(tmp_path / "out")]) == 0
-        assert sorted(p for (_, p), _ in routes["gram"]) == [20] * 5 + [40] * 5 + [70] * 5
+        assert sorted(p for (_, p), _ in routes["gram"]) == (
+            [5] + [10] * 5 + [20] * 5 + [40] * 5 + [70] * 5)
         assert all(cleared and n >= _GRAM_MIN_RATIO * p
                    for (n, p), cleared in routes["gram"])
         assert routes["qr"].count((399, 151)) == 100
-        assert sorted(p for _, p in routes["lstsq"]) == [5, 10, 10, 10, 10, 10]
+        assert routes["lstsq"] == []
+
+
+def mixed_stack(rng, n, p):
+    """Five (n, p) designs: a sigmoid layer, copied columns, two singular
+    values below the cutoff, R = I minus the strict upper ones (every
+    |r_ii| = 1, but a smallest singular value 1e-13 of the largest at 40
+    columns) and a known spectrum at condition number 1e7."""
+    sigmoid, _ = sigmoid_design(rng, n, p)
+    base = rng.standard_normal((n, p - 8))
+    copied = np.hstack([base, base[:, :8]])
+    below = known_spectrum(rng, n, np.r_[np.logspace(0.0, -8.0, p - 2), 1e-12, 1e-14])
+    Q = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    unit = Q @ (np.eye(p) - np.triu(np.ones((p, p)), 1))
+    kappa = known_spectrum(rng, n, np.logspace(0.0, -7.0, p))
+    return np.stack([sigmoid, copied, below, unit, kappa])
+
+
+class TestStackedSolve:
+    """A stack of designs is solved with each member's own guards: each
+    member's solution is bitwise its lone solve, and only the members that
+    fail a route go on to the next one."""
+
+    @pytest.mark.parametrize("n, cleared", [
+        (60, []),                                   # straight to the QR route
+        (200, [True, False, False, False, False])])  # the Gram route first
+    def test_members_are_solved_as_if_alone(self, routes, n, cleared):
+        """The sigmoid layer takes the first route it meets; the design at
+        condition number 1e7 fails the Gram guard and takes the QR route;
+        the other three fail every guard, and xGELSD sees each of them
+        once, on its R factor."""
+        rng = np.random.default_rng(n)
+        H = mixed_stack(rng, n, 40)
+        Y = rng.standard_normal((5, n, 1))
+        clear(routes)
+        B = pinv_solve(H, Y)
+        assert B.shape == (5, 40, 1)
+        assert routes["gram"] == [((n, 40), c) for c in cleared]
+        assert routes["qr"] == [(n, 41)] * (5 - sum(cleared))
+        assert routes["lstsq"] == [(40, 40)] * 3
+        for i in range(5):
+            np.testing.assert_array_equal(B[i], pinv_solve(H[i], Y[i]))
+
+    @pytest.mark.parametrize("n", [60, 200])
+    def test_each_target_column_is_solved_as_if_alone(self, n):
+        rng = np.random.default_rng(n + 1)
+        H = mixed_stack(rng, n, 40)
+        Y = rng.standard_normal((5, n, 3))
+        B = pinv_solve(H, Y)
+        for j in range(3):
+            np.testing.assert_array_equal(B[:, :, j:j + 1],
+                                          pinv_solve(H, Y[:, :, j:j + 1]))
+            for i in range(5):
+                np.testing.assert_array_equal(B[i, :, j:j + 1],
+                                              pinv_solve(H[i], Y[i, :, j:j + 1]))
+
+    def test_member_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="members"):
+            pinv_solve(np.ones((3, 4, 2)), np.ones((2, 4, 1)))
 
 
 class TestMoments:

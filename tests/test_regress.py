@@ -157,23 +157,28 @@ class TestElmTraining:
             self, monkeypatch, rows, nodes, joined):
         """A design with four rows per column or more goes to the Gram route
         as the hidden layer alone, and the targets as they were passed; a
-        shorter one is handed over as two views of one [H | Y] array."""
-        seen = []
-        solve = regress.pinv_solve
-        monkeypatch.setattr(regress, "pinv_solve",
+        shorter one is handed over as two views of one [H | Y] array, which
+        the QR route factors as it is."""
+        seen, factors = [], []
+        solve, factor = regress.pinv_solve_stack, np.linalg.qr
+        monkeypatch.setattr(regress, "pinv_solve_stack",
                             lambda H, Y: seen.append((H, Y)) or solve(H, Y))
+        monkeypatch.setattr(np.linalg, "qr",
+                            lambda a, **kw: factors.append(a) or factor(a, **kw))
         rng = np.random.default_rng(rows)
         X = rng.uniform(-1, 1, size=(rows, 6))
         Y = np.sin(X[:, :1])
         elm_train(X, Y, nodes, Activation.SIGMOID, seed=2)
         (H, Y_seen), = seen
         owner = H if H.base is None else H.base
-        assert H.shape == (rows, nodes)
+        assert H.shape == (1, rows, nodes)
+        np.testing.assert_array_equal(Y_seen[0], Y)
         if joined:
-            assert owner.shape == (rows, nodes + 1) and Y_seen.base is owner
+            assert owner.shape == (1, rows, nodes + 1) and Y_seen.base is owner
+            assert len(factors) == 1 and factors[0] is owner
         else:
-            assert owner.shape == (rows, nodes) and H.flags.c_contiguous
-            assert Y_seen is Y
+            assert owner.shape == (1, rows, nodes) and H.flags.c_contiguous
+            assert factors == []
 
     def test_no_output_bias_flag(self):
         X = np.linspace(-1, 1, 10)[:, None]
@@ -214,6 +219,32 @@ class TestEnsemble:
                              member_count=6, seed=123)
         for i, member in enumerate(ens.members):
             assert member.seed == derive_seed(123, STREAM_MEMBER, i)
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    @pytest.mark.parametrize("rows, nodes", [(200, 10), (200, 40), (399, 150)])
+    def test_members_do_not_depend_on_their_chunk_mates(
+            self, monkeypatch, activation, rows, nodes):
+        """A budget of three members per chunk puts chunk boundaries inside
+        an 8-member ensemble.  At 200 rows the fits take the Gram route, at
+        399x150 the QR route; each member is bitwise ``elm_train`` on its
+        derived seed."""
+        monkeypatch.setattr(regress, "_CHUNK_ELEMENTS", 3 * rows * (nodes + 1))
+        chunks = []
+        solve = regress.pinv_solve_stack
+        monkeypatch.setattr(regress, "pinv_solve_stack",
+                            lambda H, Y: chunks.append(len(H)) or solve(H, Y))
+        rng = np.random.default_rng(rows + nodes)
+        X = rng.uniform(-1.0, 1.0, size=(rows, 4))
+        Y = np.sin(2.0 * X[:, :1]) + X[:, 1:2]
+        ens = ensemble_train(X, Y, nodes, activation, member_count=8, seed=5)
+        assert chunks == [3, 3, 2]
+        for i, member in enumerate(ens.members):
+            alone = elm_train(X, Y, nodes, activation,
+                              seed=derive_seed(5, STREAM_MEMBER, i))
+            np.testing.assert_array_equal(member.hidden_weights, alone.hidden_weights)
+            np.testing.assert_array_equal(member.hidden_biases, alone.hidden_biases)
+            np.testing.assert_array_equal(bits(member.output_weights),
+                                          bits(alone.output_weights))
 
     def test_plain_mean_matches_stacked_members(self):
         X = np.linspace(-1, 1, 20)[:, None]
