@@ -33,7 +33,7 @@ from ..preprocess import (TargetTransform, apply_minmax, clip_nonnegative,
                           minmax_onehot_group, r_outl)
 from ..regress import (Activation, CvConfig, default_node_grid, ensemble_predict,
                        ensemble_train, lr_fit, lr_predict, select_node_count)
-from ..seeding import STREAM_CV, STREAM_TRIAL, derive_seed
+from ..seeding import STREAM_CV, STREAM_TRIAL, check_seed, derive_seed
 from .dataset import Dataset
 from .metrics import boxplot_rows, mad, maen_at_scale, spearman
 
@@ -78,6 +78,7 @@ class ExperimentConfig:
         for q in self.gate_percentiles:
             if not 0.0 < q < 100.0:
                 raise ValueError(f"gate percentiles must be in (0, 100), got {q}")
+        check_seed(self.master_seed, "master_seed")
         if self.min_subset_rows < 2:
             raise ValueError(
                 f"min_subset_rows must be at least 2, got {self.min_subset_rows}"

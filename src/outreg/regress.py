@@ -25,7 +25,14 @@ one-member case of the same code.
 Hidden weights are uniform on [-1, 1] and hidden biases uniform on [0, 1],
 drawn in that order from a generator derived from the training seed, so a
 given (seed, node_count, activation) triple always yields the same model.
-The output layer has no bias term.
+The output layer has no bias term.  ``_train`` derives every member's
+PCG64 seeding words at once (``seeding.stream_words``) and draws one
+chunk's layers at a time into one chunk-sized array (``_hidden_layers``),
+bitwise ``derive_rng(seed)``'s draws.  ``select_node_count`` trains a
+candidate's folds the same way: the folds that train on equally many
+rows are one (k, n, d) stack, each member with its own X and Y, and the
+stacked product and solve make each member's lone calls, so every fold
+model is bitwise its lone ``elm_train``.
 
 Training and evaluation use different but equal forms of the network.
 Training computes activation(X W^T + b) as written, and no fitted weight
@@ -74,7 +81,8 @@ import numpy as np
 
 from .numkernel import (as_matrix, as_vector, factors_joined, pinv_solve,
                         pinv_solve_stack)
-from .seeding import STREAM_CV, STREAM_MEMBER, derive_rng, derive_seed
+from .seeding import (STREAM_CV, STREAM_MEMBER, check_seed, derive_seeds,
+                      stream_doubles, stream_words)
 
 DEFAULT_NODE_GRID = (5, 10, 20, 40, 70, 100, 150, 200, 300)
 
@@ -202,38 +210,52 @@ def _checked(inputs, targets, node_count: int, activation: Activation):
 
 def _train(X, Y, node_count: int, activation: Activation, seeds) -> list[ElmModel]:
     """One member per seed, trained a chunk of members at a time (module
-    docstring) on checked inputs and targets."""
-    n, m = Y.shape
+    docstring) on checked inputs and targets: one (n, d) X and (n, m) Y
+    for every member, or (k, n, d) and (k, n, m) stacks, one pair per seed."""
+    n, m = Y.shape[-2:]
     width = node_count + m if factors_joined(n, node_count) else node_count
     step = max(1, _CHUNK_ELEMENTS // (n * width))
+    words = stream_words(seeds)
     members = []
     for start in range(0, len(seeds), step):
-        members.extend(_train_chunk(X, Y, node_count, activation, width,
-                                    seeds[start:start + step]))
+        part = slice(start, start + step)
+        members.extend(_train_chunk(X[part] if X.ndim == 3 else X,
+                                    Y[part] if Y.ndim == 3 else Y,
+                                    node_count, activation, width,
+                                    seeds[part], words[part]))
     return members
 
 
+def _hidden_layers(words, node_count: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each stream's hidden layer, W ~ U[-1, 1] as (k, L, d) and then
+    b ~ U[0, 1] as (k, L): bitwise ``derive_rng(s).uniform(-1, 1, (L, d))``
+    and ``.uniform(0, 1, L)`` for the seed s of each row of ``words``.
+
+    Both are views of one array of draws, which holds the k layers and
+    nothing else, so a member that keeps its W and b keeps no more."""
+    draws = stream_doubles(words, node_count * (d + 1))
+    W = draws[:, :node_count * d].reshape(len(words), node_count, d)
+    W *= 2.0
+    W -= 1.0
+    return W, draws[:, node_count * d:]
+
+
 def _train_chunk(X, Y, node_count: int, activation: Activation, width: int,
-                 seeds) -> list[ElmModel]:
+                 seeds, words) -> list[ElmModel]:
     """The members of one chunk, whose hidden layers share one (k, N, width)
     array: H, then Y where ``width`` has room for it.  The array is freed on
     return, before the next chunk's is allocated."""
-    (n, d), m = X.shape, Y.shape[1]
-    layers = []
-    for seed in seeds:
-        rng = derive_rng(seed)
-        layers.append((rng.uniform(-1.0, 1.0, size=(node_count, d)),
-                       rng.uniform(0.0, 1.0, size=node_count)))
-    bias = np.zeros((len(seeds), 1, width))
-    bias[:, 0, :node_count] = [b for _, b in layers]
+    (n, d), m, k = X.shape[-2:], Y.shape[-1], len(seeds)
+    W, b = _hidden_layers(words, node_count, d)
+    bias = np.zeros((k, 1, width))
+    bias[:, 0, :node_count] = b
     # the plain form activation(X W^T + b); evaluation folds it (module
     # docstring).  Where the solve factors [H | Y], H and Y share one array,
     # whose Y columns go through the activation as zeros, so that every
     # pass runs on contiguous storage, and are then overwritten
-    z = np.empty((len(seeds), n, width))
+    z = np.empty((k, n, width))
     z[:, :, node_count:] = 0.0
-    np.matmul(X, np.stack([W for W, _ in layers]).transpose(0, 2, 1),
-              out=z[:, :, :node_count])
+    np.matmul(X, W.transpose(0, 2, 1), out=z[:, :, :node_count])
     z += bias
     _activate(activation, z)
     if not np.isfinite(z).all():
@@ -245,11 +267,11 @@ def _train_chunk(X, Y, node_count: int, activation: Activation, width: int,
         z[:, :, node_count:] = Y
         targets = z[:, :, node_count:]
     else:
-        targets = np.broadcast_to(Y, (len(seeds), n, m))
+        targets = np.broadcast_to(Y, (k, n, m))
     B = pinv_solve_stack(z[:, :, :node_count], targets)
-    return [ElmModel(hidden_weights=W, hidden_biases=b, output_weights=B[i],
+    return [ElmModel(hidden_weights=W[i], hidden_biases=b[i], output_weights=B[i],
                      activation=activation, seed=int(seed))
-            for i, ((W, b), seed) in enumerate(zip(layers, seeds))]
+            for i, seed in enumerate(seeds)]
 
 
 def elm_train(inputs, targets, node_count: int, activation: Activation,
@@ -328,8 +350,7 @@ def ensemble_train(inputs, targets, node_count: int, activation: Activation,
     trim = (TrimPolicy.DROP_MIN_MAX if activation is Activation.RADIAL_BASIS
             else TrimPolicy.NONE)
     members = tuple(_train(X, Y, node_count, activation,
-                           [derive_seed(seed, STREAM_MEMBER, i)
-                            for i in range(member_count)]))
+                           derive_seeds(seed, STREAM_MEMBER, count=member_count)))
     return EnsembleModel(members=members, trim_policy=trim, seed=int(seed))
 
 
@@ -361,6 +382,7 @@ class CvConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed, "seed")
         if self.folds < 2:
             raise ValueError(f"folds must be at least 2, got {self.folds}")
         counts = tuple(self.candidate_node_counts)
@@ -396,15 +418,20 @@ def select_node_count(inputs, targets, activation: Activation, cv: CvConfig):
     Returns (node_count, mean_mse_per_candidate) where the second element
     maps each evaluated candidate to its score.
     """
-    X = as_matrix(inputs, "inputs")
-    Y = as_matrix(targets, "targets")
-    if Y.shape[0] != X.shape[0]:
-        raise ValueError(f"inputs have {X.shape[0]} rows but targets has {Y.shape[0]}")
+    X, Y = _checked(inputs, targets, cv.candidate_node_counts[0], activation)
     n = X.shape[0]
     if n < cv.folds:
         raise ValueError(f"need at least {cv.folds} rows for {cv.folds}-fold selection")
     blocks = np.array_split(np.arange(n), cv.folds)
-    min_train_rows = n - max(len(b) for b in blocks)
+    # array_split's blocks take at most two sizes; the folds of each size
+    # train as one stack, every fold on its own rows and seed
+    groups = {}
+    for fi, block in enumerate(blocks):
+        groups.setdefault(len(block), []).append(fi)
+    stacks = [(folds, np.stack([np.delete(X, blocks[fi], axis=0) for fi in folds]),
+               np.stack([np.delete(Y, blocks[fi], axis=0) for fi in folds]))
+              for folds in groups.values()]
+    min_train_rows = n - max(groups)
     scores: dict[int, float] = {}
     for ci, L in enumerate(cv.candidate_node_counts):
         if L > min_train_rows:
@@ -413,13 +440,14 @@ def select_node_count(inputs, targets, activation: Activation, cv: CvConfig):
                 f"training fold ({min_train_rows} rows)"
             )
             continue
+        seeds = derive_seeds(cv.seed, STREAM_CV, ci, count=cv.folds)
+        models = {}
+        for folds, Xs, Ys in stacks:
+            models.update(zip(folds, _train(Xs, Ys, L, activation,
+                                            [seeds[fi] for fi in folds])))
         fold_mse = []
         for fi, block in enumerate(blocks):
-            mask = np.ones(n, dtype=bool)
-            mask[block] = False
-            model = elm_train(X[mask], Y[mask], L, activation,
-                              seed=derive_seed(cv.seed, STREAM_CV, ci, fi))
-            err = elm_predict(model, X[block]) - Y[block]
+            err = elm_predict(models[fi], X[block]) - Y[block]
             fold_mse.append(float(np.mean(err * err)))
         scores[int(L)] = float(np.mean(fold_mse))
     if not scores:

@@ -134,6 +134,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="gate percentiles must not repeat"):
             ExperimentConfig(gate_percentiles=(95, 95.0))
 
+    def test_negative_master_seed_rejected_at_construction(self):
+        """Not after the gate, the baseline and the plans are built."""
+        with pytest.raises(ValueError, match="master_seed must be non-negative"):
+            ExperimentConfig(master_seed=-1)
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "1"])
+    def test_non_integer_master_seed_rejected(self, bad):
+        """True would run as seed 1 and be echoed as true in the report."""
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            ExperimentConfig(master_seed=bad)
+
 
 class TestResultShape:
     def test_one_trial_report_per_activation_and_trial(self):

@@ -469,6 +469,53 @@ class TestNodeSelection:
         with pytest.raises(ValueError, match="positive"):
             CvConfig(candidate_node_counts=(0, 5))
 
+    @pytest.mark.parametrize("bad, message", [
+        (-1, "seed must be non-negative"), (1.5, "seed must be an integer"),
+        (True, "seed must be an integer")])
+    def test_bad_seed_rejected_at_construction(self, bad, message):
+        """Not inside select_node_count, after the config has been passed on."""
+        with pytest.raises(ValueError, match=message):
+            CvConfig(seed=bad)
+
+    @staticmethod
+    def reference_scores(X, Y, activation, cv):
+        """Each (candidate, fold) as a lone elm_train fit, in fold order."""
+        n = len(X)
+        blocks = np.array_split(np.arange(n), cv.folds)
+        scores = {}
+        for ci, L in enumerate(cv.candidate_node_counts):
+            fold_mse = []
+            for fi, block in enumerate(blocks):
+                mask = np.ones(n, dtype=bool)
+                mask[block] = False
+                model = elm_train(X[mask], Y[mask], L, activation,
+                                  seed=derive_seed(cv.seed, STREAM_CV, ci, fi))
+                err = elm_predict(model, X[block]) - Y[block]
+                fold_mse.append(float(np.mean(err * err)))
+            scores[L] = float(np.mean(fold_mse))
+        return scores
+
+    @pytest.mark.parametrize("activation", list(Activation), ids=lambda a: a.value)
+    @pytest.mark.parametrize("rows", [60, 63], ids=["one-fold-size", "two-fold-sizes"])
+    @pytest.mark.parametrize("chunk_elements", [None, 100])
+    def test_stacked_folds_are_lone_fits_bitwise(self, monkeypatch, activation,
+                                                 rows, chunk_elements):
+        """Folds of one training size train as one stack.  63 rows in 5
+        folds train on 50 or 51 rows; 3 nodes take the Gram route (at least
+        4 rows per node) and 20 the QR route; a 100-float chunk budget
+        splits every stack into one-member chunks."""
+        if chunk_elements is not None:
+            monkeypatch.setattr(regress, "_CHUNK_ELEMENTS", chunk_elements)
+        rng = np.random.default_rng(rows)
+        X = rng.uniform(-1, 1, size=(rows, 3))
+        Y = np.column_stack([np.sin(2 * X[:, 0]) + X[:, 1] * X[:, 2],
+                             rng.normal(size=rows)])
+        cv = CvConfig(folds=5, candidate_node_counts=(3, 20), seed=2**40 + rows)
+        assert not regress.factors_joined(rows * 4 // 5, 3)
+        assert regress.factors_joined(rows * 4 // 5, 20)
+        _, scores = select_node_count(X, Y, activation, cv)
+        assert scores == self.reference_scores(X, Y, activation, cv)
+
 
 class TestDefaultNodeGrid:
     def test_hundred_rows(self):
