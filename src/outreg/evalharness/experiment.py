@@ -33,7 +33,7 @@ from ..preprocess import (TargetTransform, apply_minmax, clip_nonnegative,
                           minmax_onehot_group, r_outl)
 from ..regress import (Activation, CvConfig, default_node_grid, ensemble_predict,
                        ensemble_train, lr_fit, lr_predict, select_node_count)
-from ..seeding import STREAM_CV, STREAM_TRIAL, check_seed, derive_seed
+from ..seeding import STREAM_CV, STREAM_TRIAL, checked_int, derive_seed
 from .dataset import Dataset
 from .metrics import boxplot_rows, mad, maen_at_scale, spearman
 
@@ -61,12 +61,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.activations:
             raise ValueError("at least one activation is required")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.members_per_trial < 1:
-            raise ValueError(
-                f"members_per_trial must be at least 1, got {self.members_per_trial}"
-            )
+        # numpy integers are held as ints, so the report echoes them as JSON
+        object.__setattr__(self, "trials", checked_int(self.trials, "trials", 1))
+        object.__setattr__(self, "members_per_trial",
+                           checked_int(self.members_per_trial, "members_per_trial", 1))
         if len(set(self.activations)) < len(self.activations):
             raise ValueError(f"activations must not repeat, got "
                              f"{[a.value for a in self.activations]}")
@@ -78,11 +76,9 @@ class ExperimentConfig:
         for q in self.gate_percentiles:
             if not 0.0 < q < 100.0:
                 raise ValueError(f"gate percentiles must be in (0, 100), got {q}")
-        check_seed(self.master_seed, "master_seed")
-        if self.min_subset_rows < 2:
-            raise ValueError(
-                f"min_subset_rows must be at least 2, got {self.min_subset_rows}"
-            )
+        object.__setattr__(self, "master_seed", checked_int(self.master_seed, "master_seed"))
+        object.__setattr__(self, "min_subset_rows",
+                           checked_int(self.min_subset_rows, "min_subset_rows", 2))
 
 
 @dataclass(frozen=True)

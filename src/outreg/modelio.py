@@ -14,6 +14,13 @@ file that is not an NPZ archive, lacks a field or breaks a row raises a
 ValueError naming the file and the field, so the loaders only build
 objects.
 
+An ensemble file of version 2 holds the ensemble as it is held in
+memory: the header fields, the members' seeds, then the three stacks
+(M, L, d), (M, L) and (M, L, m), so a load reads the same ten fields
+whatever the member count.  A version-1 file, which holds each member's
+three arrays under names suffixed with its index, still loads, into the
+same stacks.
+
 A gate file of version 2 also holds the gate's one-hot groups as four
 flat arrays, with no pickled object: each group's column count
 (``onehot_sizes``), then all groups' columns, category labels and
@@ -31,11 +38,11 @@ import numpy as np
 
 from .outlier_gate import Gate
 from .preprocess import OneHotGroup
-from .regress import Activation, ElmModel, EnsembleModel, TrimPolicy
+from .regress import Activation, EnsembleModel, TrimPolicy
 
 ENSEMBLE_FORMAT = "outreg-ensemble"
 GATE_FORMAT = "outreg-gate"
-ENSEMBLE_FORMAT_VERSION = 1
+ENSEMBLE_FORMAT_VERSION = 2
 GATE_FORMAT_VERSION = 2
 
 
@@ -67,11 +74,17 @@ _ENSEMBLE_FIELDS = (
     ("member_count", "iu", (), (lambda v, dims: v >= 1, "a count of at least 1")),
     ("seed", "U", (), _SEEDS),
 )
-_MEMBER_FIELDS = (
-    ("hidden_weights_{}", "f", ("L", "d"), _FINITE),
-    ("hidden_biases_{}", "f", ("L",), _FINITE),
-    ("output_weights_{}", "f", ("L", "m"), _FINITE),
+# version 2: the members' seeds and three stacks, one slice per member
+_STACK_FIELDS = (
+    ("member_seeds", "U", ("member_count",), _SEEDS),
+    ("hidden_weights", "f", ("member_count", "L", "d"), _FINITE),
+    ("hidden_biases", "f", ("member_count", "L"), _FINITE),
+    ("output_weights", "f", ("member_count", "L", "m"), _FINITE),
 )
+# version 1: the seeds, then each member's slice of the stacks as three
+# arrays suffixed with its index
+_MEMBER_FIELDS = tuple((name + "_{}", kinds, shape[1:], rule)
+                       for name, kinds, shape, rule in _STACK_FIELDS[1:])
 _GATE_FIELDS = (
     ("mean", "f", ("d",), _FINITE),
     ("covariance", "f", ("d", "d"), _FINITE),
@@ -90,7 +103,7 @@ _ONEHOT_FIELDS = (
     ("onehot_labels", "U", ("k",), None),
     ("onehot_levels", "f", ("k", 2), _FINITE),
 )
-_TABLES = {ENSEMBLE_FORMAT: {ENSEMBLE_FORMAT_VERSION: _ENSEMBLE_FIELDS},
+_TABLES = {ENSEMBLE_FORMAT: {1: _ENSEMBLE_FIELDS, 2: _ENSEMBLE_FIELDS + _STACK_FIELDS},
            GATE_FORMAT: {1: _GATE_FIELDS, 2: _GATE_FIELDS + _ONEHOT_FIELDS}}
 
 
@@ -161,48 +174,51 @@ def save_ensemble(path, ensemble: EnsembleModel) -> None:
     # seeds are arbitrary-precision ints of either sign (derived seeds use
     # the full 64-bit range), so they travel as decimal strings, with a
     # leading "-" when negative; "none" marks an absent seed
-    payload = {
-        "format": ENSEMBLE_FORMAT,
-        "version": ENSEMBLE_FORMAT_VERSION,
-        "activation": ensemble.activation.value,
-        "trim_policy": ensemble.trim_policy.value,
-        "member_count": len(ensemble.members),
-        "seed": _seed_text(ensemble.seed),
-        "member_seeds": np.asarray(
-            [_seed_text(m.seed) for m in ensemble.members]
-        ),
-    }
-    for i, m in enumerate(ensemble.members):
-        payload[f"hidden_weights_{i}"] = m.hidden_weights
-        payload[f"hidden_biases_{i}"] = m.hidden_biases
-        payload[f"output_weights_{i}"] = m.output_weights
-    np.savez(path, **payload)
+    np.savez(
+        path,
+        format=ENSEMBLE_FORMAT,
+        version=ENSEMBLE_FORMAT_VERSION,
+        activation=ensemble.activation.value,
+        trim_policy=ensemble.trim_policy.value,
+        member_count=ensemble.member_count,
+        seed=_seed_text(ensemble.seed),
+        member_seeds=np.asarray([_seed_text(s) for s in ensemble.member_seeds]),
+        hidden_weights=ensemble.hidden_weights,
+        hidden_biases=ensemble.hidden_biases,
+        output_weights=ensemble.output_weights,
+    )
 
 
 def load_ensemble(path) -> EnsembleModel:
-    """The ensemble in ``path``; a ValueError naming the file and the field
-    if a field is missing, disagrees with the others in shape or breaks its
-    value rule, if the file holds more member arrays than its member count,
-    or if its trim policy needs more members than it holds."""
+    """The ensemble in ``path``, at version 2 or 1; a ValueError naming the
+    file and the field if a field is missing, disagrees with the others in
+    shape or breaks its value rule, if a version-1 file holds more member
+    arrays than its member count, or if its trim policy needs more members
+    than it holds."""
     dims = {}
     with _archive(path, ENSEMBLE_FORMAT) as (data, table):
-        head = _read_fields(data, path, "ensemble", table, dims)
-        count, trim_policy = dims["member_count"], TrimPolicy(str(head["trim_policy"]))
-        held = sum(k.startswith(("hidden_", "output_")) for k in data.files)
-        if held > 3 * count:
-            raise ValueError(f"{path}: ensemble field 'member_count' is {count}, but the "
-                             f"file holds {held} member arrays")
-        if trim_policy is TrimPolicy.DROP_MIN_MAX and count < 3:
-            raise ValueError(f"{path}: ensemble field 'trim_policy' is 'drop-min-max', "
-                             f"which needs at least 3 members, but 'member_count' is {count}")
-        seeds, *arrays = _read_fields(data, path, "ensemble", [
-            ("member_seeds", "U", ("member_count",), _SEEDS),
-            *((name.format(i), *row) for i in range(count) for name, *row in _MEMBER_FIELDS),
-        ], dims).values()
-    activation = Activation(str(head["activation"]))
-    members = (ElmModel(*arrays[3 * i:3 * i + 3], activation, _seed_value(seed))
-               for i, seed in enumerate(seeds.tolist()))
-    return EnsembleModel(tuple(members), trim_policy, _seed_value(head["seed"]))
+        fields = _read_fields(data, path, "ensemble", table, dims)
+        count = dims["member_count"]
+        if "hidden_weights" not in fields:   # version 1: three arrays per member
+            held = sum(k.startswith(("hidden_", "output_")) for k in data.files)
+            if held > 3 * count:
+                raise ValueError(f"{path}: ensemble field 'member_count' is {count}, but "
+                                 f"the file holds {held} member arrays")
+            seeds, *arrays = _read_fields(data, path, "ensemble", [
+                _STACK_FIELDS[0],
+                *((name.format(i), *row) for i in range(count) for name, *row in _MEMBER_FIELDS),
+            ], dims).values()
+            fields.update(member_seeds=seeds, hidden_weights=np.stack(arrays[0::3]),
+                          hidden_biases=np.stack(arrays[1::3]),
+                          output_weights=np.stack(arrays[2::3]))
+    trim_policy = TrimPolicy(str(fields["trim_policy"]))
+    if trim_policy is TrimPolicy.DROP_MIN_MAX and count < 3:
+        raise ValueError(f"{path}: ensemble field 'trim_policy' is 'drop-min-max', "
+                         f"which needs at least 3 members, but 'member_count' is {count}")
+    return EnsembleModel.from_stacks(
+        fields["hidden_weights"], fields["hidden_biases"], fields["output_weights"],
+        Activation(str(fields["activation"])), trim_policy, _seed_value(fields["seed"]),
+        [_seed_value(seed) for seed in fields["member_seeds"].tolist()])
 
 
 def save_gate(path, gate: Gate) -> None:

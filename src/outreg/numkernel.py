@@ -29,9 +29,13 @@ import math
 import numpy as np
 
 
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D float64 array or raise ValueError."""
-    return _as_finite(values, name, 2)
+def as_matrix(values, name: str = "matrix", columns: int | None = None) -> np.ndarray:
+    """Coerce to a finite 2-D float64 array, with ``columns`` columns where
+    given, or raise ValueError."""
+    array = _as_finite(values, name, 2)
+    if columns is not None and array.shape[1] != columns:
+        raise ValueError(f"{name} has {array.shape[1]} columns, expected {columns}")
+    return array
 
 
 def as_vector(values, name: str = "vector") -> np.ndarray:

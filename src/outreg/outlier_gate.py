@@ -180,11 +180,7 @@ def classify(gate: Gate, test_inputs) -> OutlierPartition:
     row is.  The neighbour search runs only for rows that pass the first
     condition, since it is the expensive half.
     """
-    X = as_matrix(test_inputs, "test_inputs")
-    if X.shape[1] != gate.mean.size:
-        raise ValueError(
-            f"test inputs have {X.shape[1]} columns, gate expects {gate.mean.size}"
-        )
+    X = as_matrix(test_inputs, "test_inputs", gate.mean.size)
     distances = _distances(gate, X)
     searched = distances > gate.threshold_distance
     nearest, beyond = _beyond(gate, X[searched])

@@ -44,11 +44,7 @@ def apply_minmax(scaler: MinMaxScaler, inputs) -> np.ndarray:
     Columns that were constant in training have no usable range; they map
     to 0 regardless of the incoming value.
     """
-    X = as_matrix(inputs, "inputs")
-    if X.shape[1] != scaler.x_min.size:
-        raise ValueError(
-            f"inputs have {X.shape[1]} columns, scaler was fitted on {scaler.x_min.size}"
-        )
+    X = as_matrix(inputs, "inputs", scaler.x_min.size)
     span = scaler.x_max - scaler.x_min
     constant = scaler.constant_columns
     safe_span = np.where(constant, 1.0, span)
@@ -59,11 +55,7 @@ def apply_minmax(scaler: MinMaxScaler, inputs) -> np.ndarray:
 
 def invert_minmax(scaler: MinMaxScaler, scaled) -> np.ndarray:
     """Inverse of apply_minmax; constant columns recover their fitted value."""
-    Z = as_matrix(scaled, "scaled")
-    if Z.shape[1] != scaler.x_min.size:
-        raise ValueError(
-            f"scaled inputs have {Z.shape[1]} columns, scaler was fitted on {scaler.x_min.size}"
-        )
+    Z = as_matrix(scaled, "scaled", scaler.x_min.size)
     span = scaler.x_max - scaler.x_min
     X = scaler.x_min + (Z + 1.0) * span / 2.0
     constant = scaler.constant_columns

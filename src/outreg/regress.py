@@ -9,6 +9,15 @@ hidden node, a QR solve otherwise; LAPACK's xGELSD on any other design).
 Averaging an ensemble of such networks (here 100 by default) smooths out
 the variance of the random hidden layer.
 
+An ``EnsembleModel`` is its three stacks, one slice per member: hidden
+weights W (M, L, d), hidden biases b (M, L) and output weights B
+(M, L, m), beside its activation, trim policy, seed and member seeds.
+``EnsembleModel(members, trim_policy, seed)`` stacks lone ``ElmModel``
+networks, and ``EnsembleModel.members`` gives them back as views of the
+stacks, built on first use.  Nothing else copies a member:
+``ensemble_train`` writes each chunk's W, b and B into the stacks, and
+``modelio`` saves and loads the stacks as they are.
+
 ``ensemble_train`` trains its members a chunk at a time, with chunks
 sized so that the hidden layers stay near ``_CHUNK_ELEMENTS`` floats.
 For a chunk of k members it writes every member's activations H into
@@ -28,17 +37,19 @@ given (seed, node_count, activation) triple always yields the same model.
 The output layer has no bias term.  ``_train`` derives every member's
 PCG64 seeding words at once (``seeding.stream_words``) and draws one
 chunk's layers at a time into one chunk-sized array (``_hidden_layers``),
-bitwise ``derive_rng(seed)``'s draws.  ``select_node_count`` trains a
-candidate's folds the same way: the folds that train on equally many
-rows are one (k, n, d) stack, each member with its own X and Y, and the
-stacked product and solve make each member's lone calls, so every fold
-model is bitwise its lone ``elm_train``.
+bitwise ``derive_rng(seed)``'s draws, which it copies into the stacks.
+``select_node_count`` trains a candidate's folds the same way: the folds
+that train on equally many rows are one (k, n, d) stack, each member
+with its own X and Y, and the stacked product and solve make each
+member's lone calls, so every fold model is bitwise its lone
+``elm_train``.
 
 Training and evaluation use different but equal forms of the network.
 Training computes activation(X W^T + b) as written, and no fitted weight
 depends on how a network is evaluated.  Evaluation folds two affine maps
-into the weights, once per call of ``elm_predict`` and once per ensemble
-(``EnsembleModel._stacked``):
+into the weights, once per call of ``elm_predict``, from its model's
+arrays as one-member stacks, and once per ensemble, from its stacks
+(``_fold``, cached as ``EnsembleModel._stacked``):
 
 * The bias joins the input product.  X gains a column of ones and each
   member's hidden layer is stacked as [W | b], shape (M, L, d+1), so the
@@ -81,7 +92,7 @@ import numpy as np
 
 from .numkernel import (as_matrix, as_vector, factors_joined, pinv_solve,
                         pinv_solve_stack)
-from .seeding import (STREAM_CV, STREAM_MEMBER, check_seed, derive_seeds,
+from .seeding import (STREAM_CV, STREAM_MEMBER, checked_int, derive_seeds,
                       stream_doubles, stream_words)
 
 DEFAULT_NODE_GRID = (5, 10, 20, 40, 70, 100, 150, 200, 300)
@@ -141,32 +152,27 @@ class ElmModel:
     seed: int | None = None
 
     @property
-    def node_count(self) -> int:
-        return self.hidden_weights.shape[0]
-
-    @property
     def input_dim(self) -> int:
         return self.hidden_weights.shape[1]
 
 
-def _stack(members) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Members folded for ``_forward`` (see the module docstring): [W | b]^T
-    (M, d+1, L), B (M, L, m) and the sigmoid's offsets (M, 1, m) or None.
+def _fold(W, b, B, activation) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Stacked members folded for ``_forward`` (see the module docstring):
+    [W | b]^T (M, d+1, L), B (M, L, m) and the sigmoid's offsets (M, 1, m)
+    or None, from W (M, L, d), b (M, L) and B (M, L, m).
 
-    [W | b]^T is a transposed view of a C-ordered (M, L, d+1) array, so
-    each member's slice has the strides of a lone member's.
+    [W | b]^T is a transposed view of a C-ordered (M, L, d+1) array, and B
+    is C-ordered, so each member's slice has the strides of a lone member's.
     """
-    first = members[0]
-    L, d = first.hidden_weights.shape
-    layer = np.empty((len(members), L, d + 1))
-    # np.stack, without its per-call checks: elm_predict stacks one member
-    np.concatenate([m.hidden_weights[None] for m in members], out=layer[:, :, :d])
-    np.concatenate([m.hidden_biases[None] for m in members], out=layer[:, :, d])
-    outputs = np.concatenate([m.output_weights[None] for m in members])
+    M, L, d = W.shape
+    layer = np.empty((M, L, d + 1))
+    layer[:, :, :d] = W
+    layer[:, :, d] = b
+    outputs = np.ascontiguousarray(B)
     offsets = None
-    if first.activation is Activation.SIGMOID:
+    if activation is Activation.SIGMOID:
         layer *= 0.5
-        outputs *= 0.5
+        outputs = outputs * 0.5
         offsets = outputs.sum(axis=1, keepdims=True)
     return layer.transpose(0, 2, 1), outputs, offsets
 
@@ -208,22 +214,22 @@ def _checked(inputs, targets, node_count: int, activation: Activation):
     return X, Y
 
 
-def _train(X, Y, node_count: int, activation: Activation, seeds) -> list[ElmModel]:
+def _train(X, Y, node_count: int, activation: Activation, seeds):
     """One member per seed, trained a chunk of members at a time (module
     docstring) on checked inputs and targets: one (n, d) X and (n, m) Y
-    for every member, or (k, n, d) and (k, n, m) stacks, one pair per seed."""
-    n, m = Y.shape[-2:]
+    for every member, or (k, n, d) and (k, n, m) stacks, one pair per seed.
+    Returns the members' stacks W (k, L, d), b (k, L) and B (k, L, m)."""
+    (n, d), m, k = X.shape[-2:], Y.shape[-1], len(seeds)
     width = node_count + m if factors_joined(n, node_count) else node_count
     step = max(1, _CHUNK_ELEMENTS // (n * width))
     words = stream_words(seeds)
-    members = []
-    for start in range(0, len(seeds), step):
+    stacks = (np.empty((k, node_count, d)), np.empty((k, node_count)),
+              np.empty((k, node_count, m)))
+    for start in range(0, k, step):
         part = slice(start, start + step)
-        members.extend(_train_chunk(X[part] if X.ndim == 3 else X,
-                                    Y[part] if Y.ndim == 3 else Y,
-                                    node_count, activation, width,
-                                    seeds[part], words[part]))
-    return members
+        _train_chunk(X[part] if X.ndim == 3 else X, Y[part] if Y.ndim == 3 else Y,
+                     activation, width, words[part], *(s[part] for s in stacks))
+    return stacks
 
 
 def _hidden_layers(words, node_count: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +238,7 @@ def _hidden_layers(words, node_count: int, d: int) -> tuple[np.ndarray, np.ndarr
     and ``.uniform(0, 1, L)`` for the seed s of each row of ``words``.
 
     Both are views of one array of draws, which holds the k layers and
-    nothing else, so a member that keeps its W and b keeps no more."""
+    nothing else."""
     draws = stream_doubles(words, node_count * (d + 1))
     W = draws[:, :node_count * d].reshape(len(words), node_count, d)
     W *= 2.0
@@ -240,13 +246,13 @@ def _hidden_layers(words, node_count: int, d: int) -> tuple[np.ndarray, np.ndarr
     return W, draws[:, node_count * d:]
 
 
-def _train_chunk(X, Y, node_count: int, activation: Activation, width: int,
-                 seeds, words) -> list[ElmModel]:
-    """The members of one chunk, whose hidden layers share one (k, N, width)
-    array: H, then Y where ``width`` has room for it.  The array is freed on
-    return, before the next chunk's is allocated."""
-    (n, d), m, k = X.shape[-2:], Y.shape[-1], len(seeds)
-    W, b = _hidden_layers(words, node_count, d)
+def _train_chunk(X, Y, activation: Activation, width: int, words, W, b, B) -> None:
+    """The members of one chunk, written into their slices W, b and B of the
+    stacks.  Their hidden layers share one (k, N, width) array: H, then Y
+    where ``width`` has room for it.  The array is freed on return, before
+    the next chunk's is allocated."""
+    (k, node_count), (n, d), m = b.shape, X.shape[-2:], Y.shape[-1]
+    W[...], b[...] = _hidden_layers(words, node_count, d)
     bias = np.zeros((k, 1, width))
     bias[:, 0, :node_count] = b
     # the plain form activation(X W^T + b); evaluation folds it (module
@@ -268,10 +274,7 @@ def _train_chunk(X, Y, node_count: int, activation: Activation, width: int,
         targets = z[:, :, node_count:]
     else:
         targets = np.broadcast_to(Y, (k, n, m))
-    B = pinv_solve_stack(z[:, :, :node_count], targets)
-    return [ElmModel(hidden_weights=W[i], hidden_biases=b[i], output_weights=B[i],
-                     activation=activation, seed=int(seed))
-            for i, seed in enumerate(seeds)]
+    B[...] = pinv_solve_stack(z[:, :, :node_count], targets)
 
 
 def elm_train(inputs, targets, node_count: int, activation: Activation,
@@ -282,56 +285,87 @@ def elm_train(inputs, targets, node_count: int, activation: Activation,
     This is ``ensemble_train``'s code for one member.
     """
     X, Y = _checked(inputs, targets, node_count, activation)
-    return _train(X, Y, node_count, activation, (seed,))[0]
+    W, b, B = _train(X, Y, node_count, activation, (seed,))
+    return ElmModel(W[0], b[0], B[0], activation, int(seed))
 
 
 def elm_predict(model: ElmModel, inputs) -> np.ndarray:
     """Network outputs, shape (N, m)."""
-    X = as_matrix(inputs, "inputs")
-    if X.shape[1] != model.input_dim:
-        raise ValueError(
-            f"inputs have {X.shape[1]} columns, model expects {model.input_dim}"
-        )
-    return _forward(X, _stack((model,)), model.activation)[0]
+    X = as_matrix(inputs, "inputs", model.input_dim)
+    stacked = _fold(model.hidden_weights[None], model.hidden_biases[None],
+                    model.output_weights[None], model.activation)
+    return _forward(X, stacked, model.activation)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EnsembleModel:
-    members: tuple[ElmModel, ...]
-    trim_policy: TrimPolicy
-    seed: int | None = None
+    """M networks that share activation, node count L, input dimension d
+    and output count m, held as three stacks, one slice per member.
 
-    def __post_init__(self):
-        if not self.members:
+    ``EnsembleModel(members, trim_policy, seed)`` stacks lone networks;
+    ``from_stacks`` holds stacks as they are, and ``members`` gives each
+    member back as an ``ElmModel`` whose arrays are views of the stacks.
+    """
+
+    hidden_weights: np.ndarray        # (M, L, d)
+    hidden_biases: np.ndarray         # (M, L)
+    output_weights: np.ndarray        # (M, L, m)
+    activation: Activation
+    trim_policy: TrimPolicy
+    seed: int | None
+    member_seeds: tuple[int | None, ...]
+
+    def __init__(self, members, trim_policy: TrimPolicy, seed: int | None = None):
+        if not members:
             raise ValueError("an ensemble needs at least one member")
-        first = self.members[0]
-        for m in self.members[1:]:
-            if (m.activation is not first.activation
-                    or m.node_count != first.node_count
-                    or m.input_dim != first.input_dim):
-                raise ValueError("ensemble members must share activation, "
-                                 "node count and input dimension")
-        if self.trim_policy is TrimPolicy.DROP_MIN_MAX and len(self.members) < 3:
-            raise ValueError(
-                f"drop-min-max trimming needs at least 3 members, got {len(self.members)}"
-            )
+        if any(m.activation is not members[0].activation for m in members):
+            raise ValueError("ensemble members must share activation and shapes")
+        self._hold(*(np.stack([getattr(m, name) for m in members]) for name in
+                     ("hidden_weights", "hidden_biases", "output_weights")),
+                   members[0].activation, trim_policy, seed, tuple(m.seed for m in members))
+
+    @classmethod
+    def from_stacks(cls, hidden_weights, hidden_biases, output_weights,
+                    activation: Activation, trim_policy: TrimPolicy,
+                    seed: int | None, member_seeds) -> EnsembleModel:
+        """The ensemble of stacks W (M, L, d), b (M, L) and B (M, L, m) of
+        matching M and L, and M member seeds, held without a copy."""
+        ensemble = cls.__new__(cls)
+        ensemble._hold(hidden_weights, hidden_biases, output_weights, activation,
+                       trim_policy, seed, tuple(member_seeds))
+        return ensemble
+
+    def _hold(self, *values) -> None:
+        """Set the fields to ``values``, in field order."""
+        for name, value in zip(self.__dataclass_fields__, values):
+            object.__setattr__(self, name, value)
+        if self.trim_policy is TrimPolicy.DROP_MIN_MAX and self.member_count < 3:
+            raise ValueError("drop-min-max trimming needs at least 3 members, "
+                             f"got {self.member_count}")
 
     @property
-    def activation(self) -> Activation:
-        return self.members[0].activation
+    def member_count(self) -> int:
+        return self.hidden_weights.shape[0]
 
     @property
     def node_count(self) -> int:
-        return self.members[0].node_count
+        return self.hidden_weights.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.members[0].input_dim
+        return self.hidden_weights.shape[2]
+
+    @functools.cached_property
+    def members(self) -> tuple[ElmModel, ...]:
+        """Each member as a lone network, its arrays views of the stacks."""
+        return tuple(ElmModel(*arrays, self.activation, seed) for *arrays, seed in zip(
+            self.hidden_weights, self.hidden_biases, self.output_weights, self.member_seeds))
 
     @functools.cached_property
     def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """The members folded for ``_forward``, built once per ensemble."""
-        return _stack(self.members)
+        return _fold(self.hidden_weights, self.hidden_biases, self.output_weights,
+                     self.activation)
 
 
 def ensemble_train(inputs, targets, node_count: int, activation: Activation,
@@ -349,9 +383,9 @@ def ensemble_train(inputs, targets, node_count: int, activation: Activation,
     X, Y = _checked(inputs, targets, node_count, activation)
     trim = (TrimPolicy.DROP_MIN_MAX if activation is Activation.RADIAL_BASIS
             else TrimPolicy.NONE)
-    members = tuple(_train(X, Y, node_count, activation,
-                           derive_seeds(seed, STREAM_MEMBER, count=member_count)))
-    return EnsembleModel(members=members, trim_policy=trim, seed=int(seed))
+    seeds = derive_seeds(seed, STREAM_MEMBER, count=member_count)
+    return EnsembleModel.from_stacks(*_train(X, Y, node_count, activation, seeds),
+                                     activation, trim, int(seed), seeds)
 
 
 def ensemble_predict(ensemble: EnsembleModel, inputs) -> np.ndarray:
@@ -360,17 +394,12 @@ def ensemble_predict(ensemble: EnsembleModel, inputs) -> np.ndarray:
     Under drop-min-max the single largest and single smallest member
     prediction at each output cell are excluded before averaging.
     """
-    X = as_matrix(inputs, "inputs")
-    if X.shape[1] != ensemble.input_dim:
-        raise ValueError(
-            f"inputs have {X.shape[1]} columns, model expects {ensemble.input_dim}"
-        )
+    X = as_matrix(inputs, "inputs", ensemble.input_dim)
     stacked = _forward(X, ensemble._stacked, ensemble.activation)
-    count = len(ensemble.members)
     if ensemble.trim_policy is TrimPolicy.NONE:
         return stacked.mean(axis=0)
     total = stacked.sum(axis=0) - stacked.max(axis=0) - stacked.min(axis=0)
-    return total / (count - 2)
+    return total / (ensemble.member_count - 2)
 
 
 @dataclass(frozen=True)
@@ -382,10 +411,12 @@ class CvConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_seed(self.seed, "seed")
-        if self.folds < 2:
-            raise ValueError(f"folds must be at least 2, got {self.folds}")
-        counts = tuple(self.candidate_node_counts)
+        # numpy integers are held as ints, so a report echoes them as JSON
+        object.__setattr__(self, "seed", checked_int(self.seed, "seed"))
+        object.__setattr__(self, "folds", checked_int(self.folds, "folds", 2))
+        counts = tuple(checked_int(c, f"candidate_node_counts[{i}]", None)
+                       for i, c in enumerate(self.candidate_node_counts))
+        object.__setattr__(self, "candidate_node_counts", counts)
         if not counts:
             raise ValueError("candidate_node_counts must not be empty")
         if any(c < 1 for c in counts):
@@ -443,8 +474,9 @@ def select_node_count(inputs, targets, activation: Activation, cv: CvConfig):
         seeds = derive_seeds(cv.seed, STREAM_CV, ci, count=cv.folds)
         models = {}
         for folds, Xs, Ys in stacks:
-            models.update(zip(folds, _train(Xs, Ys, L, activation,
-                                            [seeds[fi] for fi in folds])))
+            W, b, B = _train(Xs, Ys, L, activation, [seeds[fi] for fi in folds])
+            models.update((fi, ElmModel(W[j], b[j], B[j], activation, seeds[fi]))
+                          for j, fi in enumerate(folds))
         fold_mse = []
         for fi, block in enumerate(blocks):
             err = elm_predict(models[fi], X[block]) - Y[block]
@@ -487,9 +519,5 @@ def lr_fit(inputs, targets) -> LinearModel:
 
 
 def lr_predict(model: LinearModel, inputs) -> np.ndarray:
-    X = as_matrix(inputs, "inputs")
-    if X.shape[1] != model.coefficients.size:
-        raise ValueError(
-            f"inputs have {X.shape[1]} columns, model expects {model.coefficients.size}"
-        )
+    X = as_matrix(inputs, "inputs", model.coefficients.size)
     return X @ model.coefficients + model.intercept

@@ -63,18 +63,21 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
 
 
-def check_seed(value, name: str) -> None:
-    """Raise ValueError naming ``name`` unless value is a non-negative,
-    non-boolean integer."""
+def checked_int(value, name: str, least: int | None = 0) -> int:
+    """``value`` as a Python int; a ValueError naming ``name`` if it is a
+    bool, not an integer, or below ``least`` (None: no lower bound).  A
+    seed's bound is 0; a config field's is its smallest valid value."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+    if least is not None and value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return int(value)
 
 
 def _check_path(seed: int, path: tuple[int, ...]) -> None:
     for value in (seed, *path):
-        check_seed(value, "seed path element")
+        checked_int(value, "seed path element")
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
@@ -110,7 +113,7 @@ def derive_seeds(seed: int, *path: int, count: int) -> list[int]:
 def stream_words(seeds) -> np.ndarray:
     """The PCG64 seeding words of ``derive_rng(s)`` per seed, (k, 4) uint64."""
     for s in seeds:
-        check_seed(s, "seed")
+        checked_int(s, "seed")
     if len(seeds) < _BATCH_MIN_SEEDS or max(seeds) > 2**64 - 1:
         return np.array([np.random.SeedSequence([int(s)]).generate_state(4, np.uint64)
                          for s in seeds], dtype=np.uint64).reshape(len(seeds), 4)

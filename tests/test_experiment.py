@@ -27,8 +27,8 @@ from outreg import (Activation, CvConfig, OneHotGroup, OrConfig, TargetTransform
                     extrapolate, extrapolation_plan, fit_gate, fit_minmax,
                     load_gate, lr_fit, lr_predict, minmax_onehot_group,
                     nlror_predict_detailed, outlier_gate, save_gate)
-from outreg.evalharness import (ExperimentConfig, dataset_from_arrays, load_dataset,
-                                load_manifest, mad, run_experiment)
+from outreg.evalharness import (ExperimentConfig, dataset_from_arrays, emit_report,
+                                load_dataset, load_manifest, mad, run_experiment)
 from outreg.evalharness import experiment
 from outreg.evalharness.experiment import METRICS, MODEL_PAIRS, MODELS, SUBSETS
 from outreg.evalharness.metrics import boxplot_stats
@@ -144,6 +144,58 @@ class TestConfigValidation:
         """True would run as seed 1 and be echoed as true in the report."""
         with pytest.raises(ValueError, match="master_seed must be an integer"):
             ExperimentConfig(master_seed=bad)
+
+
+# (the config class, the integer field, a valid value, a numpy integer of it)
+INTEGER_FIELDS = [
+    (ExperimentConfig, "trials", 2, np.int64(2)),
+    (ExperimentConfig, "members_per_trial", 3, np.int32(3)),
+    (ExperimentConfig, "master_seed", 42, np.uint64(42)),
+    (ExperimentConfig, "min_subset_rows", 5, np.int16(5)),
+    (CvConfig, "folds", 5, np.int64(5)),
+    (CvConfig, "seed", 7, np.uint32(7)),
+    (CvConfig, "candidate_node_counts", (4, 8), (np.int64(4), np.int8(8))),
+]
+
+
+class TestIntegerFields:
+    """Every integer field of a config is typed when the config is built:
+    a numpy integer is held as an int, and a bool or a float is a
+    ValueError that names the field, before any work runs."""
+
+    @pytest.mark.parametrize("config, name, plain, numpy_value", INTEGER_FIELDS,
+                             ids=[f[1] for f in INTEGER_FIELDS])
+    def test_numpy_integer_held_as_int(self, config, name, plain, numpy_value):
+        held = getattr(config(**{name: numpy_value}), name)
+        assert held == plain
+        assert all(type(v) is int for v in (held if isinstance(held, tuple) else [held]))
+
+    @pytest.mark.parametrize("bad", [True, np.True_, 2.0, np.float64(2.0)],
+                             ids=["bool", "numpy-bool", "float", "numpy-float"])
+    @pytest.mark.parametrize("config, name, plain, numpy_value", INTEGER_FIELDS,
+                             ids=[f[1] for f in INTEGER_FIELDS])
+    def test_bool_and_float_rejected(self, config, name, plain, numpy_value, bad):
+        value = (plain[0], bad) if isinstance(plain, tuple) else bad
+        with pytest.raises(ValueError, match=rf"{name}(\[1\])? must be an integer"):
+            config(**{name: value})
+
+    @pytest.mark.parametrize("cv", ["given", "default"])
+    def test_numpy_integer_config_writes_the_plain_report(self, tmp_path, cv):
+        """The twin of a config of plain ints, with numpy integers in every
+        integer field, runs and writes the same report bytes; with the
+        default CV, its numpy master seed derives the CV seed."""
+        reports = []
+        for kind, fields in enumerate(zip(*((plain, numpy_value)
+                                            for _, _, plain, numpy_value in INTEGER_FIELDS))):
+            trials, members, seed, rows, folds, cv_seed, counts = fields
+            config = ExperimentConfig(
+                activations=(Activation.SIGMOID,), trials=trials, members_per_trial=members,
+                master_seed=seed, min_subset_rows=rows,
+                cv=CvConfig(folds=folds, seed=cv_seed, candidate_node_counts=counts)
+                if cv == "given" else None)
+            emit_report(run_experiment(_affine_dataset(), config), tmp_path / str(kind))
+            reports.append((tmp_path / str(kind) / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestResultShape:

@@ -68,6 +68,56 @@ class TestEnsembleRoundTrip:
         assert loaded.members[0].seed is None
 
 
+def save_ensemble_v1(path, ensemble):
+    """``save_ensemble`` as it wrote ensemble format version 1, frozen: the
+    header fields, the member seeds, then three arrays per member suffixed
+    with its index (pinned by ``TestWrittenLayout``)."""
+    payload = {
+        "format": "outreg-ensemble",
+        "version": 1,
+        "activation": ensemble.activation.value,
+        "trim_policy": ensemble.trim_policy.value,
+        "member_count": len(ensemble.members),
+        "seed": "none" if ensemble.seed is None else str(int(ensemble.seed)),
+        "member_seeds": np.asarray(
+            ["none" if m.seed is None else str(int(m.seed)) for m in ensemble.members]
+        ),
+    }
+    for i, m in enumerate(ensemble.members):
+        payload[f"hidden_weights_{i}"] = m.hidden_weights
+        payload[f"hidden_biases_{i}"] = m.hidden_biases
+        payload[f"output_weights_{i}"] = m.output_weights
+    np.savez(path, **payload)
+
+
+def sigmoid_ensemble(member_count=3):
+    """A sigmoid ensemble at L = 4 on d = 2 inputs and m = 1 output."""
+    X = np.linspace(-1, 1, 20).reshape(10, 2)
+    return ensemble_train(X, X[:, :1], 4, Activation.SIGMOID,
+                          member_count=member_count, seed=5)
+
+
+class TestVersion1Files:
+    """Version-1 files, three arrays per member, still load: bitwise the
+    ensemble that was saved, and the same ensemble as its version-2 file."""
+
+    @pytest.mark.parametrize("activation", list(Activation), ids=lambda a: a.value)
+    def test_loads_bitwise(self, tmp_path, activation):
+        ensemble = small_ensemble(activation)
+        save_ensemble_v1(tmp_path / "v1.npz", ensemble)
+        save_ensemble(tmp_path / "v2.npz", ensemble)
+        old, new = load_ensemble(tmp_path / "v1.npz"), load_ensemble(tmp_path / "v2.npz")
+        grid = np.linspace(-2, 2, 50)[:, None]
+        for loaded in (old, new):
+            assert (loaded.activation, loaded.trim_policy, loaded.seed) == (
+                ensemble.activation, ensemble.trim_policy, ensemble.seed)
+            assert loaded.member_seeds == ensemble.member_seeds
+            for name in ("hidden_weights", "hidden_biases", "output_weights"):
+                np.testing.assert_array_equal(getattr(loaded, name), getattr(ensemble, name))
+            assert (ensemble_predict(loaded, grid).tobytes()
+                    == ensemble_predict(ensemble, grid).tobytes())
+
+
 def _rewrite(path, change):
     """Rewrite a saved file with ``change(arrays)`` applied to its arrays;
     an array set to None is left out."""
@@ -128,22 +178,82 @@ BAD_ENSEMBLE_FIELDS = {
 }
 
 
+# id -> (the field named, a change to a version-2 file of the same ensemble)
+BAD_ENSEMBLE_STACKS = {
+    **{f"{name}-missing": (name, _set(**{name: None})) for name in (
+        "member_seeds", "hidden_weights", "hidden_biases", "output_weights")},
+    "hidden-weights-nan-in-member-1": ("hidden_weights",
+                                       _nan_at("hidden_weights", (1, 2, 0))),
+    "hidden-biases-nan-in-member-2": ("hidden_biases", _nan_at("hidden_biases", 2)),
+    "output-weights-nan-in-member-0": ("output_weights", _nan_at("output_weights", 0)),
+    "hidden-weights-two-members": ("hidden_weights",
+                                   lambda a: a.update(hidden_weights=a["hidden_weights"][:2])),
+    "output-weights-four-members": ("output_weights", lambda a: a.update(
+        output_weights=np.concatenate([a["output_weights"], a["output_weights"][:1]]))),
+    "member-count-long": ("member_seeds", _set(member_count=4)),
+    "member-count-short": ("member_seeds", _set(member_count=2)),
+    "hidden-weights-integers": ("hidden_weights",
+                                _set(hidden_weights=np.ones((3, 4, 2), dtype=np.int64))),
+    "hidden-biases-integers": ("hidden_biases",
+                               _set(hidden_biases=np.ones((3, 4), dtype=np.int32))),
+    "output-weights-5-nodes-for-4": ("output_weights",
+                                     _set(output_weights=np.ones((3, 5, 1)))),
+    "hidden-biases-5-nodes-for-4": ("hidden_biases", _set(hidden_biases=np.ones((3, 5)))),
+    "hidden-weights-2d": ("hidden_weights", _set(hidden_weights=np.ones((3, 4)))),
+    "output-weights-2d": ("output_weights", _set(output_weights=np.ones((3, 4)))),
+    "hidden-weights-no-nodes": ("hidden_weights", _set(hidden_weights=np.ones((3, 0, 2)))),
+    "member-seeds-one-for-three": ("member_seeds", _set(member_seeds=np.array(["5"]))),
+    "member-seeds-four-for-three": ("member_seeds",
+                                    _set(member_seeds=np.array(["1", "2", "3", "4"]))),
+    "member-seeds-not-decimal": ("member_seeds",
+                                 _set(member_seeds=np.array(["1", "two", "3"]))),
+    "drop-min-max-on-2-members": ("trim_policy", lambda a: a.update(
+        trim_policy="drop-min-max", member_count=2,
+        **{k: a[k][:2] for k in ("member_seeds", "hidden_weights", "hidden_biases",
+                                 "output_weights")})),
+}
+
+
 class TestEnsembleFieldChecks:
     """An ensemble file with a missing field, a member count that disagrees
     with its arrays, or member arrays of the wrong shape or type fails at
     load with the file and the field named, not with a KeyError or
-    IndexError, nor by loading a different ensemble."""
+    IndexError, nor by loading a different ensemble: at version 1, three
+    arrays per member, and at version 2, three stacks."""
 
     @pytest.mark.parametrize("case", BAD_ENSEMBLE_FIELDS)
     def test_bad_field_rejected(self, tmp_path, case):
         field, change = BAD_ENSEMBLE_FIELDS[case]
-        X = np.linspace(-1, 1, 20).reshape(10, 2)
         path = tmp_path / "model.npz"
-        save_ensemble(path, ensemble_train(X, X[:, :1], 4, Activation.SIGMOID,
-                                           member_count=3, seed=5))
+        save_ensemble_v1(path, sigmoid_ensemble())
         _rewrite(path, change)
         with pytest.raises(ValueError, match=rf"model\.npz: ensemble field '{field}'"):
             load_ensemble(path)
+
+    @pytest.mark.parametrize("case", BAD_ENSEMBLE_STACKS)
+    def test_bad_stack_rejected(self, tmp_path, case):
+        field, change = BAD_ENSEMBLE_STACKS[case]
+        path = tmp_path / "model.npz"
+        save_ensemble(path, sigmoid_ensemble())
+        _rewrite(path, change)
+        with pytest.raises(ValueError, match=rf"model\.npz: ensemble field '{field}'"):
+            load_ensemble(path)
+
+    def test_read_count_does_not_grow_with_members(self, tmp_path, monkeypatch):
+        """A version-2 file is read in as many array reads for 50 members
+        as for 3, so loading does not slow with the member count."""
+        reads = []
+        read = np.lib.npyio.NpzFile.__getitem__
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                            lambda data, key: reads.append(key) or read(data, key))
+        counts = []
+        for member_count in (3, 50):
+            path = tmp_path / f"model-{member_count}.npz"
+            save_ensemble(path, sigmoid_ensemble(member_count))
+            reads.clear()
+            assert load_ensemble(path).member_count == member_count
+            counts.append(len(reads))
+        assert counts[0] == counts[1] == 10
 
     def test_negative_and_absent_seeds_round_trip(self, tmp_path):
         from outreg import ElmModel, EnsembleModel
@@ -417,10 +527,20 @@ class TestWrittenLayout:
     same."""
 
     def test_ensemble_layout(self, tmp_path):
-        X = np.linspace(-1, 1, 20).reshape(10, 2)
         path = tmp_path / "model.npz"
-        save_ensemble(path, ensemble_train(X, X[:, :1], 4, Activation.SIGMOID,
-                                           member_count=3, seed=5))
+        save_ensemble(path, sigmoid_ensemble())
+        assert _layout(path) == [
+            ("format", "<U15", ()), ("version", "<i8", ()), ("activation", "<U7", ()),
+            ("trim_policy", "<U4", ()), ("member_count", "<i8", ()), ("seed", "<U1", ()),
+            ("member_seeds", "<U20", (3,)), ("hidden_weights", "<f8", (3, 4, 2)),
+            ("hidden_biases", "<f8", (3, 4)), ("output_weights", "<f8", (3, 4, 1)),
+        ]
+
+    def test_version_1_ensemble_layout(self, tmp_path):
+        """What ``save_ensemble`` wrote at version 1, which the frozen test
+        writer must keep reproducing."""
+        path = tmp_path / "model.npz"
+        save_ensemble_v1(path, sigmoid_ensemble())
         assert _layout(path) == [
             ("format", "<U15", ()), ("version", "<i8", ()), ("activation", "<U7", ()),
             ("trim_policy", "<U4", ()), ("member_count", "<i8", ()), ("seed", "<U1", ()),
