@@ -16,7 +16,9 @@ smaller than ``min_subset_rows`` are reported as absent rather than
 scored on noise.
 
 Everything is derived deterministically from ``master_seed``; two runs
-with the same config and dataset produce identical reports.
+with the same config and dataset produce identical reports.  Trial and
+CV seeds are keyed by the activation itself, so an activation's trials
+and aggregates are the same whatever other activations share the run.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from ..preprocess import (TargetTransform, apply_minmax, clip_nonnegative,
                           minmax_onehot_group, r_outl)
 from ..regress import (Activation, CvConfig, default_node_grid, ensemble_predict,
                        ensemble_train, lr_fit, lr_predict, select_node_count)
-from ..seeding import STREAM_CV, STREAM_TRIAL, checked_int, derive_seed
+from ..seeding import (STREAM_CV, STREAM_TRIAL, checked_bool, checked_float, checked_int,
+                       derive_seed)
 from .dataset import Dataset
 from .metrics import boxplot_rows, mad, maen_at_scale, spearman
 
@@ -59,15 +62,23 @@ class ExperimentConfig:
     collect_extrapolation_records: bool = False
 
     def __post_init__(self):
-        if not self.activations:
+        activations = tuple(self.activations)
+        for i, a in enumerate(activations):
+            if not isinstance(a, Activation):
+                raise ValueError(f"activations[{i}] must be an Activation, got {a!r}")
+        object.__setattr__(self, "activations", activations)
+        if not activations:
             raise ValueError("at least one activation is required")
-        # numpy integers are held as ints, so the report echoes them as JSON
+        # numpy scalars are held as Python values, so the report echoes them as JSON
         object.__setattr__(self, "trials", checked_int(self.trials, "trials", 1))
         object.__setattr__(self, "members_per_trial",
                            checked_int(self.members_per_trial, "members_per_trial", 1))
         if len(set(self.activations)) < len(self.activations):
             raise ValueError(f"activations must not repeat, got "
                              f"{[a.value for a in self.activations]}")
+        object.__setattr__(self, "gate_percentiles", tuple(
+            checked_float(q, f"gate_percentiles[{i}]")
+            for i, q in enumerate(self.gate_percentiles)))
         if not self.gate_percentiles:
             raise ValueError("at least one gate percentile is required")
         if len(set(self.gate_percentiles)) < len(self.gate_percentiles):
@@ -79,6 +90,8 @@ class ExperimentConfig:
         object.__setattr__(self, "master_seed", checked_int(self.master_seed, "master_seed"))
         object.__setattr__(self, "min_subset_rows",
                            checked_int(self.min_subset_rows, "min_subset_rows", 2))
+        for key in ("store_predictions", "collect_extrapolation_records"):
+            object.__setattr__(self, key, checked_bool(getattr(self, key), key))
 
 
 @dataclass(frozen=True)
@@ -213,13 +226,19 @@ def _prepare(dataset: Dataset, config: ExperimentConfig) -> _Prepared:
     return _Prepared(config, dataset, Ztr, Zte, subsets, plans, lr_pred, dataset_summary)
 
 
-def _run_unit(prepared: _Prepared, ai: int, node_count: int, t: int):
-    """Trial ``t`` of activation ``ai``: its TrialReport and its fallback
+def _seed_key(activation: Activation) -> int:
+    """The path element that keys an activation's seeds: its position in
+    ``Activation``, so its numbers do not depend on the other activations
+    of a run or on their order."""
+    return list(Activation).index(activation)
+
+
+def _run_unit(prepared: _Prepared, activation: Activation, node_count: int, t: int):
+    """Trial ``t`` of ``activation``: its TrialReport and its fallback
     records, a pure function of the arguments."""
     config = prepared.config
     dataset = prepared.dataset
-    activation = config.activations[ai]
-    trial_seed = derive_seed(config.master_seed, STREAM_TRIAL, ai, t)
+    trial_seed = derive_seed(config.master_seed, STREAM_TRIAL, _seed_key(activation), t)
     ensemble = ensemble_train(prepared.Ztr, dataset.train_target[:, None], node_count,
                               activation, member_count=config.members_per_trial,
                               seed=trial_seed)
@@ -274,12 +293,12 @@ def _run_unit(prepared: _Prepared, ai: int, node_count: int, t: int):
     ), records
 
 
-def _cv_config(config: ExperimentConfig, n_train: int, ai: int) -> CvConfig:
-    """Activation ``ai``'s CV.  Every activation shares its folds and
+def _cv_config(config: ExperimentConfig, n_train: int, activation: Activation) -> CvConfig:
+    """``activation``'s CV.  Every activation shares its folds and
     candidates; only the default seed differs."""
     return config.cv or CvConfig(
         candidate_node_counts=default_node_grid(n_train),
-        seed=derive_seed(config.master_seed, STREAM_CV, ai))
+        seed=derive_seed(config.master_seed, STREAM_CV, _seed_key(activation)))
 
 
 def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResult:
@@ -290,19 +309,19 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
     trials: list[TrialReport] = []
     records: list[dict] = []
     cells = {}
-    for ai, activation in enumerate(config.activations):
+    for activation in config.activations:
         node_count, scores_by_l = select_node_count(
             prepared.Ztr, dataset.train_target[:, None], activation,
-            _cv_config(config, len(prepared.Ztr), ai))
+            _cv_config(config, len(prepared.Ztr), activation))
         node_counts[activation.value] = int(node_count)
         cv_scores[activation.value] = {str(k): v for k, v in sorted(scores_by_l.items())}
-        reports, unit_records = zip(*(_run_unit(prepared, ai, node_count, t)
+        reports, unit_records = zip(*(_run_unit(prepared, activation, node_count, t)
                                       for t in range(config.trials)))
         cells[activation.value] = _aggregate_cells(reports, prepared.subsets)
         trials.extend(reports)
         records.extend(r for rs in unit_records for r in rs)
 
-    cv = _cv_config(config, len(prepared.Ztr), 0)
+    cv = _cv_config(config, len(prepared.Ztr), config.activations[0])
     config_summary = {
         "activations": [a.value for a in config.activations],
         "trials": config.trials,

@@ -46,6 +46,7 @@ import numpy as np
 from .numkernel import as_vector, columnwise_median
 from .outlier_gate import Gate, gate_point, nearest_training_neighbor
 from .preprocess import OneHotGroup, indicator_columns
+from .seeding import checked_bool, checked_float
 
 PredictFn = Callable[[np.ndarray], np.ndarray]
 
@@ -74,6 +75,12 @@ class OrConfig:
     include_raw_nlr: bool = True
 
     def __post_init__(self):
+        # numpy scalars are held as Python values, so a report echoes them as JSON
+        for key in ("delta1_values", "delta2_values"):
+            object.__setattr__(self, key, tuple(checked_float(d, f"{key}[{i}]")
+                                                for i, d in enumerate(getattr(self, key))))
+        object.__setattr__(self, "include_raw_nlr",
+                           checked_bool(self.include_raw_nlr, "include_raw_nlr"))
         if not self.delta1_values and not self.delta2_values \
                 and not self.include_raw_nlr:
             raise ValueError(

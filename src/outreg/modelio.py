@@ -14,12 +14,15 @@ file that is not an NPZ archive, lacks a field or breaks a row raises a
 ValueError naming the file and the field, so the loaders only build
 objects.
 
-An ensemble file of version 2 holds the ensemble as it is held in
-memory: the header fields, the members' seeds, then the three stacks
-(M, L, d), (M, L) and (M, L, m), so a load reads the same ten fields
-whatever the member count.  A version-1 file, which holds each member's
-three arrays under names suffixed with its index, still loads, into the
-same stacks.
+An ensemble file of version 3 holds the ensemble as it is held in
+memory: the header fields, then the three stacks (M, L, d), (M, L) and
+(M, L, m), so a load reads the same nine fields whatever the member
+count.  Older files still load, into the same stacks: version 2 is
+version 3 with each member's seed beside the header, and version 1
+holds those seeds and then each member's three arrays under names
+suffixed with its index.  Their member seeds are checked against their
+row and then dropped, since the ensemble's seed and a member's index
+say which draws it holds.
 
 A gate file of version 2 also holds the gate's one-hot groups as four
 flat arrays, with no pickled object: each group's column count
@@ -42,7 +45,7 @@ from .regress import Activation, EnsembleModel, TrimPolicy
 
 ENSEMBLE_FORMAT = "outreg-ensemble"
 GATE_FORMAT = "outreg-gate"
-ENSEMBLE_FORMAT_VERSION = 2
+ENSEMBLE_FORMAT_VERSION = 3
 GATE_FORMAT_VERSION = 2
 
 
@@ -74,9 +77,10 @@ _ENSEMBLE_FIELDS = (
     ("member_count", "iu", (), (lambda v, dims: v >= 1, "a count of at least 1")),
     ("seed", "U", (), _SEEDS),
 )
-# version 2: the members' seeds and three stacks, one slice per member
+# versions 1 and 2: each member's seed, checked and then dropped
+_MEMBER_SEEDS = ("member_seeds", "U", ("member_count",), _SEEDS)
+# versions 2 and 3: three stacks, one slice per member
 _STACK_FIELDS = (
-    ("member_seeds", "U", ("member_count",), _SEEDS),
     ("hidden_weights", "f", ("member_count", "L", "d"), _FINITE),
     ("hidden_biases", "f", ("member_count", "L"), _FINITE),
     ("output_weights", "f", ("member_count", "L", "m"), _FINITE),
@@ -84,7 +88,7 @@ _STACK_FIELDS = (
 # version 1: the seeds, then each member's slice of the stacks as three
 # arrays suffixed with its index
 _MEMBER_FIELDS = tuple((name + "_{}", kinds, shape[1:], rule)
-                       for name, kinds, shape, rule in _STACK_FIELDS[1:])
+                       for name, kinds, shape, rule in _STACK_FIELDS)
 _GATE_FIELDS = (
     ("mean", "f", ("d",), _FINITE),
     ("covariance", "f", ("d", "d"), _FINITE),
@@ -103,7 +107,9 @@ _ONEHOT_FIELDS = (
     ("onehot_labels", "U", ("k",), None),
     ("onehot_levels", "f", ("k", 2), _FINITE),
 )
-_TABLES = {ENSEMBLE_FORMAT: {1: _ENSEMBLE_FIELDS, 2: _ENSEMBLE_FIELDS + _STACK_FIELDS},
+_TABLES = {ENSEMBLE_FORMAT: {1: _ENSEMBLE_FIELDS,
+                             2: _ENSEMBLE_FIELDS + (_MEMBER_SEEDS,) + _STACK_FIELDS,
+                             3: _ENSEMBLE_FIELDS + _STACK_FIELDS},
            GATE_FORMAT: {1: _GATE_FIELDS, 2: _GATE_FIELDS + _ONEHOT_FIELDS}}
 
 
@@ -171,9 +177,9 @@ def _read_fields(data, path, what, table, dims) -> dict[str, np.ndarray]:
 
 
 def save_ensemble(path, ensemble: EnsembleModel) -> None:
-    # seeds are arbitrary-precision ints of either sign (derived seeds use
-    # the full 64-bit range), so they travel as decimal strings, with a
-    # leading "-" when negative; "none" marks an absent seed
+    # a seed is an arbitrary-precision int of either sign (derived seeds
+    # use the full 64-bit range), so it travels as a decimal string, with
+    # a leading "-" when negative; "none" marks an absent seed
     np.savez(
         path,
         format=ENSEMBLE_FORMAT,
@@ -182,7 +188,6 @@ def save_ensemble(path, ensemble: EnsembleModel) -> None:
         trim_policy=ensemble.trim_policy.value,
         member_count=ensemble.member_count,
         seed=_seed_text(ensemble.seed),
-        member_seeds=np.asarray([_seed_text(s) for s in ensemble.member_seeds]),
         hidden_weights=ensemble.hidden_weights,
         hidden_biases=ensemble.hidden_biases,
         output_weights=ensemble.output_weights,
@@ -190,7 +195,7 @@ def save_ensemble(path, ensemble: EnsembleModel) -> None:
 
 
 def load_ensemble(path) -> EnsembleModel:
-    """The ensemble in ``path``, at version 2 or 1; a ValueError naming the
+    """The ensemble in ``path``, at version 3, 2 or 1; a ValueError naming the
     file and the field if a field is missing, disagrees with the others in
     shape or breaks its value rule, if a version-1 file holds more member
     arrays than its member count, or if its trim policy needs more members
@@ -204,11 +209,11 @@ def load_ensemble(path) -> EnsembleModel:
             if held > 3 * count:
                 raise ValueError(f"{path}: ensemble field 'member_count' is {count}, but "
                                  f"the file holds {held} member arrays")
-            seeds, *arrays = _read_fields(data, path, "ensemble", [
-                _STACK_FIELDS[0],
+            _, *arrays = _read_fields(data, path, "ensemble", [
+                _MEMBER_SEEDS,
                 *((name.format(i), *row) for i in range(count) for name, *row in _MEMBER_FIELDS),
             ], dims).values()
-            fields.update(member_seeds=seeds, hidden_weights=np.stack(arrays[0::3]),
+            fields.update(hidden_weights=np.stack(arrays[0::3]),
                           hidden_biases=np.stack(arrays[1::3]),
                           output_weights=np.stack(arrays[2::3]))
     trim_policy = TrimPolicy(str(fields["trim_policy"]))
@@ -217,8 +222,7 @@ def load_ensemble(path) -> EnsembleModel:
                          f"which needs at least 3 members, but 'member_count' is {count}")
     return EnsembleModel.from_stacks(
         fields["hidden_weights"], fields["hidden_biases"], fields["output_weights"],
-        Activation(str(fields["activation"])), trim_policy, _seed_value(fields["seed"]),
-        [_seed_value(seed) for seed in fields["member_seeds"].tolist()])
+        Activation(str(fields["activation"])), trim_policy, _seed_value(fields["seed"]))
 
 
 def save_gate(path, gate: Gate) -> None:

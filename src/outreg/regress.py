@@ -11,38 +11,45 @@ the variance of the random hidden layer.
 
 An ``EnsembleModel`` is its three stacks, one slice per member: hidden
 weights W (M, L, d), hidden biases b (M, L) and output weights B
-(M, L, m), beside its activation, trim policy, seed and member seeds.
+(M, L, m), beside its activation, trim policy and seed.
 ``EnsembleModel(members, trim_policy, seed)`` stacks lone ``ElmModel``
 networks, and ``EnsembleModel.members`` gives them back as views of the
 stacks, built on first use.  Nothing else copies a member:
 ``ensemble_train`` writes each chunk's W, b and B into the stacks, and
 ``modelio`` saves and loads the stacks as they are.
 
+An ensemble trained with seed s draws every member from one stream,
+``derive_rng(s, STREAM_MEMBER)``, cut into consecutive blocks of
+L (d + 1) doubles u, one block per member in member order: W = 2u - 1
+as (L, d), then b = u as (L,).  Member i is thus block i of the stream,
+and it alone is redrawn by advancing a PCG64 on that stream's seed
+sequence by i L (d + 1) draws (``PCG64.advance``).  ``elm_train(seed)``
+is the one-member case, member 0 of ``ensemble_train(seed)``.  The
+output layer has no bias term.
+
 ``ensemble_train`` trains its members a chunk at a time, with chunks
 sized so that the hidden layers stay near ``_CHUNK_ELEMENTS`` floats.
-For a chunk of k members it writes every member's activations H into
-one (k, N, L) array with one product, one activation pass and one finite
-check, and solves the whole chunk with one ``pinv_solve_stack`` call.
-Where that solve goes straight to the QR route, which factors [H | Y]
-(``factors_joined``), the array is (k, N, L+m) instead and holds the
-targets Y beside H, so the route factors it without a copy.  Each
+A chunk of k members takes its k blocks with one ``Generator.random``
+call (``_hidden_layers``), after the chunk before it, so the draws too
+are held one chunk at a time.  It writes every member's activations H
+into one (k, N, L) array with one product, one activation pass and one
+finite check, and solves the whole chunk with one ``pinv_solve_stack``
+call.  Where that solve goes straight to the QR route, which factors
+[H | Y] (``factors_joined``), the array is (k, N, L+m) instead and holds
+the targets Y beside H, so the route factors it without a copy.  Each
 member's product, activation and solve are the same operations on the
-same strides as for a lone member, so member i is bitwise ``elm_train``
-on its derived seed, whatever the chunk size; ``elm_train`` is the
-one-member case of the same code.
+same strides as for a lone member, so member i is bitwise a lone
+``_train`` on its block, whatever the chunk size.
 
-Hidden weights are uniform on [-1, 1] and hidden biases uniform on [0, 1],
-drawn in that order from a generator derived from the training seed, so a
-given (seed, node_count, activation) triple always yields the same model.
-The output layer has no bias term.  ``_train`` derives every member's
-PCG64 seeding words at once (``seeding.stream_words``) and draws one
-chunk's layers at a time into one chunk-sized array (``_hidden_layers``),
-bitwise ``derive_rng(seed)``'s draws, which it copies into the stacks.
-``select_node_count`` trains a candidate's folds the same way: the folds
-that train on equally many rows are one (k, n, d) stack, each member
-with its own X and Y, and the stacked product and solve make each
-member's lone calls, so every fold model is bitwise its lone
-``elm_train``.
+``select_node_count`` draws a candidate's folds the same way, from one
+stream per candidate node count L, ``derive_rng(cv.seed, STREAM_CV, L)``:
+fold f is block f.  The folds that train on equally many rows are one
+(k, n, d) stack, each member with its own X and Y; ``np.array_split``
+puts the larger blocks first, so the stacks hold consecutive folds and
+are drawn in fold order.  The stacked product and solve make each
+member's lone calls, so every fold model is bitwise a lone ``_train``
+on its block, and a candidate's score does not depend on the other
+candidates.
 
 Training and evaluation use different but equal forms of the network.
 Training computes activation(X W^T + b) as written, and no fitted weight
@@ -92,8 +99,7 @@ import numpy as np
 
 from .numkernel import (as_matrix, as_vector, factors_joined, pinv_solve,
                         pinv_solve_stack)
-from .seeding import (STREAM_CV, STREAM_MEMBER, checked_int, derive_seeds,
-                      stream_doubles, stream_words)
+from .seeding import STREAM_CV, STREAM_MEMBER, checked_int, derive_rng
 
 DEFAULT_NODE_GRID = (5, 10, 20, 40, 70, 100, 150, 200, 300)
 
@@ -149,7 +155,6 @@ class ElmModel:
     hidden_biases: np.ndarray    # (L,)
     output_weights: np.ndarray   # (L, m)
     activation: Activation
-    seed: int | None = None
 
     @property
     def input_dim(self) -> int:
@@ -214,45 +219,46 @@ def _checked(inputs, targets, node_count: int, activation: Activation):
     return X, Y
 
 
-def _train(X, Y, node_count: int, activation: Activation, seeds):
-    """One member per seed, trained a chunk of members at a time (module
-    docstring) on checked inputs and targets: one (n, d) X and (n, m) Y
-    for every member, or (k, n, d) and (k, n, m) stacks, one pair per seed.
-    Returns the members' stacks W (k, L, d), b (k, L) and B (k, L, m)."""
-    (n, d), m, k = X.shape[-2:], Y.shape[-1], len(seeds)
+def _train(X, Y, node_count: int, activation: Activation, rng, count: int):
+    """``count`` members, drawn block after block from generator ``rng`` and
+    trained a chunk of members at a time (module docstring), on checked
+    inputs and targets: one (n, d) X and (n, m) Y for every member, or
+    (count, n, d) and (count, n, m) stacks, one pair per member.  Returns
+    the members' stacks W (count, L, d), b (count, L) and B (count, L, m)."""
+    (n, d), m = X.shape[-2:], Y.shape[-1]
     width = node_count + m if factors_joined(n, node_count) else node_count
     step = max(1, _CHUNK_ELEMENTS // (n * width))
-    words = stream_words(seeds)
-    stacks = (np.empty((k, node_count, d)), np.empty((k, node_count)),
-              np.empty((k, node_count, m)))
-    for start in range(0, k, step):
+    stacks = (np.empty((count, node_count, d)), np.empty((count, node_count)),
+              np.empty((count, node_count, m)))
+    for start in range(0, count, step):
         part = slice(start, start + step)
         _train_chunk(X[part] if X.ndim == 3 else X, Y[part] if Y.ndim == 3 else Y,
-                     activation, width, words[part], *(s[part] for s in stacks))
+                     activation, width, rng, *(s[part] for s in stacks))
     return stacks
 
 
-def _hidden_layers(words, node_count: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each stream's hidden layer, W ~ U[-1, 1] as (k, L, d) and then
-    b ~ U[0, 1] as (k, L): bitwise ``derive_rng(s).uniform(-1, 1, (L, d))``
-    and ``.uniform(0, 1, L)`` for the seed s of each row of ``words``.
+def _hidden_layers(rng, k: int, node_count: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next k members' hidden layers from ``rng``, W ~ U[-1, 1] as
+    (k, L, d) and b ~ U[0, 1] as (k, L): bitwise ``rng.uniform(-1, 1,
+    (L, d))`` and then ``rng.uniform(0, 1, L)``, member after member, since
+    ``uniform(low, high)`` is low + (high - low) u and 2u is exact.
 
     Both are views of one array of draws, which holds the k layers and
     nothing else."""
-    draws = stream_doubles(words, node_count * (d + 1))
-    W = draws[:, :node_count * d].reshape(len(words), node_count, d)
+    draws = rng.random((k, node_count * (d + 1)))
+    W = draws[:, :node_count * d].reshape(k, node_count, d)
     W *= 2.0
     W -= 1.0
     return W, draws[:, node_count * d:]
 
 
-def _train_chunk(X, Y, activation: Activation, width: int, words, W, b, B) -> None:
-    """The members of one chunk, written into their slices W, b and B of the
-    stacks.  Their hidden layers share one (k, N, width) array: H, then Y
-    where ``width`` has room for it.  The array is freed on return, before
-    the next chunk's is allocated."""
+def _train_chunk(X, Y, activation: Activation, width: int, rng, W, b, B) -> None:
+    """The members of one chunk, drawn from ``rng`` and written into their
+    slices W, b and B of the stacks.  Their hidden layers share one
+    (k, N, width) array: H, then Y where ``width`` has room for it.  The
+    array is freed on return, before the next chunk's is allocated."""
     (k, node_count), (n, d), m = b.shape, X.shape[-2:], Y.shape[-1]
-    W[...], b[...] = _hidden_layers(words, node_count, d)
+    W[...], b[...] = _hidden_layers(rng, k, node_count, d)
     bias = np.zeros((k, 1, width))
     bias[:, 0, :node_count] = b
     # the plain form activation(X W^T + b); evaluation folds it (module
@@ -282,11 +288,12 @@ def elm_train(inputs, targets, node_count: int, activation: Activation,
     """Draw a random hidden layer and fit the output weights to targets.
 
     ``targets`` is (N, m); pass a single-column matrix for scalar targets.
-    This is ``ensemble_train``'s code for one member.
+    This is ``ensemble_train``'s code for one member: member 0 of the
+    ensemble trained with the same seed.
     """
     X, Y = _checked(inputs, targets, node_count, activation)
-    W, b, B = _train(X, Y, node_count, activation, (seed,))
-    return ElmModel(W[0], b[0], B[0], activation, int(seed))
+    W, b, B = _train(X, Y, node_count, activation, derive_rng(seed, STREAM_MEMBER), 1)
+    return ElmModel(W[0], b[0], B[0], activation)
 
 
 def elm_predict(model: ElmModel, inputs) -> np.ndarray:
@@ -305,6 +312,7 @@ class EnsembleModel:
     ``EnsembleModel(members, trim_policy, seed)`` stacks lone networks;
     ``from_stacks`` holds stacks as they are, and ``members`` gives each
     member back as an ``ElmModel`` whose arrays are views of the stacks.
+    ``seed`` is the seed the members were drawn with, or None.
     """
 
     hidden_weights: np.ndarray        # (M, L, d)
@@ -313,7 +321,6 @@ class EnsembleModel:
     activation: Activation
     trim_policy: TrimPolicy
     seed: int | None
-    member_seeds: tuple[int | None, ...]
 
     def __init__(self, members, trim_policy: TrimPolicy, seed: int | None = None):
         if not members:
@@ -322,17 +329,17 @@ class EnsembleModel:
             raise ValueError("ensemble members must share activation and shapes")
         self._hold(*(np.stack([getattr(m, name) for m in members]) for name in
                      ("hidden_weights", "hidden_biases", "output_weights")),
-                   members[0].activation, trim_policy, seed, tuple(m.seed for m in members))
+                   members[0].activation, trim_policy, seed)
 
     @classmethod
     def from_stacks(cls, hidden_weights, hidden_biases, output_weights,
                     activation: Activation, trim_policy: TrimPolicy,
-                    seed: int | None, member_seeds) -> EnsembleModel:
+                    seed: int | None) -> EnsembleModel:
         """The ensemble of stacks W (M, L, d), b (M, L) and B (M, L, m) of
-        matching M and L, and M member seeds, held without a copy."""
+        matching M and L, held without a copy."""
         ensemble = cls.__new__(cls)
         ensemble._hold(hidden_weights, hidden_biases, output_weights, activation,
-                       trim_policy, seed, tuple(member_seeds))
+                       trim_policy, seed)
         return ensemble
 
     def _hold(self, *values) -> None:
@@ -358,8 +365,8 @@ class EnsembleModel:
     @functools.cached_property
     def members(self) -> tuple[ElmModel, ...]:
         """Each member as a lone network, its arrays views of the stacks."""
-        return tuple(ElmModel(*arrays, self.activation, seed) for *arrays, seed in zip(
-            self.hidden_weights, self.hidden_biases, self.output_weights, self.member_seeds))
+        return tuple(ElmModel(*arrays, self.activation) for arrays in zip(
+            self.hidden_weights, self.hidden_biases, self.output_weights))
 
     @functools.cached_property
     def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -372,9 +379,10 @@ def ensemble_train(inputs, targets, node_count: int, activation: Activation,
                    member_count: int = 100, seed: int = 0) -> EnsembleModel:
     """Train ``member_count`` independent networks on the same data.
 
-    Member i trains on a seed derived from (seed, member stream, i), so
-    members are decorrelated but the whole ensemble is reproducible from
-    the single ``seed``.  The radial-basis activation occasionally
+    Member i is block i of the one stream ``derive_rng(seed,
+    STREAM_MEMBER)`` (module docstring), so members are decorrelated but
+    the whole ensemble is reproducible from the single ``seed``.  The
+    radial-basis activation occasionally
     produces wild individual members, so that activation gets the
     drop-min-max trim policy; the others average all members.
     """
@@ -383,9 +391,9 @@ def ensemble_train(inputs, targets, node_count: int, activation: Activation,
     X, Y = _checked(inputs, targets, node_count, activation)
     trim = (TrimPolicy.DROP_MIN_MAX if activation is Activation.RADIAL_BASIS
             else TrimPolicy.NONE)
-    seeds = derive_seeds(seed, STREAM_MEMBER, count=member_count)
-    return EnsembleModel.from_stacks(*_train(X, Y, node_count, activation, seeds),
-                                     activation, trim, int(seed), seeds)
+    rng = derive_rng(seed, STREAM_MEMBER)
+    return EnsembleModel.from_stacks(*_train(X, Y, node_count, activation, rng, member_count),
+                                     activation, trim, int(seed))
 
 
 def ensemble_predict(ensemble: EnsembleModel, inputs) -> np.ndarray:
@@ -444,7 +452,9 @@ def select_node_count(inputs, targets, activation: Activation, cv: CvConfig):
     Folds are contiguous blocks in row order: the datasets this targets
     are time ordered, and shuffling would leak adjacent (correlated) rows
     between train and validation.  Each (fold, candidate) pair trains a
-    fresh network on its own derived seed.  Ties go to the smaller count.
+    fresh network: fold f of candidate L is block f of the stream
+    ``derive_rng(cv.seed, STREAM_CV, L)`` (module docstring).  Ties go to
+    the smaller count.
 
     Returns (node_count, mean_mse_per_candidate) where the second element
     maps each evaluated candidate to its score.
@@ -454,8 +464,9 @@ def select_node_count(inputs, targets, activation: Activation, cv: CvConfig):
     if n < cv.folds:
         raise ValueError(f"need at least {cv.folds} rows for {cv.folds}-fold selection")
     blocks = np.array_split(np.arange(n), cv.folds)
-    # array_split's blocks take at most two sizes; the folds of each size
-    # train as one stack, every fold on its own rows and seed
+    # array_split's blocks take at most two sizes, the larger first; the
+    # folds of each size are consecutive and train as one stack, every
+    # fold on its own rows
     groups = {}
     for fi, block in enumerate(blocks):
         groups.setdefault(len(block), []).append(fi)
@@ -464,18 +475,18 @@ def select_node_count(inputs, targets, activation: Activation, cv: CvConfig):
               for folds in groups.values()]
     min_train_rows = n - max(groups)
     scores: dict[int, float] = {}
-    for ci, L in enumerate(cv.candidate_node_counts):
+    for L in cv.candidate_node_counts:
         if L > min_train_rows:
             warnings.warn(
                 f"skipping candidate node count {L}: exceeds the smallest "
                 f"training fold ({min_train_rows} rows)"
             )
             continue
-        seeds = derive_seeds(cv.seed, STREAM_CV, ci, count=cv.folds)
+        rng = derive_rng(cv.seed, STREAM_CV, L)
         models = {}
         for folds, Xs, Ys in stacks:
-            W, b, B = _train(Xs, Ys, L, activation, [seeds[fi] for fi in folds])
-            models.update((fi, ElmModel(W[j], b[j], B[j], activation, seeds[fi]))
+            W, b, B = _train(Xs, Ys, L, activation, rng, len(folds))
+            models.update((fi, ElmModel(W[j], b[j], B[j], activation))
                           for j, fi in enumerate(folds))
         fold_mse = []
         for fi, block in enumerate(blocks):

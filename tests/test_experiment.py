@@ -13,6 +13,7 @@ master seed must agree cell by cell, bitwise.
 import dataclasses
 import functools
 import itertools
+import json
 import pickle
 import runpy
 import warnings
@@ -198,6 +199,101 @@ class TestIntegerFields:
         assert reports[0] == reports[1]
 
 
+# (the config class, the field, a wrongly typed value, a valid numpy value,
+# its plain twin): one case per field kind
+TYPED_FIELDS = {
+    "bool-raw-nlr": (OrConfig, "include_raw_nlr", 1, np.True_, True),
+    "bool-store-predictions": (ExperimentConfig, "store_predictions", 0, np.False_, False),
+    "bool-records": (ExperimentConfig, "collect_extrapolation_records", "yes",
+                     np.True_, True),
+    "activations": (ExperimentConfig, "activations", ("sigmoid",),
+                    [Activation.SIGMOID], (Activation.SIGMOID,)),
+    "gate-percentiles": (ExperimentConfig, "gate_percentiles", (True,),
+                         (np.float64(99.0), np.int64(95)), (99.0, 95.0)),
+    "delta1-values": (OrConfig, "delta1_values", (0.5, True), (np.float32(0.5),), (0.5,)),
+    "delta2-values": (OrConfig, "delta2_values", ("1",), (np.int8(1),), (1.0,)),
+}
+
+
+class TestTypedFields:
+    """The bool, activation and number fields are typed when a config is
+    built: a value of the wrong kind is a ValueError that names the field,
+    before any work runs, and a numpy value is held as its plain twin."""
+
+    @pytest.mark.parametrize("case", TYPED_FIELDS)
+    def test_wrong_kind_rejected_naming_the_field(self, case):
+        config, name, bad, _, _ = TYPED_FIELDS[case]
+        with pytest.raises(ValueError, match=rf"^{name}(\[\d\])? must be"):
+            config(**{name: bad})
+
+    @pytest.mark.parametrize("case", TYPED_FIELDS)
+    def test_numpy_value_held_as_its_plain_twin(self, case):
+        config, name, _, numpy_value, plain = TYPED_FIELDS[case]
+        held = getattr(config(**{name: numpy_value}), name)
+        assert held == plain
+        assert [type(v) for v in np.atleast_1d(np.asarray(held, dtype=object))] == \
+            [type(v) for v in np.atleast_1d(np.asarray(plain, dtype=object))]
+
+    def test_numpy_config_writes_the_plain_report(self, tmp_path):
+        """A config with numpy values in every typed field runs and writes
+        the report bytes of its plain twin."""
+        reports = []
+        for kind in (3, 4):    # the numpy value, then the plain twin
+            fields = {name: case[kind] for case in TYPED_FIELDS.values()
+                      for name in [case[1]] if case[0] is ExperimentConfig}
+            fields["activations"] = tuple(fields["activations"]) + (Activation.SOFTPLUS,)
+            or_fields = {case[1]: case[kind] for case in TYPED_FIELDS.values()
+                         if case[0] is OrConfig}
+            config = _main_config(**fields, or_config=OrConfig(**or_fields), trials=2)
+            emit_report(run_experiment(_affine_dataset(), config), tmp_path / str(kind))
+            reports.append((tmp_path / str(kind) / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert b'"include_raw_nlr": true' in reports[1]
+
+
+def _activation_part(result, activation):
+    """Everything a run reports for ``activation``, as exact JSON text."""
+    name = activation.value
+    return json.dumps({
+        "node_count": result.node_counts[name],
+        "cv_scores": result.cv_scores[name],
+        "trials": [dataclasses.asdict(t) for t in result.trials if t.activation == name],
+        "aggregates": result.aggregates[name],
+        "differences": result.difference_aggregates[name],
+        "records": [r for r in result.extrapolation_records if r["activation"] == name],
+    })
+
+
+class TestKeyedSeeds:
+    """Metamorphic checks: trial and CV seeds are keyed by the activation and
+    CV streams by the node count, so an activation's results, and a
+    candidate's CV score, do not depend on what else the run holds."""
+
+    def test_an_activation_is_bitwise_the_same_beside_any_other(self):
+        """The default CV, whose seed the activation keys too."""
+        dataset = _affine_dataset()
+        parts = {
+            activations: _activation_part(run_experiment(dataset, _main_config(
+                activations=activations, cv=None, trials=2,
+                collect_extrapolation_records=True)), Activation.SIGMOID)
+            for activations in ((Activation.SIGMOID,),
+                                (Activation.SIGMOID, Activation.SOFTPLUS),
+                                (Activation.SOFTPLUS, Activation.SIGMOID))}
+        first, *others = parts.values()
+        assert all(other == first for other in others)
+        assert json.loads(first)["records"]
+
+    def test_a_candidate_scores_the_same_in_any_grid(self):
+        dataset = _affine_dataset()
+        scores = [run_experiment(dataset, _main_config(
+            activations=(Activation.SOFTPLUS,), trials=1,
+            cv=CvConfig(folds=5, candidate_node_counts=grid, seed=7))).cv_scores["softplus"]
+            for grid in ((8,), (4, 8), (8, 12, 16), (2, 4, 8, 30))]
+        assert len({json.dumps(s["8"]) for s in scores}) == 1
+        assert all(set(s) == {str(c) for c in grid} for s, grid in zip(
+            scores, ((8,), (4, 8), (8, 12, 16), (2, 4, 8, 30))))
+
+
 class TestResultShape:
     def test_one_trial_report_per_activation_and_trial(self):
         result = _main_result()
@@ -208,10 +304,11 @@ class TestResultShape:
                         ("radial-basis", 2)]
 
     def test_trial_seeds_derived_from_master(self):
+        """Keyed by the activation's position in ``Activation``."""
         result = _main_result()
         for t in result.trials:
-            ai = 0 if t.activation == "sigmoid" else 1
-            assert t.trial_seed == derive_seed(42, STREAM_TRIAL, ai,
+            key = list(Activation).index(Activation(t.activation))
+            assert t.trial_seed == derive_seed(42, STREAM_TRIAL, key,
                                                t.trial_index)
 
     def test_node_count_fixed_by_cv_config(self):
@@ -664,11 +761,12 @@ class TestExtrapolationRecords:
         dataset, config = _affine_dataset(), _main_config(collect_extrapolation_records=True)
         prepared = experiment._prepare(dataset, config)
         gate = fit_gate(prepared.Ztr, config.gate_percentiles[-1])
-        ai, t = 1, 2
+        activation, t = Activation.RADIAL_BASIS, 2
+        key = list(Activation).index(activation)
         ensemble = ensemble_train(prepared.Ztr, dataset.train_target[:, None], 8,
-                                  config.activations[ai], member_count=config.members_per_trial,
-                                  seed=derive_seed(config.master_seed, STREAM_TRIAL, ai, t))
-        _, records = experiment._run_unit(prepared, ai, 8, t)
+                                  activation, member_count=config.members_per_trial,
+                                  seed=derive_seed(config.master_seed, STREAM_TRIAL, key, t))
+        _, records = experiment._run_unit(prepared, activation, 8, t)
         assert {r["row"] for r in records} == set(prepared.plans)
         for r in records:
             expected = nlror_predict_detailed(
@@ -830,7 +928,7 @@ class TestUnits:
             for t in range(config.trials):
                 expected = result.trials[ai * config.trials + t]
                 report, records = experiment._run_unit(
-                    prepared, ai, expected.node_count, t)
+                    prepared, activation, expected.node_count, t)
                 assert report == expected
                 assert records == [r for r in result.extrapolation_records
                                    if r["activation"] == activation.value
@@ -841,5 +939,5 @@ class TestUnits:
         dataset, config = _affine_dataset(), self._config()
         prepared = experiment._prepare(dataset, config)
         restored = pickle.loads(pickle.dumps(prepared))
-        assert experiment._run_unit(restored, 1, 8, 2) == \
-            experiment._run_unit(prepared, 1, 8, 2)
+        assert experiment._run_unit(restored, Activation.RADIAL_BASIS, 8, 2) == \
+            experiment._run_unit(prepared, Activation.RADIAL_BASIS, 8, 2)

@@ -1,17 +1,19 @@
 """Member training against the paper's formulas (Huang, Zhu & Siew 2006).
 
-Each member of an ensemble is redrawn here from its documented seed path,
-member i on ``derive_rng(derive_seed(seed, STREAM_MEMBER, i))``: hidden
-weights W ~ U[-1, 1] of shape (L, d), then biases b ~ U[0, 1] of shape
-(L,).  Its output weights are the pseudoinverse solution
-B = pinv(activation(X W^T + b), rcond=1e-10) Y, with the textbook
-activation.  The members are then evaluated, and radial-basis ensembles
-trimmed of each output's largest and smallest member value, by the
-benchmark's oracle (``perfbench/oracle.py``), which uses none of the
-program's folded forms.  ``ensemble_predict`` must agree within 1e-8,
-relative to the larger value and absolute below 1.  The prediction rows
-reach half the training range beyond it on every side, where the
-extrapolating members disagree most.
+Each member of an ensemble is redrawn here from its documented stream:
+member i of an ensemble trained with seed s is block i of
+``derive_rng(s, STREAM_MEMBER)``, a block being L (d + 1) draws, so it
+is redrawn alone by advancing that stream's PCG64 by i L (d + 1) draws
+and then drawing hidden weights W ~ U[-1, 1] of shape (L, d), then
+biases b ~ U[0, 1] of shape (L,).  Its output weights are the
+pseudoinverse solution B = pinv(activation(X W^T + b), rcond=1e-10) Y,
+with the textbook activation.  The members are then evaluated, and
+radial-basis ensembles trimmed of each output's largest and smallest
+member value, by the benchmark's oracle (``perfbench/oracle.py``), which
+uses none of the program's folded forms.  ``ensemble_predict`` must
+agree within 1e-8, relative to the larger value and absolute below 1.
+The prediction rows reach half the training range beyond it on every
+side, where the extrapolating members disagree most.
 """
 
 import sys
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 from outreg import Activation, ensemble_predict, ensemble_train
-from outreg.seeding import STREAM_MEMBER, derive_rng, derive_seed
+from outreg.seeding import STREAM_MEMBER, derive_rng
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import oracle  # noqa: E402
@@ -42,7 +44,9 @@ def _record():
 def _oracle_surface(X, Y, node_count, activation):
     members = []
     for i in range(MEMBERS):
-        rng = derive_rng(derive_seed(SEED, STREAM_MEMBER, i))
+        bits = derive_rng(SEED, STREAM_MEMBER).bit_generator
+        bits.advance(i * node_count * (X.shape[1] + 1))
+        rng = np.random.Generator(bits)
         W = rng.uniform(-1.0, 1.0, size=(node_count, X.shape[1]))
         b = rng.uniform(0.0, 1.0, size=node_count)
         H = oracle._ACTIVATIONS[activation.value](X @ W.T + b)

@@ -7,7 +7,9 @@ loader, and field checks against a file with a missing field, or whose
 arrays disagree in shape or hold non-finite values: a gate's, one-hot
 group arrays included, and an ensemble's, member count and seeds
 included.  A file that is not an NPZ archive is named too, and the
-written layout of each format is pinned field by field.
+written layout of each format is pinned field by field.  Frozen writers
+of ensemble format versions 1 and 2 keep the older files' checks: their
+member seeds are checked, then dropped.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ import pytest
 from outreg import (Activation, OneHotGroup, TrimPolicy, classify, ensemble_predict,
                     ensemble_train, fit_gate, load_ensemble, load_gate,
                     mahalanobis_distance, save_ensemble, save_gate)
+from outreg.seeding import STREAM_MEMBER, derive_seed
 
 
 def small_ensemble(activation=Activation.RADIAL_BASIS):
@@ -47,7 +50,6 @@ class TestEnsembleRoundTrip:
         assert loaded.seed == 11
         assert len(loaded.members) == 5
         for original, reloaded in zip(ensemble.members, loaded.members):
-            assert reloaded.seed == original.seed
             np.testing.assert_array_equal(reloaded.hidden_weights,
                                           original.hidden_weights)
             np.testing.assert_array_equal(reloaded.output_weights,
@@ -65,29 +67,46 @@ class TestEnsembleRoundTrip:
         save_ensemble(path, ensemble)
         loaded = load_ensemble(path)
         assert loaded.seed is None
-        assert loaded.members[0].seed is None
 
 
-def save_ensemble_v1(path, ensemble):
-    """``save_ensemble`` as it wrote ensemble format version 1, frozen: the
-    header fields, the member seeds, then three arrays per member suffixed
-    with its index (pinned by ``TestWrittenLayout``)."""
-    payload = {
+def _old_header(ensemble, version, member_seeds=None):
+    """The fields that ensemble format versions 1 and 2 wrote first: the
+    header, then the member seeds, by default each member's seed as those
+    versions derived it, ``derive_seed(seed, STREAM_MEMBER, i)``."""
+    if member_seeds is None:
+        member_seeds = [None if ensemble.seed is None else
+                        derive_seed(ensemble.seed, STREAM_MEMBER, i)
+                        for i in range(ensemble.member_count)]
+    return {
         "format": "outreg-ensemble",
-        "version": 1,
+        "version": version,
         "activation": ensemble.activation.value,
         "trim_policy": ensemble.trim_policy.value,
         "member_count": len(ensemble.members),
         "seed": "none" if ensemble.seed is None else str(int(ensemble.seed)),
-        "member_seeds": np.asarray(
-            ["none" if m.seed is None else str(int(m.seed)) for m in ensemble.members]
-        ),
+        "member_seeds": np.asarray(["none" if s is None else str(int(s)) for s in member_seeds]),
     }
+
+
+def save_ensemble_v1(path, ensemble, member_seeds=None):
+    """``save_ensemble`` as it wrote ensemble format version 1, frozen: the
+    header fields, the member seeds, then three arrays per member suffixed
+    with its index (pinned by ``TestWrittenLayout``)."""
+    payload = _old_header(ensemble, 1, member_seeds)
     for i, m in enumerate(ensemble.members):
         payload[f"hidden_weights_{i}"] = m.hidden_weights
         payload[f"hidden_biases_{i}"] = m.hidden_biases
         payload[f"output_weights_{i}"] = m.output_weights
     np.savez(path, **payload)
+
+
+def save_ensemble_v2(path, ensemble, member_seeds=None):
+    """``save_ensemble`` as it wrote ensemble format version 2, frozen: the
+    header fields, the member seeds, then the three stacks (pinned by
+    ``TestWrittenLayout``)."""
+    np.savez(path, **_old_header(ensemble, 2, member_seeds),
+             hidden_weights=ensemble.hidden_weights, hidden_biases=ensemble.hidden_biases,
+             output_weights=ensemble.output_weights)
 
 
 def sigmoid_ensemble(member_count=3):
@@ -98,20 +117,21 @@ def sigmoid_ensemble(member_count=3):
 
 
 class TestVersion1Files:
-    """Version-1 files, three arrays per member, still load: bitwise the
-    ensemble that was saved, and the same ensemble as its version-2 file."""
+    """Version-1 files, three arrays per member, and version-2 files, three
+    stacks beside the member seeds, still load: bitwise the ensemble that
+    was saved, and the same ensemble as its version-3 file."""
 
     @pytest.mark.parametrize("activation", list(Activation), ids=lambda a: a.value)
     def test_loads_bitwise(self, tmp_path, activation):
         ensemble = small_ensemble(activation)
         save_ensemble_v1(tmp_path / "v1.npz", ensemble)
-        save_ensemble(tmp_path / "v2.npz", ensemble)
-        old, new = load_ensemble(tmp_path / "v1.npz"), load_ensemble(tmp_path / "v2.npz")
+        save_ensemble_v2(tmp_path / "v2.npz", ensemble)
+        save_ensemble(tmp_path / "v3.npz", ensemble)
         grid = np.linspace(-2, 2, 50)[:, None]
-        for loaded in (old, new):
+        for version in (1, 2, 3):
+            loaded = load_ensemble(tmp_path / f"v{version}.npz")
             assert (loaded.activation, loaded.trim_policy, loaded.seed) == (
                 ensemble.activation, ensemble.trim_policy, ensemble.seed)
-            assert loaded.member_seeds == ensemble.member_seeds
             for name in ("hidden_weights", "hidden_biases", "output_weights"):
                 np.testing.assert_array_equal(getattr(loaded, name), getattr(ensemble, name))
             assert (ensemble_predict(loaded, grid).tobytes()
@@ -179,7 +199,7 @@ BAD_ENSEMBLE_FIELDS = {
 
 
 # id -> (the field named, a change to a version-2 file of the same ensemble)
-BAD_ENSEMBLE_STACKS = {
+BAD_ENSEMBLE_V2_FIELDS = {
     **{f"{name}-missing": (name, _set(**{name: None})) for name in (
         "member_seeds", "hidden_weights", "hidden_biases", "output_weights")},
     "hidden-weights-nan-in-member-1": ("hidden_weights",
@@ -213,13 +233,32 @@ BAD_ENSEMBLE_STACKS = {
                                  "output_weights")})),
 }
 
+# id -> (the field named, a change to a version-3 file of the same ensemble,
+# which holds no member seeds, so its stacks check the member count)
+BAD_ENSEMBLE_STACKS = {
+    **{f"{name}-missing": (name, _set(**{name: None})) for name in (
+        "seed", "hidden_weights", "hidden_biases", "output_weights")},
+    "hidden-weights-nan-in-member-1": ("hidden_weights",
+                                       _nan_at("hidden_weights", (1, 2, 0))),
+    "output-weights-four-members": ("output_weights", lambda a: a.update(
+        output_weights=np.concatenate([a["output_weights"], a["output_weights"][:1]]))),
+    "member-count-long": ("hidden_weights", _set(member_count=4)),
+    "member-count-short": ("hidden_weights", _set(member_count=2)),
+    "hidden-biases-5-nodes-for-4": ("hidden_biases", _set(hidden_biases=np.ones((3, 5)))),
+    "output-weights-2d": ("output_weights", _set(output_weights=np.ones((3, 4)))),
+    "drop-min-max-on-2-members": ("trim_policy", lambda a: a.update(
+        trim_policy="drop-min-max", member_count=2,
+        **{k: a[k][:2] for k in ("hidden_weights", "hidden_biases", "output_weights")})),
+}
+
 
 class TestEnsembleFieldChecks:
     """An ensemble file with a missing field, a member count that disagrees
     with its arrays, or member arrays of the wrong shape or type fails at
     load with the file and the field named, not with a KeyError or
     IndexError, nor by loading a different ensemble: at version 1, three
-    arrays per member, and at version 2, three stacks."""
+    arrays per member, at version 2, three stacks beside the member seeds,
+    and at version 3, the stacks alone."""
 
     @pytest.mark.parametrize("case", BAD_ENSEMBLE_FIELDS)
     def test_bad_field_rejected(self, tmp_path, case):
@@ -230,8 +269,18 @@ class TestEnsembleFieldChecks:
         with pytest.raises(ValueError, match=rf"model\.npz: ensemble field '{field}'"):
             load_ensemble(path)
 
-    @pytest.mark.parametrize("case", BAD_ENSEMBLE_STACKS)
+    @pytest.mark.parametrize("case", BAD_ENSEMBLE_V2_FIELDS)
     def test_bad_stack_rejected(self, tmp_path, case):
+        """At version 2."""
+        field, change = BAD_ENSEMBLE_V2_FIELDS[case]
+        path = tmp_path / "model.npz"
+        save_ensemble_v2(path, sigmoid_ensemble())
+        _rewrite(path, change)
+        with pytest.raises(ValueError, match=rf"model\.npz: ensemble field '{field}'"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("case", BAD_ENSEMBLE_STACKS)
+    def test_bad_version_3_stack_rejected(self, tmp_path, case):
         field, change = BAD_ENSEMBLE_STACKS[case]
         path = tmp_path / "model.npz"
         save_ensemble(path, sigmoid_ensemble())
@@ -240,7 +289,7 @@ class TestEnsembleFieldChecks:
             load_ensemble(path)
 
     def test_read_count_does_not_grow_with_members(self, tmp_path, monkeypatch):
-        """A version-2 file is read in as many array reads for 50 members
+        """A version-3 file is read in as many array reads for 50 members
         as for 3, so loading does not slow with the member count."""
         reads = []
         read = np.lib.npyio.NpzFile.__getitem__
@@ -253,20 +302,27 @@ class TestEnsembleFieldChecks:
             reads.clear()
             assert load_ensemble(path).member_count == member_count
             counts.append(len(reads))
-        assert counts[0] == counts[1] == 10
+        assert counts[0] == counts[1] == 9
 
     def test_negative_and_absent_seeds_round_trip(self, tmp_path):
+        """Ensemble seeds of either sign, past 64 bits or absent round-trip,
+        and such member seeds in a version-1 or version-2 file pass their
+        check and are dropped."""
         from outreg import ElmModel, EnsembleModel
         members = tuple(ElmModel(hidden_weights=np.ones((2, 1)), hidden_biases=np.zeros(2),
-                                 output_weights=np.ones((2, 1)),
-                                 activation=Activation.SIGMOID, seed=seed)
-                        for seed in (-3, None, 2 ** 64 + 1))
-        path = tmp_path / "model.npz"
-        save_ensemble(path, EnsembleModel(members=members, trim_policy=TrimPolicy.NONE,
-                                          seed=-1))
-        loaded = load_ensemble(path)
-        assert loaded.seed == -1
-        assert [m.seed for m in loaded.members] == [-3, None, 2 ** 64 + 1]
+                                 output_weights=np.ones((2, 1)), activation=Activation.SIGMOID)
+                        for _ in range(3))
+        for seed in (-1, None, 2 ** 64 + 1):
+            ensemble = EnsembleModel(members=members, trim_policy=TrimPolicy.NONE, seed=seed)
+            for save in (save_ensemble, save_ensemble_v1, save_ensemble_v2):
+                path = tmp_path / f"{save.__name__}.npz"
+                if save is save_ensemble:
+                    save(path, ensemble)
+                else:
+                    save(path, ensemble, member_seeds=(-3, None, 2 ** 64 + 1))
+                loaded = load_ensemble(path)
+                assert loaded.seed == seed
+                assert loaded.hidden_weights.tobytes() == ensemble.hidden_weights.tobytes()
 
 
 def season_gate():
@@ -529,6 +585,20 @@ class TestWrittenLayout:
     def test_ensemble_layout(self, tmp_path):
         path = tmp_path / "model.npz"
         save_ensemble(path, sigmoid_ensemble())
+        assert _layout(path) == [
+            ("format", "<U15", ()), ("version", "<i8", ()), ("activation", "<U7", ()),
+            ("trim_policy", "<U4", ()), ("member_count", "<i8", ()), ("seed", "<U1", ()),
+            ("hidden_weights", "<f8", (3, 4, 2)),
+            ("hidden_biases", "<f8", (3, 4)), ("output_weights", "<f8", (3, 4, 1)),
+        ]
+        with np.load(path) as data:
+            assert int(data["version"]) == 3
+
+    def test_version_2_ensemble_layout(self, tmp_path):
+        """What ``save_ensemble`` wrote at version 2, which the frozen test
+        writer must keep reproducing."""
+        path = tmp_path / "model.npz"
+        save_ensemble_v2(path, sigmoid_ensemble())
         assert _layout(path) == [
             ("format", "<U15", ()), ("version", "<i8", ()), ("activation", "<U7", ()),
             ("trim_policy", "<U4", ()), ("member_count", "<i8", ()), ("seed", "<U1", ()),

@@ -2,7 +2,9 @@
 
 The training routine is cross-checked against a manual reconstruction:
 the hidden layer is redrawn from the same seed in the test and the
-output weights recomputed with numpy's own lstsq.  Trim behaviour is
+output weights recomputed with numpy's own lstsq.  Every ensemble member
+and CV fold model is checked bitwise against a lone fit on its block of
+its stream, redrawn by advancing the stream's PCG64.  Trim behaviour is
 pinned with hand-built members whose predictions are known constants.
 """
 
@@ -18,7 +20,21 @@ from outreg import (Activation, CvConfig, ElmModel, EnsembleModel, TrimPolicy,
                     lr_predict, select_node_count)
 from outreg import regress
 from outreg.regress import DEFAULT_NODE_GRID
-from outreg.seeding import STREAM_CV, STREAM_MEMBER, derive_rng, derive_seed
+from outreg.seeding import STREAM_CV, STREAM_MEMBER, derive_rng
+
+
+def block_rng(index, node_count, d, seed, *path):
+    """The stream ``derive_rng(seed, *path)`` advanced past ``index``
+    blocks of L (d + 1) draws, where block ``index`` begins."""
+    bits = derive_rng(seed, *path).bit_generator
+    bits.advance(index * node_count * (d + 1))
+    return np.random.Generator(bits)
+
+
+def lone_fit(X, Y, node_count, activation, rng) -> ElmModel:
+    """One member trained alone by ``_train`` on the next block of ``rng``."""
+    W, b, B = regress._train(X, Y, node_count, activation, rng, 1)
+    return ElmModel(W[0], b[0], B[0], activation)
 
 
 def constant_member(value: float, activation=Activation.SIGMOID) -> ElmModel:
@@ -79,11 +95,11 @@ class TestActivations:
 
 class TestElmTraining:
     def test_hidden_layer_draw_order(self):
-        """Weights come off the seed stream before biases."""
+        """Weights come off the seed's member stream before biases."""
         X = np.linspace(-1, 1, 12)[:, None]
         Y = np.sin(X)
         model = elm_train(X, Y, 7, Activation.SIGMOID, seed=42)
-        rng = derive_rng(42)
+        rng = derive_rng(42, STREAM_MEMBER)
         W = rng.uniform(-1.0, 1.0, size=(7, 1))
         b = rng.uniform(0.0, 1.0, size=7)
         np.testing.assert_array_equal(model.hidden_weights, W)
@@ -214,21 +230,28 @@ class TestEnsemble:
         assert sp.trim_policy is TrimPolicy.NONE
 
     def test_member_seeds_are_derived_per_index(self):
+        """Member i's draws are derived from (ensemble seed, i): block i of
+        the seed's member stream, and member 0 is ``elm_train`` on the seed."""
         X = np.linspace(-1, 1, 20)[:, None]
         ens = ensemble_train(X, X, 5, Activation.SIGMOID,
                              member_count=6, seed=123)
         for i, member in enumerate(ens.members):
-            assert member.seed == derive_seed(123, STREAM_MEMBER, i)
+            rng = block_rng(i, 5, 1, 123, STREAM_MEMBER)
+            np.testing.assert_array_equal(member.hidden_weights,
+                                          rng.uniform(-1.0, 1.0, (5, 1)))
+            np.testing.assert_array_equal(member.hidden_biases, rng.uniform(0.0, 1.0, 5))
+        first = elm_train(X, X, 5, Activation.SIGMOID, seed=123)
+        for name in ("hidden_weights", "hidden_biases", "output_weights"):
+            assert getattr(first, name).tobytes() == getattr(ens.members[0], name).tobytes()
 
     @pytest.mark.parametrize("activation", list(Activation))
     @pytest.mark.parametrize("rows, nodes", [(200, 10), (200, 40), (399, 150)])
     def test_members_do_not_depend_on_their_chunk_mates(
             self, monkeypatch, activation, rows, nodes):
-        """A budget of three members per chunk puts chunk boundaries inside
-        an 8-member ensemble.  At 200 rows the fits take the Gram route, at
-        399x150 the QR route; each member is bitwise ``elm_train`` on its
-        derived seed."""
-        monkeypatch.setattr(regress, "_CHUNK_ELEMENTS", 3 * rows * (nodes + 1))
+        """Budgets of one, three and all eight members per chunk; three puts
+        chunk boundaries inside the 8-member ensemble.  At 200 rows the fits
+        take the Gram route, at 399x150 the QR route; under every budget
+        member i is bitwise a lone ``_train`` on block i of the stream."""
         chunks = []
         solve = regress.pinv_solve_stack
         monkeypatch.setattr(regress, "pinv_solve_stack",
@@ -236,15 +259,18 @@ class TestEnsemble:
         rng = np.random.default_rng(rows + nodes)
         X = rng.uniform(-1.0, 1.0, size=(rows, 4))
         Y = np.sin(2.0 * X[:, :1]) + X[:, 1:2]
-        ens = ensemble_train(X, Y, nodes, activation, member_count=8, seed=5)
-        assert chunks == [3, 3, 2]
-        for i, member in enumerate(ens.members):
-            alone = elm_train(X, Y, nodes, activation,
-                              seed=derive_seed(5, STREAM_MEMBER, i))
-            np.testing.assert_array_equal(member.hidden_weights, alone.hidden_weights)
-            np.testing.assert_array_equal(member.hidden_biases, alone.hidden_biases)
-            np.testing.assert_array_equal(bits(member.output_weights),
-                                          bits(alone.output_weights))
+        alone = [lone_fit(X, Y, nodes, activation, block_rng(i, nodes, 4, 5, STREAM_MEMBER))
+                 for i in range(8)]
+        for budget, expected in ((1, [1] * 8), (3, [3, 3, 2]), (8, [8])):
+            monkeypatch.setattr(regress, "_CHUNK_ELEMENTS", budget * rows * (nodes + 1))
+            chunks.clear()
+            ens = ensemble_train(X, Y, nodes, activation, member_count=8, seed=5)
+            assert chunks == expected
+            for member, lone in zip(ens.members, alone):
+                np.testing.assert_array_equal(member.hidden_weights, lone.hidden_weights)
+                np.testing.assert_array_equal(member.hidden_biases, lone.hidden_biases)
+                np.testing.assert_array_equal(bits(member.output_weights),
+                                              bits(lone.output_weights))
 
     def test_plain_mean_matches_stacked_members(self):
         X = np.linspace(-1, 1, 20)[:, None]
@@ -408,20 +434,21 @@ class TestStackedForwardPass:
 
 class TestNodeSelection:
     def test_scores_match_manual_fold_loop(self):
-        """Reimplement the block/seed/score protocol and compare bitwise."""
+        """Reimplement the block/stream/score protocol and compare bitwise:
+        fold f of candidate L is block f of its candidate's stream."""
         rng = np.random.default_rng(21)
         X = rng.uniform(-1, 1, size=(23, 2))
         Y = (np.sin(X[:, :1]) + 0.1 * rng.normal(size=(23, 1)))
         cv = CvConfig(folds=4, candidate_node_counts=(3, 6), seed=17)
         best, scores = select_node_count(X, Y, Activation.SIGMOID, cv)
         blocks = np.array_split(np.arange(23), 4)
-        for ci, L in enumerate((3, 6)):
+        for L in (3, 6):
             fold_mse = []
             for fi, block in enumerate(blocks):
                 mask = np.ones(23, dtype=bool)
                 mask[block] = False
-                model = elm_train(X[mask], Y[mask], L, Activation.SIGMOID,
-                                  seed=derive_seed(17, STREAM_CV, ci, fi))
+                model = lone_fit(X[mask], Y[mask], L, Activation.SIGMOID,
+                                 block_rng(fi, L, 2, 17, STREAM_CV, L))
                 err = elm_predict(model, X[block]) - Y[block]
                 fold_mse.append(float(np.mean(err * err)))
             assert scores[L] == float(np.mean(fold_mse))
@@ -479,17 +506,18 @@ class TestNodeSelection:
 
     @staticmethod
     def reference_scores(X, Y, activation, cv):
-        """Each (candidate, fold) as a lone elm_train fit, in fold order."""
-        n = len(X)
+        """Each (candidate, fold) as a lone ``_train`` fit on block f of the
+        candidate's stream, in fold order."""
+        n, d = X.shape
         blocks = np.array_split(np.arange(n), cv.folds)
         scores = {}
-        for ci, L in enumerate(cv.candidate_node_counts):
+        for L in cv.candidate_node_counts:
             fold_mse = []
             for fi, block in enumerate(blocks):
                 mask = np.ones(n, dtype=bool)
                 mask[block] = False
-                model = elm_train(X[mask], Y[mask], L, activation,
-                                  seed=derive_seed(cv.seed, STREAM_CV, ci, fi))
+                model = lone_fit(X[mask], Y[mask], L, activation,
+                                 block_rng(fi, L, d, cv.seed, STREAM_CV, L))
                 err = elm_predict(model, X[block]) - Y[block]
                 fold_mse.append(float(np.mean(err * err)))
             scores[L] = float(np.mean(fold_mse))
@@ -497,13 +525,15 @@ class TestNodeSelection:
 
     @pytest.mark.parametrize("activation", list(Activation), ids=lambda a: a.value)
     @pytest.mark.parametrize("rows", [60, 63], ids=["one-fold-size", "two-fold-sizes"])
-    @pytest.mark.parametrize("chunk_elements", [None, 100])
+    @pytest.mark.parametrize("chunk_elements", [None, 100, 3366])
     def test_stacked_folds_are_lone_fits_bitwise(self, monkeypatch, activation,
                                                  rows, chunk_elements):
         """Folds of one training size train as one stack.  63 rows in 5
-        folds train on 50 or 51 rows; 3 nodes take the Gram route (at least
-        4 rows per node) and 20 the QR route; a 100-float chunk budget
-        splits every stack into one-member chunks."""
+        folds train on 51 or 50 rows (n % folds is 3), 60 rows on 48 each;
+        3 nodes take the Gram route (at least 4 rows per node) and 20 the QR
+        route.  A 100-float chunk budget splits every stack into one-member
+        chunks, and 3366 floats the 20-node stacks into three-member chunks
+        (3366 // (51 * 22) is 3, as for 50 and 48 rows)."""
         if chunk_elements is not None:
             monkeypatch.setattr(regress, "_CHUNK_ELEMENTS", chunk_elements)
         rng = np.random.default_rng(rows)
