@@ -58,16 +58,10 @@ def _config_from_json(raw) -> ExperimentConfig:
     kwargs = _section(raw, _CONFIG_KEYS, "config")
     if "activations" in kwargs:
         kwargs["activations"] = tuple(Activation(a) for a in kwargs["activations"])
-    if "gate_percentiles" in kwargs:
-        kwargs["gate_percentiles"] = tuple(float(q) for q in kwargs["gate_percentiles"])
     if "cv" in kwargs:
         kwargs["cv"] = CvConfig(**_section(kwargs["cv"], _CV_KEYS, "config.cv"))
     if "or" in kwargs:
-        or_kwargs = _section(kwargs.pop("or"), _OR_KEYS, "config.or")
-        for key in ("delta1_values", "delta2_values"):
-            if key in or_kwargs:
-                or_kwargs[key] = tuple(float(d) for d in or_kwargs[key])
-        kwargs["or_config"] = OrConfig(**or_kwargs)
+        kwargs["or_config"] = OrConfig(**_section(kwargs.pop("or"), _OR_KEYS, "config.or"))
     return ExperimentConfig(**kwargs)
 
 

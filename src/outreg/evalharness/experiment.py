@@ -36,7 +36,7 @@ from ..preprocess import (TargetTransform, apply_minmax, clip_nonnegative,
 from ..regress import (Activation, CvConfig, default_node_grid, ensemble_predict,
                        ensemble_train, lr_fit, lr_predict, select_node_count)
 from ..seeding import (STREAM_CV, STREAM_TRIAL, checked_bool, checked_float, checked_int,
-                       derive_seed)
+                       checked_items, derive_seed)
 from .dataset import Dataset
 from .metrics import boxplot_rows, mad, maen_at_scale, spearman
 
@@ -44,6 +44,12 @@ MODELS = ("lr", "nlr", "nlr_or")
 SUBSETS = ("all", "outliers", "non_outliers")
 METRICS = ("maen", "spearman")
 MODEL_PAIRS = (("nlr", "lr"), ("nlr_or", "nlr"), ("nlr_or", "lr"))
+
+
+def _checked_activation(value, name: str) -> Activation:
+    if not isinstance(value, Activation):
+        raise ValueError(f"{name} must be an Activation, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -62,12 +68,9 @@ class ExperimentConfig:
     collect_extrapolation_records: bool = False
 
     def __post_init__(self):
-        activations = tuple(self.activations)
-        for i, a in enumerate(activations):
-            if not isinstance(a, Activation):
-                raise ValueError(f"activations[{i}] must be an Activation, got {a!r}")
-        object.__setattr__(self, "activations", activations)
-        if not activations:
+        object.__setattr__(self, "activations", checked_items(
+            self.activations, "activations", _checked_activation))
+        if not self.activations:
             raise ValueError("at least one activation is required")
         # numpy scalars are held as Python values, so the report echoes them as JSON
         object.__setattr__(self, "trials", checked_int(self.trials, "trials", 1))
@@ -76,9 +79,8 @@ class ExperimentConfig:
         if len(set(self.activations)) < len(self.activations):
             raise ValueError(f"activations must not repeat, got "
                              f"{[a.value for a in self.activations]}")
-        object.__setattr__(self, "gate_percentiles", tuple(
-            checked_float(q, f"gate_percentiles[{i}]")
-            for i, q in enumerate(self.gate_percentiles)))
+        object.__setattr__(self, "gate_percentiles", checked_items(
+            self.gate_percentiles, "gate_percentiles", checked_float))
         if not self.gate_percentiles:
             raise ValueError("at least one gate percentile is required")
         if len(set(self.gate_percentiles)) < len(self.gate_percentiles):
@@ -92,6 +94,10 @@ class ExperimentConfig:
                            checked_int(self.min_subset_rows, "min_subset_rows", 2))
         for key in ("store_predictions", "collect_extrapolation_records"):
             object.__setattr__(self, key, checked_bool(getattr(self, key), key))
+        if not isinstance(self.cv, (CvConfig, type(None))):
+            raise ValueError(f"cv must be a CvConfig or None, got {self.cv!r}")
+        if not isinstance(self.or_config, OrConfig):
+            raise ValueError(f"or_config must be an OrConfig, got {self.or_config!r}")
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ import numpy as np
 from .numkernel import as_vector, columnwise_median
 from .outlier_gate import Gate, gate_point, nearest_training_neighbor
 from .preprocess import OneHotGroup, indicator_columns
-from .seeding import checked_bool, checked_float
+from .seeding import checked_bool, checked_float, checked_items
 
 PredictFn = Callable[[np.ndarray], np.ndarray]
 
@@ -77,8 +77,7 @@ class OrConfig:
     def __post_init__(self):
         # numpy scalars are held as Python values, so a report echoes them as JSON
         for key in ("delta1_values", "delta2_values"):
-            object.__setattr__(self, key, tuple(checked_float(d, f"{key}[{i}]")
-                                                for i, d in enumerate(getattr(self, key))))
+            object.__setattr__(self, key, checked_items(getattr(self, key), key, checked_float))
         object.__setattr__(self, "include_raw_nlr",
                            checked_bool(self.include_raw_nlr, "include_raw_nlr"))
         if not self.delta1_values and not self.delta2_values \

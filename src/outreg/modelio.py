@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 import zipfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -126,27 +126,31 @@ def _read(data, path, what, name) -> np.ndarray:
 @contextmanager
 def _archive(path, expected_format):
     """The open archive in ``path`` and its version's field table, else a
-    ValueError naming ``path``."""
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (EOFError, ValueError, zipfile.BadZipFile):
-        data = None
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path}: not a recognised model file (not an NPZ archive)")
-    with data:
-        for key in ("format", "version"):
-            if key not in data:
-                raise ValueError(f"{path}: not a recognised model file (missing {key!r})")
-        found, version = (_read(data, path, "header", key) for key in ("format", "version"))
-        if str(found) != expected_format:
-            raise ValueError(f"{path}: expected format {expected_format!r}, found {str(found)!r}")
-        if version.shape != () or version.dtype.kind not in "iu":
-            raise ValueError(f"{path}: format version {version.tolist()!r} is not an integer")
-        tables = _TABLES[expected_format]
-        if int(version) not in tables:
-            raise ValueError(f"{path}: unsupported format version {int(version)} "
-                             f"(supported: {', '.join(map(str, tables))})")
-        yield data, tables[int(version)]
+    ValueError naming ``path``, a file name or an open binary file.  A named
+    file is opened here, so that it is closed on every way out, also where
+    ``np.load`` fails part way."""
+    with nullcontext(path) if hasattr(path, "read") else open(path, "rb") as handle:
+        try:
+            data = np.load(handle, allow_pickle=False)
+        except (EOFError, ValueError, zipfile.BadZipFile):
+            data = None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path}: not a recognised model file (not an NPZ archive)")
+        with data:
+            for key in ("format", "version"):
+                if key not in data:
+                    raise ValueError(f"{path}: not a recognised model file (missing {key!r})")
+            found, version = (_read(data, path, "header", key) for key in ("format", "version"))
+            if str(found) != expected_format:
+                raise ValueError(f"{path}: expected format {expected_format!r}, "
+                                 f"found {str(found)!r}")
+            if version.shape != () or version.dtype.kind not in "iu":
+                raise ValueError(f"{path}: format version {version.tolist()!r} is not an integer")
+            tables = _TABLES[expected_format]
+            if int(version) not in tables:
+                raise ValueError(f"{path}: unsupported format version {int(version)} "
+                                 f"(supported: {', '.join(map(str, tables))})")
+            yield data, tables[int(version)]
 
 
 def _read_fields(data, path, what, table, dims) -> dict[str, np.ndarray]:
@@ -220,7 +224,7 @@ def load_ensemble(path) -> EnsembleModel:
     if trim_policy is TrimPolicy.DROP_MIN_MAX and count < 3:
         raise ValueError(f"{path}: ensemble field 'trim_policy' is 'drop-min-max', "
                          f"which needs at least 3 members, but 'member_count' is {count}")
-    return EnsembleModel.from_stacks(
+    return EnsembleModel(
         fields["hidden_weights"], fields["hidden_biases"], fields["output_weights"],
         Activation(str(fields["activation"])), trim_policy, _seed_value(fields["seed"]))
 

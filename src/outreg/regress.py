@@ -11,12 +11,13 @@ the variance of the random hidden layer.
 
 An ``EnsembleModel`` is its three stacks, one slice per member: hidden
 weights W (M, L, d), hidden biases b (M, L) and output weights B
-(M, L, m), beside its activation, trim policy and seed.
-``EnsembleModel(members, trim_policy, seed)`` stacks lone ``ElmModel``
-networks, and ``EnsembleModel.members`` gives them back as views of the
-stacks, built on first use.  Nothing else copies a member:
-``ensemble_train`` writes each chunk's W, b and B into the stacks, and
-``modelio`` saves and loads the stacks as they are.
+(M, L, m), beside its activation, trim policy and seed.  Its one
+constructor holds the stacks as they are and checks that their shapes
+agree; ``EnsembleModel.members`` gives each member back as an
+``ElmModel`` whose arrays are views of the stacks, built on first use.
+Nothing else copies a member: ``ensemble_train`` writes each chunk's W,
+b and B into the stacks, and ``modelio`` saves and loads the stacks as
+they are.
 
 An ensemble trained with seed s draws every member from one stream,
 ``derive_rng(s, STREAM_MEMBER)``, cut into consecutive blocks of
@@ -49,14 +50,16 @@ puts the larger blocks first, so the stacks hold consecutive folds and
 are drawn in fold order.  The stacked product and solve make each
 member's lone calls, so every fold model is bitwise a lone ``_train``
 on its block, and a candidate's score does not depend on the other
-candidates.
+candidates.  Each group's validation rows are a (k, n_v, d) stack too,
+scored with one ``_forward`` call; no fold becomes an ``ElmModel``.
 
 Training and evaluation use different but equal forms of the network.
 Training computes activation(X W^T + b) as written, and no fitted weight
 depends on how a network is evaluated.  Evaluation folds two affine maps
-into the weights, once per call of ``elm_predict``, from its model's
-arrays as one-member stacks, and once per ensemble, from its stacks
-(``_fold``, cached as ``EnsembleModel._stacked``):
+into the weights (``_fold``): once per call of ``elm_predict``, from its
+model's arrays as one-member stacks; once per ensemble, from its stacks,
+cached as ``EnsembleModel._stacked``; and once per CV candidate and
+fold-size group, from the group's fitted stacks:
 
 * The bias joins the input product.  X gains a column of ones and each
   member's hidden layer is stacked as [W | b], shape (M, L, d+1), so the
@@ -75,17 +78,19 @@ sum, so each output moves by rounding, within 8 eps sum_l |B_l| (S_l +
 |h_l| + 1), where S_l is the sum of the magnitudes that make up z_l and
 h_l is the activation (a property test checks this bound).
 
-``_forward`` is the one evaluation kernel.  It runs a chunk of members
-at a time, with chunks sized so that the hidden-layer temporaries stay
-near ``_CHUNK_ELEMENTS`` floats, and each member's two products are the
-same BLAS calls on the same strides as for a lone member, since
-``np.matmul`` loops over the leading member axis.  The offsets are one
-whole-array sum and add, which sum each member's L values in the same
-order whatever else the stack holds.  So an ensemble's output is bitwise
-that of averaging ``elm_predict`` over its members, whatever the chunk
-size.  Every activation runs in the pre-activation's own storage, with
-the same ops in the same order as the form that allocates a temporary
-per op.
+``_forward`` is the one evaluation kernel.  It takes one X for all
+members or an (M, N, d) stack, one X per member, and runs a chunk of
+members at a time, with chunks sized so that the hidden-layer
+temporaries stay near ``_CHUNK_ELEMENTS`` floats, and each member's two
+products are the same BLAS calls on the same strides as for a lone
+member, since ``np.matmul`` loops over the leading member axis.  The
+offsets are one whole-array sum and add, which sum each member's L
+values in the same order whatever else the stack holds.  So an
+ensemble's output is bitwise that of averaging ``elm_predict`` over its
+members, whatever the chunk size, and a CV fold's is that of
+``elm_predict`` on its fitted model.  Every activation runs in the
+pre-activation's own storage, with the same ops in the same order as the
+form that allocates a temporary per op.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ import numpy as np
 
 from .numkernel import (as_matrix, as_vector, factors_joined, pinv_solve,
                         pinv_solve_stack)
-from .seeding import STREAM_CV, STREAM_MEMBER, checked_int, derive_rng
+from .seeding import STREAM_CV, STREAM_MEMBER, checked_int, checked_items, derive_rng
 
 DEFAULT_NODE_GRID = (5, 10, 20, 40, 70, 100, 150, 200, 300)
 
@@ -183,18 +188,20 @@ def _fold(W, b, B, activation) -> tuple[np.ndarray, np.ndarray, np.ndarray | Non
 
 
 def _forward(X, stacked, activation) -> np.ndarray:
-    """Each stacked member's outputs on the rows of X, shape (M, N, m)."""
+    """Each stacked member's outputs on the rows of X, shape (M, N, m):
+    on one (N, d) X for every member, or on an (M, N, d) stack, one X per
+    member."""
     layer_t, outputs, offsets = stacked
-    N, d = X.shape
-    X1 = np.empty((N, d + 1))
-    X1[:, :d] = X
-    X1[:, d] = 1.0
+    N, d = X.shape[-2:]
+    X1 = np.empty(X.shape[:-1] + (d + 1,))
+    X1[..., :d] = X
+    X1[..., d] = 1.0
     count, _, L = layer_t.shape
     result = np.empty((count, N, outputs.shape[2]))
     step = max(1, _CHUNK_ELEMENTS // max(1, N * L))
     for i in range(0, count, step):
         chunk = slice(i, i + step)
-        z = np.matmul(X1, layer_t[chunk])
+        z = np.matmul(X1[chunk] if X1.ndim == 3 else X1, layer_t[chunk])
         # a folded sigmoid is a tanh network
         H = (np.tanh(z, out=z) if activation is Activation.SIGMOID
              else _activate(activation, z))
@@ -204,7 +211,7 @@ def _forward(X, stacked, activation) -> np.ndarray:
     return result
 
 
-def _checked(inputs, targets, node_count: int, activation: Activation):
+def _checked(inputs, targets, activation: Activation):
     """The training inputs and targets as finite matrices, once checked."""
     X = as_matrix(inputs, "inputs")
     Y = as_matrix(targets, "targets")
@@ -212,8 +219,6 @@ def _checked(inputs, targets, node_count: int, activation: Activation):
         raise ValueError("elm_train requires at least one training row")
     if Y.shape[0] != X.shape[0]:
         raise ValueError(f"inputs have {X.shape[0]} rows but targets has {Y.shape[0]}")
-    if node_count < 1:
-        raise ValueError(f"node_count must be at least 1, got {node_count}")
     if not isinstance(activation, Activation):
         raise ValueError(f"activation must be an Activation, got {activation!r}")
     return X, Y
@@ -224,7 +229,9 @@ def _train(X, Y, node_count: int, activation: Activation, rng, count: int):
     trained a chunk of members at a time (module docstring), on checked
     inputs and targets: one (n, d) X and (n, m) Y for every member, or
     (count, n, d) and (count, n, m) stacks, one pair per member.  Returns
-    the members' stacks W (count, L, d), b (count, L) and B (count, L, m)."""
+    the members' stacks W (count, L, d), b (count, L) and B (count, L, m).
+    A ``node_count`` that is not an integer of at least 1 is a ValueError."""
+    node_count = checked_int(node_count, "node_count", 1)
     (n, d), m = X.shape[-2:], Y.shape[-1]
     width = node_count + m if factors_joined(n, node_count) else node_count
     step = max(1, _CHUNK_ELEMENTS // (n * width))
@@ -291,7 +298,7 @@ def elm_train(inputs, targets, node_count: int, activation: Activation,
     This is ``ensemble_train``'s code for one member: member 0 of the
     ensemble trained with the same seed.
     """
-    X, Y = _checked(inputs, targets, node_count, activation)
+    X, Y = _checked(inputs, targets, activation)
     W, b, B = _train(X, Y, node_count, activation, derive_rng(seed, STREAM_MEMBER), 1)
     return ElmModel(W[0], b[0], B[0], activation)
 
@@ -304,15 +311,15 @@ def elm_predict(model: ElmModel, inputs) -> np.ndarray:
     return _forward(X, stacked, model.activation)[0]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class EnsembleModel:
     """M networks that share activation, node count L, input dimension d
-    and output count m, held as three stacks, one slice per member.
+    and output count m, held as three stacks, one slice per member, and
+    checked for M >= 1 and agreeing shapes, without a copy.
 
-    ``EnsembleModel(members, trim_policy, seed)`` stacks lone networks;
-    ``from_stacks`` holds stacks as they are, and ``members`` gives each
-    member back as an ``ElmModel`` whose arrays are views of the stacks.
-    ``seed`` is the seed the members were drawn with, or None.
+    ``members`` gives each member back as an ``ElmModel`` whose arrays are
+    views of the stacks.  ``seed`` is the seed the members were drawn
+    with, or None.
     """
 
     hidden_weights: np.ndarray        # (M, L, d)
@@ -320,35 +327,18 @@ class EnsembleModel:
     output_weights: np.ndarray        # (M, L, m)
     activation: Activation
     trim_policy: TrimPolicy
-    seed: int | None
+    seed: int | None = None
 
-    def __init__(self, members, trim_policy: TrimPolicy, seed: int | None = None):
-        if not members:
+    def __post_init__(self):
+        W, b, B = map(np.shape, (self.hidden_weights, self.hidden_biases,
+                                 self.output_weights))
+        if not (len(W) == len(B) == 3 and W[:2] == b == B[:2] and min(W[1:] + B[2:]) >= 1):
+            raise ValueError("an ensemble's stacks must be W (M, L, d), b (M, L) and "
+                             f"B (M, L, m) with L, d, m >= 1, got {W}, {b} and {B}")
+        if W[0] < 1:
             raise ValueError("an ensemble needs at least one member")
-        if any(m.activation is not members[0].activation for m in members):
-            raise ValueError("ensemble members must share activation and shapes")
-        self._hold(*(np.stack([getattr(m, name) for m in members]) for name in
-                     ("hidden_weights", "hidden_biases", "output_weights")),
-                   members[0].activation, trim_policy, seed)
-
-    @classmethod
-    def from_stacks(cls, hidden_weights, hidden_biases, output_weights,
-                    activation: Activation, trim_policy: TrimPolicy,
-                    seed: int | None) -> EnsembleModel:
-        """The ensemble of stacks W (M, L, d), b (M, L) and B (M, L, m) of
-        matching M and L, held without a copy."""
-        ensemble = cls.__new__(cls)
-        ensemble._hold(hidden_weights, hidden_biases, output_weights, activation,
-                       trim_policy, seed)
-        return ensemble
-
-    def _hold(self, *values) -> None:
-        """Set the fields to ``values``, in field order."""
-        for name, value in zip(self.__dataclass_fields__, values):
-            object.__setattr__(self, name, value)
-        if self.trim_policy is TrimPolicy.DROP_MIN_MAX and self.member_count < 3:
-            raise ValueError("drop-min-max trimming needs at least 3 members, "
-                             f"got {self.member_count}")
+        if self.trim_policy is TrimPolicy.DROP_MIN_MAX and W[0] < 3:
+            raise ValueError(f"drop-min-max trimming needs at least 3 members, got {W[0]}")
 
     @property
     def member_count(self) -> int:
@@ -386,14 +376,13 @@ def ensemble_train(inputs, targets, node_count: int, activation: Activation,
     produces wild individual members, so that activation gets the
     drop-min-max trim policy; the others average all members.
     """
-    if member_count < 1:
-        raise ValueError(f"member_count must be at least 1, got {member_count}")
-    X, Y = _checked(inputs, targets, node_count, activation)
+    member_count = checked_int(member_count, "member_count", 1)
+    X, Y = _checked(inputs, targets, activation)
     trim = (TrimPolicy.DROP_MIN_MAX if activation is Activation.RADIAL_BASIS
             else TrimPolicy.NONE)
     rng = derive_rng(seed, STREAM_MEMBER)
-    return EnsembleModel.from_stacks(*_train(X, Y, node_count, activation, rng, member_count),
-                                     activation, trim, int(seed))
+    return EnsembleModel(*_train(X, Y, node_count, activation, rng, member_count),
+                         activation, trim, int(seed))
 
 
 def ensemble_predict(ensemble: EnsembleModel, inputs) -> np.ndarray:
@@ -422,8 +411,8 @@ class CvConfig:
         # numpy integers are held as ints, so a report echoes them as JSON
         object.__setattr__(self, "seed", checked_int(self.seed, "seed"))
         object.__setattr__(self, "folds", checked_int(self.folds, "folds", 2))
-        counts = tuple(checked_int(c, f"candidate_node_counts[{i}]", None)
-                       for i, c in enumerate(self.candidate_node_counts))
+        counts = checked_items(self.candidate_node_counts, "candidate_node_counts",
+                               lambda c, name: checked_int(c, name, None))
         object.__setattr__(self, "candidate_node_counts", counts)
         if not counts:
             raise ValueError("candidate_node_counts must not be empty")
@@ -459,20 +448,21 @@ def select_node_count(inputs, targets, activation: Activation, cv: CvConfig):
     Returns (node_count, mean_mse_per_candidate) where the second element
     maps each evaluated candidate to its score.
     """
-    X, Y = _checked(inputs, targets, cv.candidate_node_counts[0], activation)
+    X, Y = _checked(inputs, targets, activation)
     n = X.shape[0]
     if n < cv.folds:
         raise ValueError(f"need at least {cv.folds} rows for {cv.folds}-fold selection")
     blocks = np.array_split(np.arange(n), cv.folds)
     # array_split's blocks take at most two sizes, the larger first; the
     # folds of each size are consecutive and train as one stack, every
-    # fold on its own rows
+    # fold on its own rows, and are scored as one stack of their blocks
     groups = {}
-    for fi, block in enumerate(blocks):
-        groups.setdefault(len(block), []).append(fi)
-    stacks = [(folds, np.stack([np.delete(X, blocks[fi], axis=0) for fi in folds]),
-               np.stack([np.delete(Y, blocks[fi], axis=0) for fi in folds]))
-              for folds in groups.values()]
+    for block in blocks:
+        groups.setdefault(len(block), []).append(block)
+    stacks = [(np.stack([np.delete(X, block, axis=0) for block in group]),
+               np.stack([np.delete(Y, block, axis=0) for block in group]),
+               np.stack([X[block] for block in group]), np.stack([Y[block] for block in group]))
+              for group in groups.values()]
     min_train_rows = n - max(groups)
     scores: dict[int, float] = {}
     for L in cv.candidate_node_counts:
@@ -483,15 +473,11 @@ def select_node_count(inputs, targets, activation: Activation, cv: CvConfig):
             )
             continue
         rng = derive_rng(cv.seed, STREAM_CV, L)
-        models = {}
-        for folds, Xs, Ys in stacks:
-            W, b, B = _train(Xs, Ys, L, activation, rng, len(folds))
-            models.update((fi, ElmModel(W[j], b[j], B[j], activation))
-                          for j, fi in enumerate(folds))
         fold_mse = []
-        for fi, block in enumerate(blocks):
-            err = elm_predict(models[fi], X[block]) - Y[block]
-            fold_mse.append(float(np.mean(err * err)))
+        for Xs, Ys, Xv, Yv in stacks:
+            W, b, B = _train(Xs, Ys, L, activation, rng, len(Xs))
+            err = _forward(Xv, _fold(W, b, B, activation), activation) - Yv
+            fold_mse.extend(float(np.mean(e * e)) for e in err)
         scores[int(L)] = float(np.mean(fold_mse))
     if not scores:
         raise ValueError(

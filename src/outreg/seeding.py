@@ -3,9 +3,13 @@
 Every stochastic component in this package (network weight draws, trial
 loops, cross-validation, synthetic data) derives its generator from an
 integer seed plus a derivation path.  The same (seed, path) pair always
-produces the same stream, and changing any element of the path produces a
-statistically independent stream.  This is what makes whole experiment
-runs bitwise reproducible.
+produces the same stream, and changing an element of the path to another
+value produces a statistically independent stream.  Appending zeros need
+not: ``np.random.SeedSequence`` pads an entropy of fewer than four 32-bit
+words with zero words, so for a seed below 2^32 ``derive_rng(s, 0)`` is
+``derive_rng(s)``.  No two streams this package draws differ only by
+trailing zeros.  This is what makes whole experiment runs bitwise
+reproducible.
 
 ``derive_rng`` builds one ``np.random.SeedSequence`` per stream and a
 PCG64 generator on it.  An ensemble draws all its members from one such
@@ -14,9 +18,10 @@ consecutive blocks, and a CV candidate its folds the same way (see
 ``outreg.regress``), so no member needs a seed of its own.
 
 The configs type their fields when they are built through
-``checked_int``, which seeds go through too, ``checked_float`` and
-``checked_bool``: numpy scalars are held as Python values, and a value of
-the wrong kind is a ValueError that names the field.
+``checked_int``, which seeds go through too, ``checked_float``,
+``checked_bool`` and, for a field that holds several values,
+``checked_items``: numpy scalars are held as Python values, and a value
+of the wrong kind is a ValueError that names the field.
 """
 
 from __future__ import annotations
@@ -50,7 +55,19 @@ def checked_float(value, name: str) -> float:
     if isinstance(value, (bool, np.bool_)) or not isinstance(
             value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a number, got an integer too large "
+                         "for a float") from None
+
+
+def checked_items(values, name: str, check) -> tuple:
+    """``values`` as a tuple of ``check(item, f"{name}[i]")``; a ValueError
+    naming ``name`` if it is a scalar or a string, not a sequence."""
+    if isinstance(values, str) or not np.iterable(values):
+        raise ValueError(f"{name} must be a sequence, got {values!r}")
+    return tuple(check(v, f"{name}[{i}]") for i, v in enumerate(values))
 
 
 def checked_bool(value, name: str) -> bool:

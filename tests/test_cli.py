@@ -288,6 +288,24 @@ class TestRunCommand:
         assert f"error: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"gate_percentiles": [10 ** 400]}, "gate_percentiles[0]"),
+        ({"or": {"delta1_values": [10 ** 400]}}, "delta1_values[0]"),
+        ({"or": {"delta2_values": [0.5, -10 ** 400]}}, "delta2_values[1]"),
+    ], ids=["percentile", "delta1", "delta2"])
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys, overrides, key):
+        """A 401-digit JSON integer where a number belongs is an error that
+        names the field, not an OverflowError traceback."""
+        manifest_path = _write_dataset(tmp_path)
+        config_path = _write_config(tmp_path, **overrides)
+        code = main(["run", "--manifest", str(manifest_path),
+                     "--config", str(config_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {key} must be a number, got an integer "
+                                           "too large for a float\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("overrides, message", [
         ({"activations": ["sigmoid", "softplus", "sigmoid"]},
          "activations must not repeat, got ['sigmoid', 'softplus', 'sigmoid']"),

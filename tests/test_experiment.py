@@ -251,6 +251,53 @@ class TestTypedFields:
         assert b'"include_raw_nlr": true' in reports[1]
 
 
+# (the config class, the field that holds several values, a scalar of the
+# kind its items take, a valid list of them, the tuple that list is held as)
+CONTAINER_FIELDS = {
+    "activations": (ExperimentConfig, "activations", Activation.SIGMOID,
+                    [Activation.SIGMOID, Activation.SOFTPLUS],
+                    (Activation.SIGMOID, Activation.SOFTPLUS)),
+    "gate-percentiles": (ExperimentConfig, "gate_percentiles", 99.0, [99.0, 95.0],
+                         (99.0, 95.0)),
+    "candidate-node-counts": (CvConfig, "candidate_node_counts", 5, [5, 10], (5, 10)),
+    "delta1-values": (OrConfig, "delta1_values", 0.5, [0.5, 0.25], (0.5, 0.25)),
+}
+
+
+class TestContainerFields:
+    """A field that holds several values, or a sub-config, is typed when the
+    config is built: a scalar where a sequence belongs, or a dict where a
+    config belongs, is a ValueError that names the field, not a TypeError
+    or an AttributeError in the middle of a run."""
+
+    @pytest.mark.parametrize("case", CONTAINER_FIELDS)
+    def test_scalar_rejected_naming_the_field(self, case):
+        config, name, scalar, _, _ = CONTAINER_FIELDS[case]
+        with pytest.raises(ValueError, match=rf"^{name} must be a sequence"):
+            config(**{name: scalar})
+
+    @pytest.mark.parametrize("case", CONTAINER_FIELDS)
+    def test_tuples_lists_and_arrays_held_as_tuples(self, case):
+        config, name, _, items, held = CONTAINER_FIELDS[case]
+        for value in (tuple(items), items, np.array(items)):
+            assert getattr(config(**{name: value}), name) == held
+
+    @pytest.mark.parametrize("name, value", [("cv", {"folds": 5}),
+                                             ("or_config", {"include_raw_nlr": True}),
+                                             ("or_config", None)])
+    def test_sub_config_of_another_kind_rejected(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be a"):
+            ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize("config, name", [(ExperimentConfig, "gate_percentiles"),
+                                              (OrConfig, "delta1_values"),
+                                              (OrConfig, "delta2_values")])
+    def test_integer_too_large_for_a_float_rejected(self, config, name):
+        with pytest.raises(ValueError, match=rf"^{name}\[0\] must be a number, got an "
+                                             "integer too large for a float"):
+            config(**{name: (10 ** 400,)})
+
+
 def _activation_part(result, activation):
     """Everything a run reports for ``activation``, as exact JSON text."""
     name = activation.value

@@ -13,6 +13,8 @@ member seeds are checked, then dropped.
 """
 
 import dataclasses
+import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -56,17 +58,28 @@ class TestEnsembleRoundTrip:
                                           original.output_weights)
 
     def test_none_seeds_survive(self, tmp_path):
-        from outreg import ElmModel, EnsembleModel
-        member = ElmModel(hidden_weights=np.ones((2, 1)),
-                          hidden_biases=np.zeros(2),
-                          output_weights=np.ones((2, 1)),
-                          activation=Activation.SIGMOID)
-        ensemble = EnsembleModel(members=(member,),
-                                 trim_policy=TrimPolicy.NONE)
+        from outreg import EnsembleModel
+        ensemble = EnsembleModel(np.ones((1, 2, 1)), np.zeros((1, 2)), np.ones((1, 2, 1)),
+                                 Activation.SIGMOID, TrimPolicy.NONE)
         path = tmp_path / "model.npz"
         save_ensemble(path, ensemble)
         loaded = load_ensemble(path)
         assert loaded.seed is None
+
+    def test_mismatched_stacks_never_reach_a_file(self, tmp_path):
+        """Stacks that disagree in M or L are refused when the ensemble is
+        built or replaced, so ``save_ensemble`` cannot write a file that
+        ``load_ensemble`` would refuse."""
+        from outreg import EnsembleModel
+        ensemble = sigmoid_ensemble()
+        W, b, B = ensemble.hidden_weights, ensemble.hidden_biases, ensemble.output_weights
+        for stacks in ((W, b[:2], B), (W, b, B[:, :3])):
+            with pytest.raises(ValueError, match="stacks must be W"):
+                save_ensemble(tmp_path / "model.npz",
+                              EnsembleModel(*stacks, Activation.SIGMOID, TrimPolicy.NONE))
+        with pytest.raises(ValueError, match="stacks must be W"):
+            dataclasses.replace(ensemble, hidden_biases=b[:2])
+        assert not (tmp_path / "model.npz").exists()
 
 
 def _old_header(ensemble, version, member_seeds=None):
@@ -308,12 +321,10 @@ class TestEnsembleFieldChecks:
         """Ensemble seeds of either sign, past 64 bits or absent round-trip,
         and such member seeds in a version-1 or version-2 file pass their
         check and are dropped."""
-        from outreg import ElmModel, EnsembleModel
-        members = tuple(ElmModel(hidden_weights=np.ones((2, 1)), hidden_biases=np.zeros(2),
-                                 output_weights=np.ones((2, 1)), activation=Activation.SIGMOID)
-                        for _ in range(3))
+        from outreg import EnsembleModel
         for seed in (-1, None, 2 ** 64 + 1):
-            ensemble = EnsembleModel(members=members, trim_policy=TrimPolicy.NONE, seed=seed)
+            ensemble = EnsembleModel(np.ones((3, 2, 1)), np.zeros((3, 2)), np.ones((3, 2, 1)),
+                                     Activation.SIGMOID, TrimPolicy.NONE, seed)
             for save in (save_ensemble, save_ensemble_v1, save_ensemble_v2):
                 path = tmp_path / f"{save.__name__}.npz"
                 if save is save_ensemble:
@@ -429,6 +440,22 @@ class TestHeaderChecks:
         change(path)
         with pytest.raises(ValueError, match=rf"model\.npz: {message}"):
             load(path)
+
+    @pytest.mark.parametrize("load", [load_ensemble, load_gate])
+    def test_truncated_archive_closes_its_file(self, tmp_path, load):
+        """The file a failed load opened is closed before the error reaches
+        the caller, so no ResourceWarning follows when it is collected."""
+        path = tmp_path / "model.npz"
+        save_ensemble(path, small_ensemble())
+        path.write_bytes(path.read_bytes()[:200])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                load(path)
+            except ValueError:
+                pass
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_absent_file_stays_file_not_found(self, tmp_path):
         for load in (load_ensemble, load_gate):

@@ -5,7 +5,7 @@ the hidden layer is redrawn from the same seed in the test and the
 output weights recomputed with numpy's own lstsq.  Every ensemble member
 and CV fold model is checked bitwise against a lone fit on its block of
 its stream, redrawn by advancing the stream's PCG64.  Trim behaviour is
-pinned with hand-built members whose predictions are known constants.
+pinned with hand-built stacks whose members predict known constants.
 """
 
 import math
@@ -37,16 +37,17 @@ def lone_fit(X, Y, node_count, activation, rng) -> ElmModel:
     return ElmModel(W[0], b[0], B[0], activation)
 
 
-def constant_member(value: float, activation=Activation.SIGMOID) -> ElmModel:
-    """A one-node network that outputs ``value`` everywhere.
+def constant_stacks(values, activation=Activation.SIGMOID):
+    """The stacks W, b, B of one-node members, member i outputting
+    ``values[i]`` everywhere.
 
     With zero hidden weights and bias the hidden activation is a known
     constant h0, so an output weight of value/h0 gives a flat surface.
     """
     h0 = activation_value(activation, 0.0)
-    return ElmModel(hidden_weights=np.zeros((1, 1)), hidden_biases=np.zeros(1),
-                    output_weights=np.array([[value / h0]]),
-                    activation=activation)
+    M = len(values)
+    return (np.zeros((M, 1, 1)), np.zeros((M, 1)),
+            np.asarray(values, dtype=float).reshape(M, 1, 1) / h0)
 
 
 class TestActivations:
@@ -209,6 +210,22 @@ class TestElmTraining:
         with pytest.raises(ValueError, match="node_count"):
             elm_train([[1.0]], [[1.0]], 0, Activation.SIGMOID, seed=0)
 
+    def test_training_sizes_are_typed(self):
+        """A node or member count that is not an integer is a ValueError that
+        names it, as a count below 1 is, not a TypeError from numpy."""
+        X = np.linspace(-1, 1, 10)[:, None]
+        for train, kwargs, message in (
+                (elm_train, dict(node_count=5.0), "node_count must be an integer, got 5.0"),
+                (elm_train, dict(node_count=0), "node_count must be at least 1, got 0"),
+                (ensemble_train, dict(node_count=5.0), "node_count must be an integer, got 5.0"),
+                (ensemble_train, dict(node_count=0), "node_count must be at least 1, got 0"),
+                (ensemble_train, dict(node_count=5, member_count=2.5),
+                 "member_count must be an integer, got 2.5"),
+                (ensemble_train, dict(node_count=5, member_count=0),
+                 "member_count must be at least 1, got 0")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                train(X, X, activation=Activation.SIGMOID, seed=0, **kwargs)
+
     def test_predict_column_mismatch_rejected(self):
         X = np.linspace(-1, 1, 10)[:, None]
         model = elm_train(X, X, 4, Activation.SIGMOID, seed=0)
@@ -293,10 +310,9 @@ class TestEnsemble:
 
     def test_trim_discards_one_wild_member(self):
         """Constants 0,1,2,3,100: trimming drops 0 and 100, mean is 2."""
-        members = tuple(constant_member(v) for v in (0.0, 1.0, 2.0, 3.0, 100.0))
-        trimmed = EnsembleModel(members=members,
-                                trim_policy=TrimPolicy.DROP_MIN_MAX)
-        plain = EnsembleModel(members=members, trim_policy=TrimPolicy.NONE)
+        stacks = constant_stacks((0.0, 1.0, 2.0, 3.0, 100.0))
+        trimmed = EnsembleModel(*stacks, Activation.SIGMOID, TrimPolicy.DROP_MIN_MAX)
+        plain = EnsembleModel(*stacks, Activation.SIGMOID, TrimPolicy.NONE)
         grid = [[0.0], [5.0]]
         np.testing.assert_allclose(ensemble_predict(trimmed, grid), 2.0,
                                    rtol=0, atol=1e-12)
@@ -314,19 +330,34 @@ class TestEnsemble:
                                       ensemble_predict(b, grid))
 
     def test_trim_needs_three_members(self):
-        members = tuple(constant_member(v) for v in (1.0, 2.0))
+        stacks = constant_stacks((1.0, 2.0))
         with pytest.raises(ValueError, match="at least 3"):
-            EnsembleModel(members=members, trim_policy=TrimPolicy.DROP_MIN_MAX)
+            EnsembleModel(*stacks, Activation.SIGMOID, TrimPolicy.DROP_MIN_MAX)
 
     def test_heterogeneous_members_rejected(self):
-        a = constant_member(1.0, Activation.SIGMOID)
-        b = constant_member(1.0, Activation.SOFTPLUS)
-        with pytest.raises(ValueError, match="share"):
-            EnsembleModel(members=(a, b), trim_policy=TrimPolicy.NONE)
+        """Stacks that disagree in member count M or node count L, that
+        have the wrong number of axes, or that hold a zero-length axis do
+        not make an ensemble."""
+        W, b, B = np.ones((3, 5, 2)), np.ones((3, 5)), np.ones((3, 5, 1))
+        for stacks in ((W, b[:2], B), (W, b, B[:2]),      # M
+                       (W, b[:, :4], B), (W, b, B[:, :4]),  # L
+                       (W[0], b, B), (W, b[..., None], B), (W, b, B[..., 0]),  # ndim
+                       # L, d or m of 0
+                       (W[:, :0], b[:, :0], B[:, :0]), (W[..., :0], b, B), (W, b, B[..., :0])):
+            with pytest.raises(ValueError, match="stacks must be W"):
+                EnsembleModel(*stacks, Activation.SIGMOID, TrimPolicy.NONE)
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError, match="at least one member"):
-            EnsembleModel(members=(), trim_policy=TrimPolicy.NONE)
+            EnsembleModel(np.ones((0, 5, 2)), np.ones((0, 5)), np.ones((0, 5, 1)),
+                          Activation.SIGMOID, TrimPolicy.NONE)
+
+    def test_stacks_are_held_without_a_copy(self):
+        W, b, B = np.ones((3, 5, 2)), np.ones((3, 5)), np.ones((3, 5, 1))
+        ensemble = EnsembleModel(W, b, B, Activation.SIGMOID, TrimPolicy.NONE)
+        assert ensemble.hidden_weights is W and ensemble.hidden_biases is b
+        assert ensemble.output_weights is B and ensemble.seed is None
+        assert ensemble.members[1].hidden_weights.base is W
 
 
 def sign_split_sigmoid(z):
@@ -453,6 +484,22 @@ class TestNodeSelection:
                 fold_mse.append(float(np.mean(err * err)))
             assert scores[L] == float(np.mean(fold_mse))
         assert best == min(scores, key=scores.get)
+
+    def test_fold_groups_are_scored_as_stacks(self, monkeypatch):
+        """23 rows in 4 folds are blocks of 6, 6, 6 and 5 rows: each
+        candidate scores the three 6-row folds with one ``_forward`` call
+        on a (3, 6, d) stack, then the 5-row fold, and no fold becomes an
+        ``ElmModel`` or goes through ``elm_predict``."""
+        shapes = []
+        forward = regress._forward
+        monkeypatch.setattr(regress, "_forward",
+                            lambda X, *args: shapes.append(X.shape) or forward(X, *args))
+        monkeypatch.setattr(regress, "ElmModel", None)
+        monkeypatch.setattr(regress, "elm_predict", None)
+        X = np.random.default_rng(22).uniform(-1, 1, size=(23, 2))
+        cv = CvConfig(folds=4, candidate_node_counts=(3, 6), seed=17)
+        select_node_count(X, np.sin(X[:, :1]), Activation.SIGMOID, cv)
+        assert shapes == [(3, 6, 2), (1, 5, 2)] * 2
 
     def test_exact_tie_prefers_smaller_count(self):
         """All-zero targets give every candidate an exact zero score."""
