@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..numkernel import as_matrix, as_vector
 from ..preprocess import (OneHotGroup, TargetTransform, indicator_columns, one_hot_encode,
                           transform_target)
 
@@ -59,7 +60,11 @@ class DatasetManifest:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ingested, encoded, transformed and split data."""
+    """Ingested, encoded, transformed and split data.
+
+    Built only with finite 2-D inputs of one column count and finite
+    targets, transformed and raw, of one value per row of their part;
+    anything else is a ValueError naming the field."""
 
     name: str
     train_inputs: np.ndarray
@@ -75,7 +80,14 @@ class Dataset:
     dropped_rows: int
 
     def __post_init__(self):
-        indicator_columns(self.onehot_groups, self.train_inputs.shape[1])
+        columns = None
+        for part in ("train", "test"):
+            rows, columns = as_matrix(getattr(self, f"{part}_inputs"), f"{part}_inputs",
+                                      columns).shape
+            for name in (f"{part}_target", f"{part}_target_raw"):
+                if (size := as_vector(getattr(self, name), name).size) != rows:
+                    raise ValueError(f"{name} has {size} values for {rows} {part} rows")
+        indicator_columns(self.onehot_groups, columns)
 
     @property
     def indicator_columns(self) -> tuple[int, ...]:
@@ -352,10 +364,9 @@ def dataset_from_arrays(train_inputs, test_inputs, train_target, test_target,
                         target_transform: TargetTransform = TargetTransform.NONE,
                         clip_negative_predictions: bool = False) -> Dataset:
     """Wrap already-loaded arrays in a Dataset (targets given in raw units)."""
-    train_inputs = np.asarray(train_inputs, dtype=float)
-    test_inputs = np.asarray(test_inputs, dtype=float)
-    train_raw = np.asarray(train_target, dtype=float)
-    test_raw = np.asarray(test_target, dtype=float)
+    train_inputs, test_inputs = (np.asarray(a, dtype=float) for a in (train_inputs, test_inputs))
+    train_raw, test_raw = (as_vector(train_target, "train_target"),
+                           as_vector(test_target, "test_target"))
     return Dataset(
         name=name,
         train_inputs=train_inputs,

@@ -35,8 +35,8 @@ from ..preprocess import (TargetTransform, apply_minmax, clip_nonnegative,
                           minmax_onehot_group, r_outl)
 from ..regress import (Activation, CvConfig, default_node_grid, ensemble_predict,
                        ensemble_train, lr_fit, lr_predict, select_node_count)
-from ..seeding import (STREAM_CV, STREAM_TRIAL, checked_bool, checked_float, checked_int,
-                       checked_items, derive_seed)
+from ..seeding import (STREAM_CV, STREAM_TRIAL, checked_bool, checked_enum, checked_float,
+                       checked_int, checked_items, derive_seed)
 from .dataset import Dataset
 from .metrics import boxplot_rows, mad, maen_at_scale, spearman
 
@@ -44,12 +44,6 @@ MODELS = ("lr", "nlr", "nlr_or")
 SUBSETS = ("all", "outliers", "non_outliers")
 METRICS = ("maen", "spearman")
 MODEL_PAIRS = (("nlr", "lr"), ("nlr_or", "nlr"), ("nlr_or", "lr"))
-
-
-def _checked_activation(value, name: str) -> Activation:
-    if not isinstance(value, Activation):
-        raise ValueError(f"{name} must be an Activation, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "activations", checked_items(
-            self.activations, "activations", _checked_activation))
+            self.activations, "activations",
+            lambda a, name: checked_enum(a, name, Activation)))
         if not self.activations:
             raise ValueError("at least one activation is required")
         # numpy scalars are held as Python values, so the report echoes them as JSON

@@ -157,62 +157,50 @@ def pinv_solve(design, targets, rel_tol: float = 1e-10) -> np.ndarray:
         )
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
-    B = pinv_solve_stack(H, Y, rel_tol)
+    B = pinv_solve_stack(H, Y, H.shape[2], rel_tol)
     return B[0] if ndim == 2 else B
 
 
-def pinv_solve_stack(H: np.ndarray, Y: np.ndarray,
+def pinv_solve_stack(A: np.ndarray, Y: np.ndarray, p: int,
                      rel_tol: float = 1e-10) -> np.ndarray:
-    """``pinv_solve`` on a checked stack: finite (k, n, p) designs with
-    (k, n, m) targets, p >= 1 and n >= 1; the result is (k, p, m).
+    """``pinv_solve`` on a checked stack: the finite (k, n, p) designs H
+    are the first p columns of A, with finite (k, n, m) targets Y, p >= 1
+    and n >= 1; the result is (k, p, m).
 
-    The QR route factors [H | y].  Where H and Y are the two column
-    blocks of one array, as ``regress`` lays out the designs that
-    ``factors_joined``, it factors that array without a copy (``_joined``).
+    A is (k, n, p), or (k, n, p + m) with m spare columns after the
+    designs.  The QR route factors [H | y].  Where the designs go straight
+    to it (``factors_joined``) and A has the spare columns, Y is written
+    into them and A itself is factored, with no copy of the designs; that
+    is the only write to A.  Otherwise H and Y are joined by a copy, so a
+    caller's array without spare columns is never written to.
     """
-    k, n, p = H.shape
-    m = Y.shape[2]
+    k, n, _ = A.shape
+    H, m = A[:, :, :p], Y.shape[2]
     if n < p or m == 0:
         B = np.empty((k, p, m))
         for i in range(k):
             B[i] = np.linalg.lstsq(H[i], Y[i], rcond=rel_tol)[0]
         return B
     if factors_joined(n, p):
-        return _qr_solve(_joined(H, Y), p, rel_tol)
+        if A.shape[2] == p:
+            return _qr_solve(np.concatenate((H, Y), axis=2), p, rel_tol)
+        A[:, :, p:] = Y
+        return _qr_solve(A, p, rel_tol)
     cleared, solved = _gram_solve(H, Y, rel_tol)
     if cleared.all():
         return solved
     B = np.empty((k, p, m))
     B[cleared] = solved
-    B[~cleared] = _qr_solve(_joined(H[~cleared], Y[~cleared]), p, rel_tol)
+    B[~cleared] = _qr_solve(np.concatenate((H[~cleared], Y[~cleared]), axis=2),
+                            p, rel_tol)
     return B
 
 
 def factors_joined(n: int, p: int) -> bool:
     """Whether ``pinv_solve_stack`` takes an (n, p) design straight to the
     QR route, which factors [H | y], so that a caller building the design
-    can write it beside its targets as one array."""
+    can give it spare columns for the targets and spare the solve a copy."""
     return p <= n < _GRAM_MIN_RATIO * p
-
-
-def _joined(H: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """[H | Y] as one (k, n, p + m) array.
-
-    When H and Y are already the two column blocks of one C-ordered array,
-    as ``regress`` lays out the designs that ``factors_joined``, that array
-    is returned, so the solve adds no copy of the design.
-    """
-    base = H.base
-    k, n, p = H.shape
-    if (isinstance(base, np.ndarray) and Y.base is base
-            and base.shape == (k, n, p + Y.shape[2])
-            and base.flags.c_contiguous
-            and H.strides == Y.strides == base.strides):
-        start = base.__array_interface__["data"][0]
-        if (H.__array_interface__["data"][0] == start
-                and Y.__array_interface__["data"][0] == start + p * H.itemsize):
-            return base
-    return np.concatenate((H, Y), axis=2)
 
 
 def _take(stack: np.ndarray, members: np.ndarray) -> np.ndarray:

@@ -36,8 +36,9 @@ are held one chunk at a time.  It writes every member's activations H
 into one (k, N, L) array with one product, one activation pass and one
 finite check, and solves the whole chunk with one ``pinv_solve_stack``
 call.  Where that solve goes straight to the QR route, which factors
-[H | Y] (``factors_joined``), the array is (k, N, L+m) instead and holds
-the targets Y beside H, so the route factors it without a copy.  Each
+[H | Y] (``factors_joined``), the array is (k, N, L+m) instead: H and m
+spare columns, into which the solve writes the targets Y before it
+factors the array, so that no design is copied.  Each
 member's product, activation and solve are the same operations on the
 same strides as for a lone member, so member i is bitwise a lone
 ``_train`` on its block, whatever the chunk size.
@@ -104,7 +105,8 @@ import numpy as np
 
 from .numkernel import (as_matrix, as_vector, factors_joined, pinv_solve,
                         pinv_solve_stack)
-from .seeding import STREAM_CV, STREAM_MEMBER, checked_int, checked_items, derive_rng
+from .seeding import (STREAM_CV, STREAM_MEMBER, checked_enum, checked_int, checked_items,
+                      derive_rng)
 
 DEFAULT_NODE_GRID = (5, 10, 20, 40, 70, 100, 150, 200, 300)
 
@@ -219,8 +221,7 @@ def _checked(inputs, targets, activation: Activation):
         raise ValueError("elm_train requires at least one training row")
     if Y.shape[0] != X.shape[0]:
         raise ValueError(f"inputs have {X.shape[0]} rows but targets has {Y.shape[0]}")
-    if not isinstance(activation, Activation):
-        raise ValueError(f"activation must be an Activation, got {activation!r}")
+    checked_enum(activation, "activation", Activation)
     return X, Y
 
 
@@ -261,17 +262,17 @@ def _hidden_layers(rng, k: int, node_count: int, d: int) -> tuple[np.ndarray, np
 
 def _train_chunk(X, Y, activation: Activation, width: int, rng, W, b, B) -> None:
     """The members of one chunk, drawn from ``rng`` and written into their
-    slices W, b and B of the stacks.  Their hidden layers share one
-    (k, N, width) array: H, then Y where ``width`` has room for it.  The
-    array is freed on return, before the next chunk's is allocated."""
+    slices W, b and B of the stacks.  Their hidden layers H are the first
+    L columns of one (k, N, width) array, whose ``width - L`` spare columns
+    are the room ``pinv_solve_stack`` may write Y into.  The array is freed
+    on return, before the next chunk's is allocated."""
     (k, node_count), (n, d), m = b.shape, X.shape[-2:], Y.shape[-1]
     W[...], b[...] = _hidden_layers(rng, k, node_count, d)
     bias = np.zeros((k, 1, width))
     bias[:, 0, :node_count] = b
     # the plain form activation(X W^T + b); evaluation folds it (module
-    # docstring).  Where the solve factors [H | Y], H and Y share one array,
-    # whose Y columns go through the activation as zeros, so that every
-    # pass runs on contiguous storage, and are then overwritten
+    # docstring).  The spare columns go through the activation as zeros,
+    # so that every pass runs on contiguous storage
     z = np.empty((k, n, width))
     z[:, :, node_count:] = 0.0
     np.matmul(X, W.transpose(0, 2, 1), out=z[:, :, :node_count])
@@ -282,12 +283,7 @@ def _train_chunk(X, Y, activation: Activation, width: int, rng, W, b, B) -> None
             f"hidden activations are not finite (activation={activation.value}, "
             f"node_count={node_count}); input scaling is probably missing"
         )
-    if width > node_count:
-        z[:, :, node_count:] = Y
-        targets = z[:, :, node_count:]
-    else:
-        targets = np.broadcast_to(Y, (k, n, m))
-    B[...] = pinv_solve_stack(z[:, :, :node_count], targets)
+    B[...] = pinv_solve_stack(z, np.broadcast_to(Y, (k, n, m)), node_count)
 
 
 def elm_train(inputs, targets, node_count: int, activation: Activation,
@@ -311,11 +307,13 @@ def elm_predict(model: ElmModel, inputs) -> np.ndarray:
     return _forward(X, stacked, model.activation)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleModel:
     """M networks that share activation, node count L, input dimension d
     and output count m, held as three stacks, one slice per member, and
-    checked for M >= 1 and agreeing shapes, without a copy.
+    checked for M >= 1, agreeing shapes and an ``Activation`` and a
+    ``TrimPolicy``, without a copy.  Two ensembles compare and hash by
+    identity, since their stacks have no single truth value.
 
     ``members`` gives each member back as an ``ElmModel`` whose arrays are
     views of the stacks.  ``seed`` is the seed the members were drawn
@@ -330,6 +328,8 @@ class EnsembleModel:
     seed: int | None = None
 
     def __post_init__(self):
+        checked_enum(self.activation, "activation", Activation)
+        checked_enum(self.trim_policy, "trim_policy", TrimPolicy)
         W, b, B = map(np.shape, (self.hidden_weights, self.hidden_biases,
                                  self.output_weights))
         if not (len(W) == len(B) == 3 and W[:2] == b == B[:2] and min(W[1:] + B[2:]) >= 1):

@@ -19,9 +19,9 @@ consecutive blocks, and a CV candidate its folds the same way (see
 
 The configs type their fields when they are built through
 ``checked_int``, which seeds go through too, ``checked_float``,
-``checked_bool`` and, for a field that holds several values,
-``checked_items``: numpy scalars are held as Python values, and a value
-of the wrong kind is a ValueError that names the field.
+``checked_bool``, ``checked_enum`` and, for a field that holds several
+values, ``checked_items``: numpy scalars are held as Python values, and a
+value of the wrong kind is a ValueError that names the field.
 """
 
 from __future__ import annotations
@@ -76,6 +76,15 @@ def checked_bool(value, name: str) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a boolean, got {value!r}")
     return bool(value)
+
+
+def checked_enum(value, name: str, kind):
+    """``value`` if it is a member of enum ``kind``; a ValueError naming
+    ``name`` if it is not (its value string is not enough)."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+    return value
 
 
 def _sequence(seed: int, path: tuple[int, ...]) -> np.random.SeedSequence:

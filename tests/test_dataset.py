@@ -7,6 +7,7 @@ cells and impossible splits must all fail loudly, while missing cells are
 the one tolerated defect (dropped and counted).
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -464,3 +465,39 @@ class TestDatasetFromArrays:
         np.testing.assert_array_equal(data.train_target_raw, [1.0, np.e])
         assert data.feature_names == ("x0",)
         assert data.dropped_rows == 0
+
+    @pytest.mark.parametrize("arrays, message", [
+        ((10, 10, 10, 11), "test_target has 11 values for 10 test rows"),
+        ((10, 10, 10, 9), "test_target has 9 values for 10 test rows"),
+        ((10, 10, 9, 10), "train_target has 9 values for 10 train rows"),
+        ((10, 0, 10, 2), "test_target has 2 values for 0 test rows"),
+    ], ids=["test-target-longer", "test-target-shorter", "train-target-shorter",
+            "no-test-rows"])
+    def test_targets_one_value_per_row(self, arrays, message):
+        """Refused when built: a longer test target once went into the
+        report's MAD reference, a shorter one failed after CV and training."""
+        n_train, n_test, m_train, m_test = arrays
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataset_from_arrays(np.zeros((n_train, 2)), np.zeros((n_test, 2)),
+                                np.ones(m_train), np.ones(m_test))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("train_inputs", np.zeros(10), r"train_inputs must be 2-D, got shape \(10,\)"),
+        ("test_inputs", np.zeros((4, 3)), "test_inputs has 3 columns, expected 2"),
+        ("test_inputs", np.full((4, 2), np.nan), "test_inputs contains non-finite entries"),
+        ("train_target", np.ones((10, 1)), r"train_target must be 1-D, got shape \(10, 1\)"),
+        ("test_target_raw", np.ones(5), "test_target_raw has 5 values for 4 test rows"),
+        ("train_target_raw", np.full(10, np.inf),
+         "train_target_raw contains non-finite entries"),
+    ], ids=["train-inputs-1d", "test-inputs-columns", "test-inputs-nan", "train-target-2d",
+            "test-target-raw-longer", "train-target-raw-inf"])
+    def test_fields_that_disagree_rejected_naming_the_field(self, field, value, message):
+        data = dataset_from_arrays(np.zeros((10, 2)), np.zeros((4, 2)), np.ones(10), np.ones(4))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(data, **{field: value})
+
+    def test_targets_named_by_their_argument(self):
+        """A non-finite target given in raw units is named as passed."""
+        with pytest.raises(ValueError, match="^test_target contains non-finite entries$"):
+            dataset_from_arrays(np.zeros((3, 1)), np.zeros((2, 1)), np.ones(3),
+                                [1.0, np.nan])

@@ -341,6 +341,63 @@ class TestKeyedSeeds:
             scores, ((8,), (4, 8), (8, 12, 16), (2, 4, 8, 30))))
 
 
+class TestMetamorphicRelations:
+    """Results that depend only on what they are (Chen et al. 2018, *ACM
+    Computing Surveys* 51(1)): on the test rows as a set, mapped row by
+    row, and on the gate percentiles as a set."""
+
+    def test_permuted_test_rows_permute_predictions_and_records(self):
+        """Each row's predictions and fallback records follow the row,
+        bitwise; the scores and aggregates, which sum over rows in another
+        order, move by rounding only, as ``tools/report_diff.py`` measures."""
+        Xtr, Xte, ytr, yte = _affine_arrays()
+        order = np.random.default_rng(8).permutation(len(Xte))
+        config = _main_config(trials=2, store_predictions=True,
+                              collect_extrapolation_records=True)
+        base, moved = (run_experiment(dataset_from_arrays(Xtr, Xte[rows], ytr, yte[rows]),
+                                      config)
+                       for rows in (np.arange(len(Xte)), order))
+        for a, b in zip(base.trials, moved.trials):
+            assert a.predictions.keys() == b.predictions.keys()
+            for key, values in a.predictions.items():
+                assert (np.array(b.predictions[key]).tobytes()
+                        == np.array(values)[order].tobytes())
+
+        def by_row(records, rows):
+            return {(r["activation"], r["trial"], r["percentile"], int(rows[r["row"]])):
+                    json.dumps({**r, "row": int(rows[r["row"]])}) for r in records}
+
+        assert by_row(base.extrapolation_records, np.arange(len(Xte)))
+        assert (by_row(moved.extrapolation_records, order)
+                == by_row(base.extrapolation_records, np.arange(len(Xte))))
+
+        def scored(result):
+            return json.loads(json.dumps({
+                "summary": result.dataset_summary, "node_counts": result.node_counts,
+                "cv_scores": result.cv_scores, "aggregates": result.aggregates,
+                "differences": result.difference_aggregates,
+                "trials": [dataclasses.replace(t, predictions=None).__dict__
+                           for t in result.trials]}))
+
+        float_pairs = runpy.run_path(
+            str(Path(__file__).parents[1] / "tools" / "report_diff.py"))["float_pairs"]
+        pairs = list(float_pairs(scored(base), scored(moved)))
+        assert len(pairs) > 100
+        assert max(abs(x - y) / max(abs(x), abs(y), 1e-300) for _, x, y in pairs) < 1e-12
+
+    def test_reversed_gate_percentiles_leave_every_score(self):
+        """At 99 and 95 the graded rows flag 8 and 10 outliers, so the two
+        keys score different subsets."""
+        trials = [run_experiment(_graded_dataset(), _main_config(
+            trials=2, gate_percentiles=percentiles)).trials
+            for percentiles in ((99.0, 95.0), (95.0, 99.0))]
+        assert trials[0][0].outlier_counts == {Q99: 8, Q95: 10}
+        for a, b in zip(*trials):
+            assert list(a.scores) == list(reversed(b.scores))
+            for key in a.scores:
+                assert json.dumps(a.scores[key]) == json.dumps(b.scores[key])
+
+
 class TestResultShape:
     def test_one_trial_report_per_activation_and_trial(self):
         result = _main_result()

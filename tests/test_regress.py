@@ -173,28 +173,29 @@ class TestElmTraining:
     def test_hidden_layer_is_laid_out_for_the_route_it_takes(
             self, monkeypatch, rows, nodes, joined):
         """A design with four rows per column or more goes to the Gram route
-        as the hidden layer alone, and the targets as they were passed; a
-        shorter one is handed over as two views of one [H | Y] array, which
-        the QR route factors as it is."""
+        as the hidden layer alone, with no spare column, and is not factored
+        by QR; a shorter one is handed over with one spare column, into
+        which the QR route writes the targets before it factors that very
+        array."""
         seen, factors = [], []
         solve, factor = regress.pinv_solve_stack, np.linalg.qr
         monkeypatch.setattr(regress, "pinv_solve_stack",
-                            lambda H, Y: seen.append((H, Y)) or solve(H, Y))
+                            lambda A, Y, p: seen.append((A, Y, p)) or solve(A, Y, p))
         monkeypatch.setattr(np.linalg, "qr",
                             lambda a, **kw: factors.append(a) or factor(a, **kw))
         rng = np.random.default_rng(rows)
         X = rng.uniform(-1, 1, size=(rows, 6))
         Y = np.sin(X[:, :1])
         elm_train(X, Y, nodes, Activation.SIGMOID, seed=2)
-        (H, Y_seen), = seen
-        owner = H if H.base is None else H.base
-        assert H.shape == (1, rows, nodes)
+        (A, Y_seen, p), = seen
+        assert p == nodes and A.flags.c_contiguous
         np.testing.assert_array_equal(Y_seen[0], Y)
         if joined:
-            assert owner.shape == (1, rows, nodes + 1) and Y_seen.base is owner
-            assert len(factors) == 1 and factors[0] is owner
+            assert A.shape == (1, rows, nodes + 1)
+            assert len(factors) == 1 and factors[0] is A
+            np.testing.assert_array_equal(A[0, :, -1:], Y)
         else:
-            assert owner.shape == (1, rows, nodes) and H.flags.c_contiguous
+            assert A.shape == (1, rows, nodes)
             assert factors == []
 
     def test_no_output_bias_flag(self):
@@ -272,7 +273,7 @@ class TestEnsemble:
         chunks = []
         solve = regress.pinv_solve_stack
         monkeypatch.setattr(regress, "pinv_solve_stack",
-                            lambda H, Y: chunks.append(len(H)) or solve(H, Y))
+                            lambda A, Y, p: chunks.append(len(A)) or solve(A, Y, p))
         rng = np.random.default_rng(rows + nodes)
         X = rng.uniform(-1.0, 1.0, size=(rows, 4))
         Y = np.sin(2.0 * X[:, :1]) + X[:, 1:2]
@@ -351,6 +352,27 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="at least one member"):
             EnsembleModel(np.ones((0, 5, 2)), np.ones((0, 5)), np.ones((0, 5, 1)),
                           Activation.SIGMOID, TrimPolicy.NONE)
+
+    @pytest.mark.parametrize("activation, trim, message", [
+        ("sigmoid", TrimPolicy.NONE, "activation must be an Activation, got 'sigmoid'"),
+        (Activation.SIGMOID, "none", "trim_policy must be a TrimPolicy, got 'none'"),
+        (TrimPolicy.NONE, TrimPolicy.NONE,
+         "activation must be an Activation, got <TrimPolicy.NONE: 'none'>"),
+    ], ids=["activation-string", "trim-string", "activation-of-another-enum"])
+    def test_activation_and_trim_policy_are_typed(self, activation, trim, message):
+        """Refused when built, before ``ensemble_predict`` or
+        ``save_ensemble`` could meet a string."""
+        W, b, B = np.ones((3, 5, 2)), np.ones((3, 5)), np.ones((3, 5, 1))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EnsembleModel(W, b, B, activation, trim)
+
+    def test_ensembles_compare_and_hash_by_identity(self):
+        """Neither ``==`` nor ``hash`` asks numpy for an array's truth value."""
+        X = np.linspace(-1, 1, 20)[:, None]
+        a, b = (ensemble_train(X, X, 5, Activation.SIGMOID, member_count=3, seed=1)
+                for _ in range(2))
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
     def test_stacks_are_held_without_a_copy(self):
         W, b, B = np.ones((3, 5, 2)), np.ones((3, 5)), np.ones((3, 5, 1))
