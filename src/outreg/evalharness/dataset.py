@@ -62,9 +62,10 @@ class DatasetManifest:
 class Dataset:
     """Ingested, encoded, transformed and split data.
 
-    Built only with finite 2-D inputs of one column count and finite
-    targets, transformed and raw, of one value per row of their part;
-    anything else is a ValueError naming the field."""
+    Built only with finite 2-D inputs of one column count, at least one
+    row in each part, and finite targets, transformed and raw, of one
+    value per row of their part; anything else is a ValueError naming the
+    field."""
 
     name: str
     train_inputs: np.ndarray
@@ -87,6 +88,8 @@ class Dataset:
             for name in (f"{part}_target", f"{part}_target_raw"):
                 if (size := as_vector(getattr(self, name), name).size) != rows:
                     raise ValueError(f"{name} has {size} values for {rows} {part} rows")
+            if rows == 0:
+                raise ValueError(f"{part}_inputs has no rows")
         indicator_columns(self.onehot_groups, columns)
 
     @property

@@ -246,9 +246,12 @@ def _run_unit(prepared: _Prepared, activation: Activation, node_count: int, t: i
     nlr_pred = ensemble_predict(ensemble, prepared.Zte)[:, 0]
     fallback = {i: plan.record(ensemble_predict(ensemble, plan.anchors)[:, 0])
                 for i, plan in prepared.plans.items()}
+    # each prediction is floored at zero once, in transformed space, and is
+    # scored and stored as floored; exp, 10**v and v**4 are never negative
     clip = (dataset.clip_negative_predictions
             and dataset.target_transform is TargetTransform.NONE)
-    preds = {"lr": prepared.lr_pred, "nlr": nlr_pred}
+    floor = clip_nonnegative if clip else (lambda pred: pred)
+    preds = {"lr": floor(prepared.lr_pred), "nlr": floor(nlr_pred)}
     trial_scores = {}
     records = []
     for qk, rows_by_subset in prepared.subsets.items():
@@ -267,10 +270,8 @@ def _run_unit(prepared: _Prepared, activation: Activation, node_count: int, t: i
                     "dropped": [list(d) for d in record.dropped],
                     "nn_index": record.nn_index,
                 })
-        preds[f"nlr_or@{qk}"] = nlror_pred
-        by_model = {"lr": prepared.lr_pred, "nlr": nlr_pred, "nlr_or": nlror_pred}
-        if clip:
-            by_model = {model: clip_nonnegative(pred) for model, pred in by_model.items()}
+        preds[f"nlr_or@{qk}"] = nlror_pred = floor(nlror_pred)
+        by_model = {"lr": preds["lr"], "nlr": preds["nlr"], "nlr_or": nlror_pred}
         trial_scores[qk] = {model: {subset: _subset_metrics(prepared, pred, rows)
                                     for subset, rows in rows_by_subset.items()}
                             for model, pred in by_model.items()}
@@ -280,8 +281,6 @@ def _run_unit(prepared: _Prepared, activation: Activation, node_count: int, t: i
         predictions = {}
         for key, values in preds.items():
             original = inverse_transform_target(values, dataset.target_transform)
-            if dataset.clip_negative_predictions:
-                original = clip_nonnegative(original)
             predictions[key] = [float(v) for v in original]
     return TrialReport(
         activation=activation.value,

@@ -14,7 +14,9 @@ Conventions fixed here, once, for the whole package:
   wide, and through its QR factor otherwise, however few its columns;
   every other design goes to LAPACK's xGELSD.  It also takes a stack of
   same-shape designs and solves each member bitwise as if it were alone,
-  so that many small fits share each call's fixed costs.
+  so that many small fits share each call's fixed costs, and it solves
+  each target column by itself, so that no column's solution depends on
+  the others.
 * ``sample_covariance`` uses the unbiased 1/(N-1) normaliser.
 * ``percentile`` interpolates linearly between order statistics (the
   position for probability q is q/100 * (N-1)).
@@ -87,7 +89,7 @@ def pinv_solve(design, targets, rel_tol: float = 1e-10) -> np.ndarray:
     the members that fail a route go on to the next one.
 
     * The Gram route, for designs with at least ``_GRAM_MIN_RATIO`` rows
-      per column.  It forms G = H^T H once, R = chol(G)^T and X = inv(R),
+      per column.  It forms G = H^T H, R = chol(G)^T and X = inv(R),
       so that inv(G) = X X^T.  The computed R^T R is H^T H + E with
       ||E||_F <= e = gamma_n ||H||_F^2 + gamma_{p+1} ||R||_F^2, where
       gamma_k = k u / (1 - k u) and u = 2^-53 (Higham, *Accuracy and
@@ -121,11 +123,12 @@ def pinv_solve(design, targets, rel_tol: float = 1e-10) -> np.ndarray:
       Otherwise xGELSD solves (R_H, c), which has the same minimum-norm
       solution as (H, y) at less cost.
     * LAPACK's xGELSD (``np.linalg.lstsq``) on the design itself, with
-      the cutoff, for a design with more columns than rows or a target
-      without columns, one member at a time.
+      the cutoff, for a design with more columns than rows, one member
+      at a time.
 
-    Each target column is solved on its own, on every route, so a
-    column's solution does not depend on the other columns.
+    Each target column is solved on its own, by one pass through the
+    routes, so a column's solution does not depend on the other columns;
+    a target without columns gives a (p, 0) solution and runs no route.
 
     Parameters
     ----------
@@ -167,39 +170,42 @@ def pinv_solve_stack(A: np.ndarray, Y: np.ndarray, p: int,
     are the first p columns of A, with finite (k, n, m) targets Y, p >= 1
     and n >= 1; the result is (k, p, m).
 
-    A is (k, n, p), or (k, n, p + m) with m spare columns after the
-    designs.  The QR route factors [H | y].  Where the designs go straight
-    to it (``factors_joined``) and A has the spare columns, Y is written
-    into them and A itself is factored, with no copy of the designs; that
-    is the only write to A.  Otherwise H and Y are joined by a copy, so a
-    caller's array without spare columns is never written to.
+    This is the one loop over the target columns: every route solves one
+    (k, n, 1) column y at a time.  A is (k, n, p), or (k, n, p + 1) with a
+    spare column after the designs.  The QR route factors [H | y].  Where
+    the designs go straight to it (``factors_joined``) and A has the spare
+    column, each y in turn is written there and A itself is factored, with
+    no copy of the designs (``np.linalg.qr`` copies its input, so H stays
+    intact); that is the only write to A.  Otherwise H and y are joined by
+    a copy, so a caller's array without a spare column is never written to.
     """
     k, n, _ = A.shape
-    H, m = A[:, :, :p], Y.shape[2]
-    if n < p or m == 0:
-        B = np.empty((k, p, m))
-        for i in range(k):
-            B[i] = np.linalg.lstsq(H[i], Y[i], rcond=rel_tol)[0]
-        return B
-    if factors_joined(n, p):
-        if A.shape[2] == p:
-            return _qr_solve(np.concatenate((H, Y), axis=2), p, rel_tol)
-        A[:, :, p:] = Y
-        return _qr_solve(A, p, rel_tol)
-    cleared, solved = _gram_solve(H, Y, rel_tol)
-    if cleared.all():
-        return solved
-    B = np.empty((k, p, m))
-    B[cleared] = solved
-    B[~cleared] = _qr_solve(np.concatenate((H[~cleared], Y[~cleared]), axis=2),
-                            p, rel_tol)
+    H = A[:, :, :p]
+    B = np.empty((k, p, Y.shape[2]))
+    for j in range(Y.shape[2]):
+        y = Y[:, :, j:j + 1]
+        if n < p:
+            for i in range(k):
+                B[i, :, j] = np.linalg.lstsq(H[i], y[i], rcond=rel_tol)[0][:, 0]
+        elif not factors_joined(n, p):
+            cleared, solved = _gram_solve(H, y, rel_tol)
+            B[cleared, :, j] = solved
+            if not cleared.all():
+                B[~cleared, :, j] = _qr_solve(
+                    np.concatenate((H[~cleared], y[~cleared]), axis=2), p, rel_tol)
+        elif A.shape[2] > p:
+            A[:, :, p:] = y
+            B[:, :, j] = _qr_solve(A, p, rel_tol)
+        else:
+            B[:, :, j] = _qr_solve(np.concatenate((H, y), axis=2), p, rel_tol)
     return B
 
 
 def factors_joined(n: int, p: int) -> bool:
     """Whether ``pinv_solve_stack`` takes an (n, p) design straight to the
     QR route, which factors [H | y], so that a caller building the design
-    can give it spare columns for the targets and spare the solve a copy."""
+    can give it a spare column for each target column in turn and spare
+    the solve a copy."""
     return p <= n < _GRAM_MIN_RATIO * p
 
 
@@ -216,10 +222,11 @@ def _squared_norms(stack: np.ndarray) -> np.ndarray:
     return np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0]
 
 
-def _gram_solve(H: np.ndarray, Y: np.ndarray,
+def _gram_solve(H: np.ndarray, y: np.ndarray,
                 rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """``pinv_solve``'s Gram route on a stack of (n, p) designs: which
-    members clear its guard, and the solutions of those that do."""
+    """``pinv_solve``'s Gram route on a stack of (n, p) designs and one
+    (k, n, 1) target column: which members clear its guard, and the
+    (k_cleared, p) solutions of those that do."""
     k, n, p = H.shape
     gamma = sum(i * _UNIT_ROUNDOFF / (1.0 - i * _UNIT_ROUNDOFF) for i in (n, p + 1))
     # a Gram or an inverse that overflows gives an infinite or NaN rho,
@@ -245,57 +252,50 @@ def _gram_solve(H: np.ndarray, Y: np.ndarray,
         floor = np.sum(np.diagonal(L, axis1=1, axis2=2) ** -2.0, axis=1)
         cleared = trace * gamma * floor < 0.5
         if not cleared.any():
-            return cleared, np.empty((0, p, Y.shape[2]))
+            return cleared, np.empty((0, p))
         X = _triangular_inverse(_take(L, cleared).transpose(0, 2, 1))
         scale = trace[cleared] * _squared_norms(X)
         rho = scale * gamma
         passed = rho + rel_tol ** 2 * scale < 0.5
     cleared[cleared] = passed
-    X, H, Y = _take(X, passed), _take(H, cleared), _take(Y, cleared)
+    X, H = _take(X, passed), _take(H, cleared)
+    y = np.ascontiguousarray(_take(y, cleared))
     counts = [min(_GRAM_MAX_STEPS, math.ceil(math.log(_UNIT_ROUNDOFF) / math.log(r)))
               for r in rho[passed].tolist()]
     steps = np.array(counts)
     Ht, Xt = H.transpose(0, 2, 1), X.transpose(0, 2, 1)
-    B = np.empty((X.shape[0], p, Y.shape[2]))
-    for j in range(Y.shape[2]):
-        y = np.ascontiguousarray(Y[:, :, j:j + 1])
-        b = X @ (Xt @ (Ht @ y))
-        for step in range(max(counts, default=0)):
-            correction = X @ (Xt @ (Ht @ (y - H @ b)))
-            # a member stops after its own count of steps
-            if step < min(counts):
-                b += correction
-            else:
-                np.add(b, correction, out=b, where=(steps > step)[:, None, None])
-        B[:, :, j] = b[:, :, 0]
-    return cleared, B
+    b = X @ (Xt @ (Ht @ y))
+    for step in range(max(counts, default=0)):
+        correction = X @ (Xt @ (Ht @ (y - H @ b)))
+        # a member stops after its own count of steps
+        if step < min(counts):
+            b += correction
+        else:
+            np.add(b, correction, out=b, where=(steps > step)[:, None, None])
+    return cleared, b[:, :, 0]
 
 
 def _qr_solve(joined: np.ndarray, p: int, rel_tol: float) -> np.ndarray:
     """``pinv_solve``'s QR route, and xGELSD on (R_H, c) where its bounds
-    fail, on a stack of [H | Y] with n >= p."""
-    k, _, width = joined.shape
-    B = np.empty((k, p, width - p))
-    for j in range(width - p):
-        Hy = joined if width == p + 1 else np.concatenate(
-            (joined[:, :, :p], joined[:, :, p + j:p + j + 1]), axis=2)
-        R = np.linalg.qr(Hy, mode="r")
-        R_H, c = R[:, :p, :p], R[:, :p, p:]
-        diagonal = np.abs(np.diagonal(R_H, axis1=1, axis2=2))
-        cleared = diagonal.min(axis=1) > rel_tol * diagonal.max(axis=1)
-        if cleared.any():
-            R_kept = _take(R_H, cleared)
-            R_inv = _triangular_inverse(R_kept)
-            # an inverse that overflows gives an infinite or NaN bound, and
-            # the design goes to xGELSD
-            with np.errstate(over="ignore", invalid="ignore"):
-                bound = (np.sqrt(_squared_norms(R_kept))
-                         * np.sqrt(_squared_norms(R_inv)) * rel_tol)
-            passed = bound < 1.0
-            cleared[cleared] = passed
-            B[cleared, :, j] = (_take(R_inv, passed) @ _take(c, cleared))[:, :, 0]
-        for i in np.flatnonzero(~cleared):
-            B[i, :, j] = np.linalg.lstsq(R_H[i], c[i], rcond=rel_tol)[0][:, 0]
+    fail, on a stack of k [H | y] with n >= p: the (k, p) solutions."""
+    R = np.linalg.qr(joined, mode="r")
+    R_H, c = R[:, :p, :p], R[:, :p, p:]
+    diagonal = np.abs(np.diagonal(R_H, axis1=1, axis2=2))
+    cleared = diagonal.min(axis=1) > rel_tol * diagonal.max(axis=1)
+    B = np.empty((len(joined), p))
+    if cleared.any():
+        R_kept = _take(R_H, cleared)
+        R_inv = _triangular_inverse(R_kept)
+        # an inverse that overflows gives an infinite or NaN bound, and
+        # the design goes to xGELSD
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = (np.sqrt(_squared_norms(R_kept))
+                     * np.sqrt(_squared_norms(R_inv)) * rel_tol)
+        passed = bound < 1.0
+        cleared[cleared] = passed
+        B[cleared] = (_take(R_inv, passed) @ _take(c, cleared))[:, :, 0]
+    for i in np.flatnonzero(~cleared):
+        B[i] = np.linalg.lstsq(R_H[i], c[i], rcond=rel_tol)[0][:, 0]
     return B
 
 

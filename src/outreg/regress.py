@@ -36,9 +36,10 @@ are held one chunk at a time.  It writes every member's activations H
 into one (k, N, L) array with one product, one activation pass and one
 finite check, and solves the whole chunk with one ``pinv_solve_stack``
 call.  Where that solve goes straight to the QR route, which factors
-[H | Y] (``factors_joined``), the array is (k, N, L+m) instead: H and m
-spare columns, into which the solve writes the targets Y before it
-factors the array, so that no design is copied.  Each
+[H | y] for each target column y (``factors_joined``), the array is
+(k, N, L+1) instead: H and one spare column, into which the solve writes
+each target column in turn before it factors the array, so that no
+design is copied.  Each
 member's product, activation and solve are the same operations on the
 same strides as for a lone member, so member i is bitwise a lone
 ``_train`` on its block, whatever the chunk size.
@@ -234,7 +235,7 @@ def _train(X, Y, node_count: int, activation: Activation, rng, count: int):
     A ``node_count`` that is not an integer of at least 1 is a ValueError."""
     node_count = checked_int(node_count, "node_count", 1)
     (n, d), m = X.shape[-2:], Y.shape[-1]
-    width = node_count + m if factors_joined(n, node_count) else node_count
+    width = node_count + 1 if factors_joined(n, node_count) else node_count
     step = max(1, _CHUNK_ELEMENTS // (n * width))
     stacks = (np.empty((count, node_count, d)), np.empty((count, node_count)),
               np.empty((count, node_count, m)))
@@ -263,15 +264,16 @@ def _hidden_layers(rng, k: int, node_count: int, d: int) -> tuple[np.ndarray, np
 def _train_chunk(X, Y, activation: Activation, width: int, rng, W, b, B) -> None:
     """The members of one chunk, drawn from ``rng`` and written into their
     slices W, b and B of the stacks.  Their hidden layers H are the first
-    L columns of one (k, N, width) array, whose ``width - L`` spare columns
-    are the room ``pinv_solve_stack`` may write Y into.  The array is freed
-    on return, before the next chunk's is allocated."""
+    L columns of one (k, N, width) array; a spare column, where ``width``
+    is L + 1, is the room ``pinv_solve_stack`` may write each target
+    column into.  The array is freed on return, before the next chunk's
+    is allocated."""
     (k, node_count), (n, d), m = b.shape, X.shape[-2:], Y.shape[-1]
     W[...], b[...] = _hidden_layers(rng, k, node_count, d)
     bias = np.zeros((k, 1, width))
     bias[:, 0, :node_count] = b
     # the plain form activation(X W^T + b); evaluation folds it (module
-    # docstring).  The spare columns go through the activation as zeros,
+    # docstring).  A spare column goes through the activation as zeros,
     # so that every pass runs on contiguous storage
     z = np.empty((k, n, width))
     z[:, :, node_count:] = 0.0

@@ -481,6 +481,15 @@ class TestDatasetFromArrays:
             dataset_from_arrays(np.zeros((n_train, 2)), np.zeros((n_test, 2)),
                                 np.ones(m_train), np.ones(m_test))
 
+    @pytest.mark.parametrize("n_train, n_test, part", [(0, 4, "train"), (10, 0, "test")],
+                             ids=["train", "test"])
+    def test_a_part_without_rows_rejected(self, n_train, n_test, part):
+        """Refused when built, naming the part, not later by the scaler
+        (train) or by ``r_outl`` (test) in a message that names neither."""
+        with pytest.raises(ValueError, match=f"^{part}_inputs has no rows$"):
+            dataset_from_arrays(np.zeros((n_train, 2)), np.zeros((n_test, 2)),
+                                np.ones(n_train), np.ones(n_test))
+
     @pytest.mark.parametrize("field, value, message", [
         ("train_inputs", np.zeros(10), r"train_inputs must be 2-D, got shape \(10,\)"),
         ("test_inputs", np.zeros((4, 3)), "test_inputs has 3 columns, expected 2"),

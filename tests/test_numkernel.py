@@ -202,8 +202,8 @@ class TestSolveRouting:
 
     The QR path runs on designs with no more columns than rows, however
     few, when both bounds on the condition number clear the cutoff.  A
-    wide design or a target without columns makes one xGELSD call on the
-    design."""
+    wide design makes one xGELSD call on the design per target column,
+    and a target without columns makes none."""
 
     @pytest.mark.parametrize("n, p", [(399, 150), (319, 40)])
     def test_well_conditioned_design_skips_xgelsd(self, lstsq_designs, n, p):
@@ -290,7 +290,7 @@ class TestSolveRouting:
         H = rng.standard_normal((n, p))
         Y = rng.standard_normal((n, m))
         B = pinv_solve(H, Y)
-        assert lstsq_designs == [(n, p)]
+        assert lstsq_designs == [(n, p)] * m
         assert B.shape == (p, m)
 
     def test_each_target_column_is_solved_as_if_alone(self):
@@ -465,7 +465,8 @@ class TestGramRoute:
 
     def test_each_target_column_is_solved_as_if_alone(self, routes):
         """Joint and lone solves agree bitwise, whether the lone column is a
-        strided view of the joint target or a contiguous copy."""
+        strided view of the joint target or a contiguous copy; the joint
+        solve runs the route once per column."""
         rng = np.random.default_rng(15)
         H, _ = hidden_layer(rng, 2000, 50, "sigmoid")
         Y = rng.standard_normal((2000, 3))
@@ -474,7 +475,7 @@ class TestGramRoute:
             np.testing.assert_array_equal(B[:, j:j + 1],
                                           pinv_solve(H, Y[:, j:j + 1]))
             np.testing.assert_array_equal(B[:, j:j + 1], pinv_solve(H, Y[:, [j]]))
-        assert routes["gram"] == [((2000, 50), True)] * 7
+        assert routes["gram"] == [((2000, 50), True)] * 9
         assert routes["qr"] == routes["lstsq"] == []
 
     def test_protocol_train_shaped_run_forms_no_gram_for_its_member_fits(
@@ -548,10 +549,10 @@ class TestStackedSolve:
         for i in range(5):
             np.testing.assert_array_equal(B[i], pinv_solve(H[i], Y[i]))
 
-    @pytest.mark.parametrize("n", [60, 200])
+    @pytest.mark.parametrize("n", [60, 200, 30])   # 30: wide, xGELSD only
     def test_each_target_column_is_solved_as_if_alone(self, n):
         rng = np.random.default_rng(n + 1)
-        H = mixed_stack(rng, n, 40)
+        H = mixed_stack(rng, n, 40) if n >= 40 else rng.standard_normal((5, n, 40))
         Y = rng.standard_normal((5, n, 3))
         B = pinv_solve(H, Y)
         for j in range(3):

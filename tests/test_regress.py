@@ -168,6 +168,21 @@ class TestElmTraining:
             np.hstack([first.output_weights, second.output_weights]),
             rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("rows, nodes", [(60, 100), (399, 150), (2000, 50)])
+    def test_each_target_column_is_fitted_as_if_alone(self, rows, nodes):
+        """On a wide design (xGELSD), on the QR route through the one spare
+        column and on the Gram route, each output column of a fit to three
+        target columns is bitwise that column's own one-column fit."""
+        rng = np.random.default_rng(rows + nodes)
+        X = rng.uniform(-1, 1, size=(rows, 6))
+        Y = np.column_stack([np.sin(2 * X[:, 0]), X[:, 1] * X[:, 2], np.cos(X[:, 3])])
+        joint = ensemble_train(X, Y, nodes, Activation.SIGMOID, member_count=3, seed=7)
+        for j in range(3):
+            alone = ensemble_train(X, Y[:, j:j + 1], nodes, Activation.SIGMOID,
+                                   member_count=3, seed=7)
+            np.testing.assert_array_equal(bits(joint.output_weights[:, :, j]),
+                                          bits(alone.output_weights[:, :, 0]))
+
     @pytest.mark.parametrize("rows, nodes, joined", [(2000, 50, False),
                                                      (399, 150, True)])
     def test_hidden_layer_is_laid_out_for_the_route_it_takes(
