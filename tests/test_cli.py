@@ -9,7 +9,10 @@ traceback.
 
 import csv
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,10 @@ import pytest
 from outreg import (CvConfig, OrConfig, apply_minmax, beyond_nearest_neighbor,
                     classify, fit_gate, fit_minmax, outlier_gate)
 from outreg.evalharness import experiment, load_dataset, load_manifest, load_report
+from outreg.evalharness import cli
 from outreg.evalharness.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write_dataset(directory, name="cli-demo", seed=12345):
@@ -486,3 +492,157 @@ class TestReportCommand:
                      "--out", str(tmp_path / "summary.json")])
         assert code == 2
         assert "duplicate" in capsys.readouterr().err
+
+
+def _write_qr_record(directory):
+    """400 training rows on 4 inputs and 40 test rows, the last 10 far
+    outside, so that members with 150 nodes, and the CV's fold fits on
+    320 rows, take the least-squares solve's QR route.  Returns the
+    manifest path."""
+    rng = np.random.default_rng(2026)
+    X = rng.uniform(-1.0, 1.0, size=(440, 4))
+    X[430:] *= 4.0
+    y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] - 0.5 * X[:, 3]
+    csv_path = directory / "qr-route.csv"
+    with open(csv_path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["x0", "x1", "x2", "x3", "y"])
+        for row, target in zip(X, y):
+            writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])
+    manifest_path = directory / "qr-route.json"
+    manifest_path.write_text(json.dumps({
+        "name": "qr-route",
+        "csv_path": csv_path.name,
+        "feature_columns": ["x0", "x1", "x2", "x3"],
+        "target_column": "y",
+        "split": {"train_range": [0, 400], "test_range": [400, 440]},
+    }))
+    return manifest_path
+
+
+_QR_CONFIG = {"trials": 1, "members_per_trial": 20,
+              "cv": {"folds": 5, "candidate_node_counts": [150], "seed": 7}}
+
+
+def _child_env():
+    """The environment with no heap policy of the user's and one BLAS thread."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = "1"
+    return env
+
+
+def _child(script, *args):
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _on_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestHeapPolicy:
+    """``main`` has glibc keep freed heap for the next fit.  Without it,
+    each QR-route member fit faults its ~1 MB of [H | y] copies in again,
+    about 200 minor faults a member.  The policy moves no report byte, and
+    it is left out off glibc and wherever the user has set a heap policy."""
+
+    _TWO_RUNS = """
+import contextlib, resource, sys
+from outreg.evalharness.cli import main
+manifest, config, *outs = sys.argv[1:]
+for out in outs:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(sys.stderr):
+        assert main(["run", "--manifest", manifest, "--config", config, "--out", out]) == 0
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+    _LIBRARY_RUN = """
+import sys
+from outreg import Activation, CvConfig
+from outreg.evalharness import (ExperimentConfig, emit_report, load_dataset,
+                                load_manifest, run_experiment)
+manifest, out = sys.argv[1:]
+config = ExperimentConfig(activations=(Activation.SIGMOID,), trials=1,
+                          members_per_trial=20, gate_percentiles=(99.0,),
+                          master_seed=42,
+                          cv=CvConfig(folds=5, candidate_node_counts=(150,), seed=7))
+emit_report(run_experiment(load_dataset(load_manifest(manifest)), config), out)
+"""
+
+    def test_a_second_run_does_not_fault_its_fits_in_again(self, tmp_path):
+        """25 QR-route fits, 20 members and 5 CV folds.  Without the policy
+        the second run took about 8800 minor faults (one BLAS thread, glibc
+        2.36), and with it about 25; the bound of 1000 sits far from both."""
+        if not _on_glibc():
+            pytest.skip("the heap policy is set on glibc only")
+        manifest = _write_qr_record(tmp_path)
+        config = _write_config(tmp_path, **_QR_CONFIG)
+        first, second = map(int, _child(self._TWO_RUNS, manifest, config,
+                                        tmp_path / "a", tmp_path / "b").split())
+        assert second < 1000, (first, second)
+        assert (tmp_path / "a" / "report.json").read_bytes() == \
+            (tmp_path / "b" / "report.json").read_bytes()
+
+    def test_the_policy_moves_no_report_byte(self, tmp_path):
+        manifest = _write_qr_record(tmp_path)
+        config = _write_config(tmp_path, **_QR_CONFIG)
+        _child(self._TWO_RUNS, manifest, config, tmp_path / "cli")
+        _child(self._LIBRARY_RUN, manifest, tmp_path / "library")
+        assert (tmp_path / "cli" / "report.json").read_bytes() == \
+            (tmp_path / "library" / "report.json").read_bytes()
+
+    def test_both_thresholds_are_set_on_glibc(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        for name in [n for n in os.environ if n.startswith("MALLOC_")] + ["GLIBC_TUNABLES"]:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr("ctypes.CDLL", lambda name: Libc())
+        cli._keep_freed_heap()
+        assert calls == [(-3, 2 << 20), (-1, 4 << 20)]  # M_MMAP_ and M_TRIM_THRESHOLD
+
+    def _no_libc_call(self, monkeypatch, tmp_path):
+        def refuse(name):
+            raise AssertionError("the heap policy was set")
+
+        monkeypatch.setattr("ctypes.CDLL", refuse)
+        manifest_path = _write_dataset(tmp_path)
+        config_path = _write_config(tmp_path)
+        for sub in ("a", "b"):
+            assert main(["run", "--manifest", str(manifest_path),
+                         "--config", str(config_path),
+                         "--out", str(tmp_path / sub)]) == 0
+        assert (tmp_path / "a" / "report.json").read_bytes() == \
+            (tmp_path / "b" / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("confstr", [None, ValueError, AttributeError])
+    def test_off_glibc_the_policy_is_left_alone(self, monkeypatch, tmp_path, confstr):
+        def libc_version(name):
+            if confstr is None:
+                return None
+            raise confstr(name)
+
+        monkeypatch.setattr(os, "confstr", libc_version)
+        self._no_libc_call(monkeypatch, tmp_path)
+
+    @pytest.mark.parametrize("variable", ["MALLOC_TRIM_THRESHOLD_", "MALLOC_ARENA_MAX",
+                                          "GLIBC_TUNABLES"])
+    def test_a_user_heap_policy_is_left_alone(self, monkeypatch, tmp_path, variable):
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setenv(variable, "131072" if variable.startswith("MALLOC_")
+                           else "glibc.malloc.trim_threshold=131072")
+        self._no_libc_call(monkeypatch, tmp_path)

@@ -10,8 +10,8 @@ straight.
 import numpy as np
 import pytest
 
-from outreg import Activation
-from outreg.evalharness import toy_demo, toy_generate, true_signal
+from outreg import Activation, apply_minmax, fit_minmax, regress
+from outreg.evalharness import toy, toy_demo, toy_generate, true_signal
 from outreg.seeding import STREAM_TOY, derive_rng
 
 
@@ -107,6 +107,25 @@ class TestToyDemo:
         np.testing.assert_allclose(demo["ensemble_mean"],
                                    demo["members"].mean(axis=1),
                                    rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_member_curves_are_each_members_own_prediction(self, monkeypatch, activation):
+        """Each member curve is bitwise that member's ``elm_predict`` on the
+        scaled grid, across several of the prediction kernel's chunks."""
+        trained = []
+
+        def recording(*args, **kwargs):
+            trained.append(regress.ensemble_train(*args, **kwargs))
+            return trained[-1]
+
+        monkeypatch.setattr(toy, "ensemble_train", recording)
+        demo = self.small_demo(activation=activation, member_count=40, node_count=20)
+        scaler = fit_minmax(demo["train_x"][:, None])
+        grid_scaled = apply_minmax(scaler, demo["x"][:, None])
+        [ensemble] = trained
+        for i, member in enumerate(ensemble.members):
+            np.testing.assert_array_equal(demo["members"][:, i],
+                                          regress.elm_predict(member, grid_scaled)[:, 0])
 
     def test_true_signal_column(self):
         demo = self.small_demo()
