@@ -26,8 +26,8 @@ from .preprocess import (MinMaxScaler, OneHotGroup, TargetTransform,
 from .regress import (Activation, CvConfig, ElmModel, EnsembleModel,
                       LinearModel, TrimPolicy, activation_value,
                       default_node_grid, elm_predict, elm_train,
-                      ensemble_predict, ensemble_train, lr_fit, lr_predict,
-                      select_node_count)
+                      ensemble_member_predict, ensemble_predict, ensemble_train,
+                      lr_fit, lr_predict, select_node_count)
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,8 @@ __all__ = [
     "beyond_nearest_neighbor", "boundary_extrapolate_1d", "categorical_center",
     "center_linear_extrapolate", "classify", "clip_nonnegative",
     "columnwise_median", "default_node_grid", "elm_predict", "elm_train",
-    "ensemble_predict", "ensemble_train", "extrapolation_plan", "fit_gate", "fit_minmax",
+    "ensemble_member_predict", "ensemble_predict", "ensemble_train",
+    "extrapolation_plan", "fit_gate", "fit_minmax",
     "inverse_transform_target", "invert_minmax", "load_ensemble",
     "load_gate", "lr_fit", "lr_predict", "mahalanobis_distance",
     "minmax_onehot_group", "nearest_training_neighbor", "nlror_predict", "nlror_predict_detailed",

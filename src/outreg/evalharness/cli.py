@@ -190,13 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Freed heap kept for the next fit: below 2 MiB an array comes from the heap
-# rather than its own mmap, and up to 4 MiB of free top stays mapped.  Both
+# Freed heap kept for the next fit: below 32 MiB an array comes from the heap
+# rather than its own mmap, and up to 64 MiB of free top stays mapped.  Both
 # are set, since setting either turns off glibc's adjustment of both and so
-# pins the other at its 128 KiB default.  The smallest such pair that took a
-# protocol-train round from about 22,000 minor faults to under 150.
-_MMAP_THRESHOLD = 2 << 20
-_TRIM_THRESHOLD = 4 << 20
+# pins the other at its 128 KiB default.  32 MiB is the ceiling to which
+# glibc's own adjustment can raise the mmap threshold on 64-bit, so no array
+# that glibc could have kept on the heap is mmapped; 64 MiB is the trim
+# threshold that glibc pairs with it.
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
 
 
 def _keep_freed_heap() -> None:

@@ -14,9 +14,9 @@ import numpy as np
 
 from ..extrapolate import boundary_extrapolate_1d
 from ..preprocess import apply_minmax, fit_minmax
-from ..regress import (Activation, CvConfig, _forward, ensemble_predict,
-                       ensemble_train, lr_fit, lr_predict, select_node_count,
-                       default_node_grid)
+from ..regress import (Activation, CvConfig, ensemble_member_predict,
+                       ensemble_predict, ensemble_train, lr_fit, lr_predict,
+                       select_node_count, default_node_grid)
 from ..seeding import STREAM_CV, STREAM_TOY, STREAM_TRIAL, derive_rng, derive_seed
 
 
@@ -74,7 +74,7 @@ def toy_demo(seed: int = 0, activation: Activation = Activation.SIGMOID,
                               seed=derive_seed(seed, STREAM_TRIAL, 0))
     linear = lr_fit(Xs, y)
 
-    members = _forward(grid_scaled, ensemble._stacked, ensemble.activation)[:, :, 0].T
+    members = ensemble_member_predict(ensemble, grid_scaled)[:, :, 0].T
     ensemble_mean = ensemble_predict(ensemble, grid_scaled)[:, 0]
 
     # training inputs span the full fitted range, so in scaled coordinates

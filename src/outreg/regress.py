@@ -387,14 +387,20 @@ def ensemble_train(inputs, targets, node_count: int, activation: Activation,
                          activation, trim, int(seed))
 
 
+def ensemble_member_predict(ensemble: EnsembleModel, inputs) -> np.ndarray:
+    """Each member's outputs, shape (M, N, m): slice i is bitwise
+    ``elm_predict(ensemble.members[i], inputs)``."""
+    X = as_matrix(inputs, "inputs", ensemble.input_dim)
+    return _forward(X, ensemble._stacked, ensemble.activation)
+
+
 def ensemble_predict(ensemble: EnsembleModel, inputs) -> np.ndarray:
     """Combine member predictions pointwise, shape (N, m).
 
     Under drop-min-max the single largest and single smallest member
     prediction at each output cell are excluded before averaging.
     """
-    X = as_matrix(inputs, "inputs", ensemble.input_dim)
-    stacked = _forward(X, ensemble._stacked, ensemble.activation)
+    stacked = ensemble_member_predict(ensemble, inputs)
     if ensemble.trim_policy is TrimPolicy.NONE:
         return stacked.mean(axis=0)
     total = stacked.sum(axis=0) - stacked.max(axis=0) - stacked.min(axis=0)

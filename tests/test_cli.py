@@ -494,28 +494,32 @@ class TestReportCommand:
         assert "duplicate" in capsys.readouterr().err
 
 
-def _write_qr_record(directory):
-    """400 training rows on 4 inputs and 40 test rows, the last 10 far
-    outside, so that members with 150 nodes, and the CV's fold fits on
-    320 rows, take the least-squares solve's QR route.  Returns the
-    manifest path."""
+def _write_fit_record(directory, train_rows=400, dim=4):
+    """``train_rows`` training rows on ``dim`` inputs and 40 test rows, the
+    last 10 far outside.  At the defaults, members with 150 nodes and the
+    CV's fold fits on 320 rows take the least-squares solve's QR route; at
+    1400 rows on 6 inputs with 300 nodes, the fold fits on 1120 rows take
+    the QR route and the members the Gram route, on arrays of 2.7 to
+    3.4 MB.  Returns the manifest path."""
     rng = np.random.default_rng(2026)
-    X = rng.uniform(-1.0, 1.0, size=(440, 4))
-    X[430:] *= 4.0
+    X = rng.uniform(-1.0, 1.0, size=(train_rows + 40, dim))
+    X[-10:] *= 4.0
     y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] - 0.5 * X[:, 3]
-    csv_path = directory / "qr-route.csv"
+    columns = [f"x{i}" for i in range(dim)]
+    csv_path = directory / "fit.csv"
     with open(csv_path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["x0", "x1", "x2", "x3", "y"])
+        writer.writerow(columns + ["y"])
         for row, target in zip(X, y):
             writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])
-    manifest_path = directory / "qr-route.json"
+    manifest_path = directory / "fit.json"
     manifest_path.write_text(json.dumps({
-        "name": "qr-route",
+        "name": "fit",
         "csv_path": csv_path.name,
-        "feature_columns": ["x0", "x1", "x2", "x3"],
+        "feature_columns": columns,
         "target_column": "y",
-        "split": {"train_range": [0, 400], "test_range": [400, 440]},
+        "split": {"train_range": [0, train_rows],
+                  "test_range": [train_rows, train_rows + 40]},
     }))
     return manifest_path
 
@@ -578,14 +582,21 @@ config = ExperimentConfig(activations=(Activation.SIGMOID,), trials=1,
 emit_report(run_experiment(load_dataset(load_manifest(manifest)), config), out)
 """
 
-    def test_a_second_run_does_not_fault_its_fits_in_again(self, tmp_path):
-        """25 QR-route fits, 20 members and 5 CV folds.  Without the policy
-        the second run took about 8800 minor faults (one BLAS thread, glibc
-        2.36), and with it about 25; the bound of 1000 sits far from both."""
+    @pytest.mark.parametrize("train_rows, dim, nodes, members, bound", [
+        (400, 4, 150, 20, 1000), (1400, 6, 300, 5, 3000)])
+    def test_a_second_run_does_not_fault_its_fits_in_again(
+            self, tmp_path, train_rows, dim, nodes, members, bound):
+        """Faults of a second run in one process (one BLAS thread, glibc
+        2.36).  400x4 at 150 nodes, 25 QR-route fits: 5,600 to 8,900
+        without the policy, about 25 with it.  1400x6 at 300 nodes, 5
+        QR-route folds and 5 Gram-route members: 11,000 to 16,300 without
+        it, about 16,300 with thresholds of 2 and 4 MiB, and about 760 with
+        32 and 64 MiB.  Each bound sits far from all of them."""
         if not _on_glibc():
             pytest.skip("the heap policy is set on glibc only")
-        manifest = _write_qr_record(tmp_path)
-        config = _write_config(tmp_path, **_QR_CONFIG)
+        manifest = _write_fit_record(tmp_path, train_rows, dim)
+        config = _write_config(tmp_path, trials=1, members_per_trial=members,
+                               cv={"folds": 5, "candidate_node_counts": [nodes], "seed": 7})
         first, second = map(int, _child(self._TWO_RUNS, manifest, config,
                                         tmp_path / "a", tmp_path / "b").split())
         assert second < 1000, (first, second)
@@ -593,7 +604,7 @@ emit_report(run_experiment(load_dataset(load_manifest(manifest)), config), out)
             (tmp_path / "b" / "report.json").read_bytes()
 
     def test_the_policy_moves_no_report_byte(self, tmp_path):
-        manifest = _write_qr_record(tmp_path)
+        manifest = _write_fit_record(tmp_path)
         config = _write_config(tmp_path, **_QR_CONFIG)
         _child(self._TWO_RUNS, manifest, config, tmp_path / "cli")
         _child(self._LIBRARY_RUN, manifest, tmp_path / "library")
@@ -613,7 +624,18 @@ emit_report(run_experiment(load_dataset(load_manifest(manifest)), config), out)
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setattr("ctypes.CDLL", lambda name: Libc())
         cli._keep_freed_heap()
-        assert calls == [(-3, 2 << 20), (-1, 4 << 20)]  # M_MMAP_ and M_TRIM_THRESHOLD
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_ and M_TRIM_THRESHOLD
+
+    def test_glibc_accepts_both_thresholds(self):
+        """``mallopt`` returns 0, and sets nothing, for an mmap threshold
+        above glibc's ceiling (32 MiB on 64-bit)."""
+        if not _on_glibc():
+            pytest.skip("the heap policy is set on glibc only")
+        out = _child("import ctypes\n"
+                     "from outreg.evalharness.cli import _MMAP_THRESHOLD, _TRIM_THRESHOLD\n"
+                     "libc = ctypes.CDLL(None)\n"
+                     "print(libc.mallopt(-3, _MMAP_THRESHOLD), libc.mallopt(-1, _TRIM_THRESHOLD))")
+        assert out.split() == ["1", "1"]
 
     def _no_libc_call(self, monkeypatch, tmp_path):
         def refuse(name):

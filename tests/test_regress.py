@@ -16,8 +16,8 @@ import pytest
 
 from outreg import (Activation, CvConfig, ElmModel, EnsembleModel, TrimPolicy,
                     activation_value, default_node_grid, elm_predict,
-                    elm_train, ensemble_predict, ensemble_train, lr_fit,
-                    lr_predict, select_node_count)
+                    elm_train, ensemble_member_predict, ensemble_predict,
+                    ensemble_train, lr_fit, lr_predict, select_node_count)
 from outreg import regress
 from outreg.regress import DEFAULT_NODE_GRID
 from outreg.seeding import STREAM_CV, STREAM_MEMBER, derive_rng
@@ -304,6 +304,22 @@ class TestEnsemble:
                 np.testing.assert_array_equal(member.hidden_biases, lone.hidden_biases)
                 np.testing.assert_array_equal(bits(member.output_weights),
                                               bits(lone.output_weights))
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_member_outputs_are_each_members_own_prediction(self, monkeypatch, activation):
+        """Slice i of ``ensemble_member_predict`` is bitwise member i's
+        ``elm_predict``, across several of the kernel's chunks."""
+        monkeypatch.setattr(regress, "_CHUNK_ELEMENTS", 3 * 9 * 8)
+        X = np.linspace(-1, 1, 20)[:, None]
+        ens = ensemble_train(X, np.hstack([np.sin(X), X ** 2]), 8, activation,
+                             member_count=7, seed=2)
+        grid = np.linspace(-1.5, 1.5, 9)[:, None]
+        outputs = ensemble_member_predict(ens, grid)
+        assert outputs.shape == (7, 9, 2)
+        for member, output in zip(ens.members, outputs):
+            np.testing.assert_array_equal(output, elm_predict(member, grid))
+        with pytest.raises(ValueError):
+            ensemble_member_predict(ens, np.zeros((3, 2)))
 
     def test_plain_mean_matches_stacked_members(self):
         X = np.linspace(-1, 1, 20)[:, None]
