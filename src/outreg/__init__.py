@@ -25,7 +25,7 @@ from .preprocess import (MinMaxScaler, OneHotGroup, TargetTransform,
                          r_outl_estimate, transform_target)
 from .regress import (Activation, CvConfig, ElmModel, EnsembleModel,
                       LinearModel, TrimPolicy, activation_value,
-                      default_node_grid, elm_predict, elm_train,
+                      combine_members, default_node_grid, elm_predict, elm_train,
                       ensemble_member_predict, ensemble_predict, ensemble_train,
                       lr_fit, lr_predict, select_node_count)
 
@@ -39,7 +39,7 @@ __all__ = [
     "activation_value", "apply_minmax", "at_percentile", "average_ranks",
     "beyond_nearest_neighbor", "boundary_extrapolate_1d", "categorical_center",
     "center_linear_extrapolate", "classify", "clip_nonnegative",
-    "columnwise_median", "default_node_grid", "elm_predict", "elm_train",
+    "columnwise_median", "combine_members", "default_node_grid", "elm_predict", "elm_train",
     "ensemble_member_predict", "ensemble_predict", "ensemble_train",
     "extrapolation_plan", "fit_gate", "fit_minmax",
     "inverse_transform_target", "invert_minmax", "load_ensemble",

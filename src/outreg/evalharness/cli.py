@@ -26,48 +26,55 @@ from ..extrapolate import OrConfig
 from ..outlier_gate import beyond_nearest_neighbor, classify, fit_gate
 from ..preprocess import apply_minmax, fit_minmax
 from ..regress import Activation, CvConfig
-from .dataset import _section, load_dataset, load_manifest
+from ..seeding import checked_items
+from .dataset import _check_keys, _typed, load_dataset, load_manifest
 from .experiment import ExperimentConfig, run_experiment
 from .report import (emit_report, load_report, render_json, summarize_reports,
                      write_gate_csv)
 from .toy import toy_demo
 
 
-def _activation(text: str) -> Activation:
+_ACTIVATION_NAMES = [a.value for a in Activation]
+
+
+def _activation(value, name: str) -> Activation:
+    """The activation named ``value``; a ValueError naming ``name`` if no
+    activation is, which lists the names there are."""
+    if value not in _ACTIVATION_NAMES:
+        raise ValueError(f"{name} must be one of {_ACTIVATION_NAMES}, got {value!r}")
+    return Activation(value)
+
+
+# a config field whose JSON key is not its name
+_JSON_KEYS = {"or_config": "or"}
+
+
+def _built(kind, raw, path: str, **convert):
+    """Config dataclass ``kind`` built from JSON object ``raw``, whose keys
+    must name its fields.  ``convert`` maps a field to what turns its JSON
+    value into the field's type, naming the field by its whole path.  The
+    dataclass types every value, and a ValueError it raises gets ``path``
+    in front of the field it names."""
+    fields = {_JSON_KEYS.get(f.name, f.name): f.name for f in dataclasses.fields(kind)}
+    _check_keys(_typed(raw, "an object", path), set(fields), path)
+    kwargs = {fields[key]: value for key, value in raw.items()}
+    kwargs.update((key, convert[key](kwargs[key])) for key in convert if key in kwargs)
     try:
-        return Activation(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"unknown activation {text!r}; expected one of "
-            f"{[a.value for a in Activation]}"
-        ) from None
-
-
-# each config section's keys and the JSON kind of their values, read by _section
-_CONFIG_KEYS = {"activations": ["a string"], "trials": "an integer",
-                "members_per_trial": "an integer", "gate_percentiles": ["a number"],
-                "master_seed": "an integer", "min_subset_rows": "an integer",
-                "cv": "an object", "or": "an object", "store_predictions": "a boolean",
-                "collect_extrapolation_records": "a boolean"}
-_CV_KEYS = {"folds": "an integer", "candidate_node_counts": ["an integer"],
-            "seed": "an integer"}
-_OR_KEYS = {"delta1_values": ["a number"], "delta2_values": ["a number"],
-            "include_raw_nlr": "a boolean"}
+        return kind(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}.{exc}") from None
 
 
 def _config_from_json(raw) -> ExperimentConfig:
-    kwargs = _section(raw, _CONFIG_KEYS, "config")
-    if "activations" in kwargs:
-        kwargs["activations"] = tuple(Activation(a) for a in kwargs["activations"])
-    if "cv" in kwargs:
-        kwargs["cv"] = CvConfig(**_section(kwargs["cv"], _CV_KEYS, "config.cv"))
-    if "or" in kwargs:
-        kwargs["or_config"] = OrConfig(**_section(kwargs.pop("or"), _OR_KEYS, "config.or"))
-    return ExperimentConfig(**kwargs)
+    return _built(
+        ExperimentConfig, raw, "config",
+        activations=lambda names: checked_items(names, "config.activations", _activation),
+        cv=lambda raw_cv: _built(CvConfig, raw_cv, "config.cv"),
+        or_config=lambda raw_or: _built(OrConfig, raw_or, "config.or"))
 
 
 def _cmd_toy(args) -> int:
-    curves = toy_demo(seed=args.seed, activation=args.activation,
+    curves = toy_demo(seed=args.seed, activation=_activation(args.activation, "--activation"),
                       n_train=args.n_train, member_count=args.members,
                       node_count=args.node_count,
                       grid_start=args.grid_start, grid_stop=args.grid_stop,
@@ -117,20 +124,10 @@ def _cmd_gate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    dataset = load_dataset(load_manifest(args.manifest))
-    if args.config:
-        config = _config_from_json(json.loads(Path(args.config).read_text()))
-    else:
-        config = ExperimentConfig()
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.members is not None:
-        overrides["members_per_trial"] = args.members
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    config = dataclasses.replace(config, **overrides)
-    result = run_experiment(dataset, config)
+    config = _config_from_json(json.loads(Path(args.config).read_text()) if args.config else {})
+    flags = {"trials": args.trials, "members_per_trial": args.members, "master_seed": args.seed}
+    config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
+    result = run_experiment(load_dataset(load_manifest(args.manifest)), config)
     written = emit_report(result, args.out, fmt=args.format)
     for path in written:
         print(f"wrote {path}")
@@ -153,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     toy = sub.add_parser("toy", help="tabulate toy-problem fits on a grid")
     toy.add_argument("--seed", type=int, default=0)
-    toy.add_argument("--activation", type=_activation, default=Activation.SIGMOID)
+    toy.add_argument("--activation", choices=_ACTIVATION_NAMES, default="sigmoid")
     toy.add_argument("--n-train", type=int, default=100)
     toy.add_argument("--members", type=int, default=100)
     toy.add_argument("--node-count", type=int, default=None,

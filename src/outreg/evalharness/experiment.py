@@ -33,8 +33,9 @@ from ..outlier_gate import at_percentile, classify, fit_gate
 from ..preprocess import (TargetTransform, apply_minmax, clip_nonnegative,
                           fit_minmax, inverse_transform_target,
                           minmax_onehot_group, r_outl)
-from ..regress import (Activation, CvConfig, default_node_grid, ensemble_predict,
-                       ensemble_train, lr_fit, lr_predict, select_node_count)
+from ..regress import (Activation, CvConfig, checked_member_count, default_node_grid,
+                       ensemble_predict, ensemble_train, lr_fit, lr_predict,
+                       select_node_count)
 from ..seeding import (STREAM_CV, STREAM_TRIAL, checked_bool, checked_enum, checked_float,
                        checked_int, checked_items, derive_seed)
 from .dataset import Dataset
@@ -66,24 +67,25 @@ class ExperimentConfig:
             self.activations, "activations",
             lambda a, name: checked_enum(a, name, Activation)))
         if not self.activations:
-            raise ValueError("at least one activation is required")
-        # numpy scalars are held as Python values, so the report echoes them as JSON
-        object.__setattr__(self, "trials", checked_int(self.trials, "trials", 1))
-        object.__setattr__(self, "members_per_trial",
-                           checked_int(self.members_per_trial, "members_per_trial", 1))
+            raise ValueError("activations must not be empty")
         if len(set(self.activations)) < len(self.activations):
             raise ValueError(f"activations must not repeat, got "
                              f"{[a.value for a in self.activations]}")
+        # numpy scalars are held as Python values, so the report echoes them as JSON
+        object.__setattr__(self, "trials", checked_int(self.trials, "trials", 1))
+        for activation in self.activations:
+            object.__setattr__(self, "members_per_trial", checked_member_count(
+                self.members_per_trial, "members_per_trial", activation))
         object.__setattr__(self, "gate_percentiles", checked_items(
             self.gate_percentiles, "gate_percentiles", checked_float))
         if not self.gate_percentiles:
-            raise ValueError("at least one gate percentile is required")
+            raise ValueError("gate_percentiles must not be empty")
         if len(set(self.gate_percentiles)) < len(self.gate_percentiles):
-            raise ValueError(f"gate percentiles must not repeat, got "
+            raise ValueError(f"gate_percentiles must not repeat, got "
                              f"{list(self.gate_percentiles)}")
-        for q in self.gate_percentiles:
+        for i, q in enumerate(self.gate_percentiles):
             if not 0.0 < q < 100.0:
-                raise ValueError(f"gate percentiles must be in (0, 100), got {q}")
+                raise ValueError(f"gate_percentiles[{i}] must be in (0, 100), got {q}")
         object.__setattr__(self, "master_seed", checked_int(self.master_seed, "master_seed"))
         object.__setattr__(self, "min_subset_rows",
                            checked_int(self.min_subset_rows, "min_subset_rows", 2))

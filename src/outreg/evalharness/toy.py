@@ -14,9 +14,9 @@ import numpy as np
 
 from ..extrapolate import boundary_extrapolate_1d
 from ..preprocess import apply_minmax, fit_minmax
-from ..regress import (Activation, CvConfig, ensemble_member_predict,
-                       ensemble_predict, ensemble_train, lr_fit, lr_predict,
-                       select_node_count, default_node_grid)
+from ..regress import (Activation, CvConfig, combine_members, default_node_grid,
+                       ensemble_member_predict, ensemble_predict, ensemble_train, lr_fit,
+                       lr_predict, select_node_count)
 from ..seeding import STREAM_CV, STREAM_TOY, STREAM_TRIAL, derive_rng, derive_seed
 
 
@@ -74,8 +74,7 @@ def toy_demo(seed: int = 0, activation: Activation = Activation.SIGMOID,
                               seed=derive_seed(seed, STREAM_TRIAL, 0))
     linear = lr_fit(Xs, y)
 
-    members = ensemble_member_predict(ensemble, grid_scaled)[:, :, 0].T
-    ensemble_mean = ensemble_predict(ensemble, grid_scaled)[:, 0]
+    outputs = ensemble_member_predict(ensemble, grid_scaled)
 
     # training inputs span the full fitted range, so in scaled coordinates
     # the training interval is exactly [-1, 1]
@@ -88,9 +87,9 @@ def toy_demo(seed: int = 0, activation: Activation = Activation.SIGMOID,
         "x": grid,
         "true_signal": signal(grid),
         "linear": lr_predict(linear, grid_scaled),
-        "ensemble_mean": ensemble_mean,
+        "ensemble_mean": combine_members(outputs, ensemble.trim_policy)[:, 0],
         "bounded_ensemble_mean": bounded,
-        "members": members,
+        "members": outputs[:, :, 0].T,
         "node_count": int(node_count),
         "train_x": X[:, 0],
         "train_y": y,

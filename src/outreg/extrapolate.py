@@ -82,14 +82,14 @@ class OrConfig:
                            checked_bool(self.include_raw_nlr, "include_raw_nlr"))
         if not self.delta1_values and not self.delta2_values \
                 and not self.include_raw_nlr:
-            raise ValueError(
-                "no candidates configured: both delta lists are empty and "
-                "the raw surface value is excluded"
-            )
-        if any(not d > 0.0 for d in self.delta1_values):
-            raise ValueError(f"delta1 values must be positive, got {self.delta1_values}")
-        if any(not 0.0 < d <= 1.0 for d in self.delta2_values):
-            raise ValueError(f"delta2 values must lie in (0, 1], got {self.delta2_values}")
+            raise ValueError("include_raw_nlr must be true when both delta lists are "
+                             "empty, or no candidate is configured")
+        for i, d in enumerate(self.delta1_values):
+            if not d > 0.0:
+                raise ValueError(f"delta1_values[{i}] must be positive, got {d}")
+        for i, d in enumerate(self.delta2_values):
+            if not 0.0 < d <= 1.0:
+                raise ValueError(f"delta2_values[{i}] must lie in (0, 1], got {d}")
         for key in ("delta1_values", "delta2_values"):
             # two values that print alike would label two candidates alike
             # and count one step twice in the median

@@ -221,9 +221,9 @@ def load_ensemble(path) -> EnsembleModel:
                           hidden_biases=np.stack(arrays[1::3]),
                           output_weights=np.stack(arrays[2::3]))
     trim_policy = TrimPolicy(str(fields["trim_policy"]))
-    if trim_policy is TrimPolicy.DROP_MIN_MAX and count < 3:
-        raise ValueError(f"{path}: ensemble field 'trim_policy' is 'drop-min-max', "
-                         f"which needs at least 3 members, but 'member_count' is {count}")
+    if count < (least := trim_policy.least_members):
+        raise ValueError(f"{path}: ensemble field 'trim_policy' is '{trim_policy.value}', "
+                         f"which needs at least {least} members, but 'member_count' is {count}")
     return EnsembleModel(
         fields["hidden_weights"], fields["hidden_biases"], fields["output_weights"],
         Activation(str(fields["activation"])), trim_policy, _seed_value(fields["seed"]))

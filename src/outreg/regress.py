@@ -125,6 +125,29 @@ class TrimPolicy(enum.Enum):
     NONE = "none"
     DROP_MIN_MAX = "drop-min-max"
 
+    @property
+    def least_members(self) -> int:
+        """Members an ensemble under this policy needs: drop-min-max drops
+        two of them at each output cell and averages the rest."""
+        return 3 if self is TrimPolicy.DROP_MIN_MAX else 1
+
+
+def trim_policy(activation: Activation) -> TrimPolicy:
+    """The trim policy of ``activation``'s ensembles.  The radial-basis
+    activation occasionally produces wild individual members, so it gets
+    drop-min-max; the others average all members."""
+    return TrimPolicy.DROP_MIN_MAX if activation is Activation.RADIAL_BASIS else TrimPolicy.NONE
+
+
+def checked_member_count(value, name: str, activation: Activation) -> int:
+    """``value`` as a Python int; a ValueError naming ``name`` if it is not
+    an integer or fewer members than ``activation``'s trim policy needs."""
+    count = checked_int(value, name, 1)
+    if count < (least := trim_policy(activation).least_members):
+        raise ValueError(f"{name} must be at least {least} for the {activation.value} "
+                         f"activation, got {count}")
+    return count
+
 
 def activation_value(kind: Activation, z: float) -> float:
     """Scalar activation; see _activate for the vectorised forms."""
@@ -339,8 +362,9 @@ class EnsembleModel:
                              f"B (M, L, m) with L, d, m >= 1, got {W}, {b} and {B}")
         if W[0] < 1:
             raise ValueError("an ensemble needs at least one member")
-        if self.trim_policy is TrimPolicy.DROP_MIN_MAX and W[0] < 3:
-            raise ValueError(f"drop-min-max trimming needs at least 3 members, got {W[0]}")
+        if W[0] < (least := self.trim_policy.least_members):
+            raise ValueError(f"{self.trim_policy.value} trimming needs at least {least} "
+                             f"members, got {W[0]}")
 
     @property
     def member_count(self) -> int:
@@ -374,17 +398,14 @@ def ensemble_train(inputs, targets, node_count: int, activation: Activation,
     Member i is block i of the one stream ``derive_rng(seed,
     STREAM_MEMBER)`` (module docstring), so members are decorrelated but
     the whole ensemble is reproducible from the single ``seed``.  The
-    radial-basis activation occasionally
-    produces wild individual members, so that activation gets the
-    drop-min-max trim policy; the others average all members.
+    ensemble takes ``activation``'s ``trim_policy``, and a ``member_count``
+    below what that policy needs is a ValueError before any member trains.
     """
-    member_count = checked_int(member_count, "member_count", 1)
     X, Y = _checked(inputs, targets, activation)
-    trim = (TrimPolicy.DROP_MIN_MAX if activation is Activation.RADIAL_BASIS
-            else TrimPolicy.NONE)
+    member_count = checked_member_count(member_count, "member_count", activation)
     rng = derive_rng(seed, STREAM_MEMBER)
     return EnsembleModel(*_train(X, Y, node_count, activation, rng, member_count),
-                         activation, trim, int(seed))
+                         activation, trim_policy(activation), int(seed))
 
 
 def ensemble_member_predict(ensemble: EnsembleModel, inputs) -> np.ndarray:
@@ -394,17 +415,23 @@ def ensemble_member_predict(ensemble: EnsembleModel, inputs) -> np.ndarray:
     return _forward(X, ensemble._stacked, ensemble.activation)
 
 
-def ensemble_predict(ensemble: EnsembleModel, inputs) -> np.ndarray:
-    """Combine member predictions pointwise, shape (N, m).
+def combine_members(outputs: np.ndarray, policy: TrimPolicy) -> np.ndarray:
+    """Member outputs (M, N, m), as ``ensemble_member_predict`` gives them,
+    combined pointwise into shape (N, m).
 
     Under drop-min-max the single largest and single smallest member
     prediction at each output cell are excluded before averaging.
     """
-    stacked = ensemble_member_predict(ensemble, inputs)
-    if ensemble.trim_policy is TrimPolicy.NONE:
-        return stacked.mean(axis=0)
-    total = stacked.sum(axis=0) - stacked.max(axis=0) - stacked.min(axis=0)
-    return total / (ensemble.member_count - 2)
+    if policy is TrimPolicy.NONE:
+        return outputs.mean(axis=0)
+    total = outputs.sum(axis=0) - outputs.max(axis=0) - outputs.min(axis=0)
+    return total / (outputs.shape[0] - 2)
+
+
+def ensemble_predict(ensemble: EnsembleModel, inputs) -> np.ndarray:
+    """The ensemble's prediction, shape (N, m): its members' outputs
+    combined under its trim policy (``combine_members``)."""
+    return combine_members(ensemble_member_predict(ensemble, inputs), ensemble.trim_policy)
 
 
 @dataclass(frozen=True)
@@ -420,16 +447,13 @@ class CvConfig:
         object.__setattr__(self, "seed", checked_int(self.seed, "seed"))
         object.__setattr__(self, "folds", checked_int(self.folds, "folds", 2))
         counts = checked_items(self.candidate_node_counts, "candidate_node_counts",
-                               lambda c, name: checked_int(c, name, None))
+                               lambda c, name: checked_int(c, name, 1))
         object.__setattr__(self, "candidate_node_counts", counts)
         if not counts:
             raise ValueError("candidate_node_counts must not be empty")
-        if any(c < 1 for c in counts):
-            raise ValueError(f"candidate node counts must be positive, got {counts}")
         if any(b <= a for a, b in zip(counts, counts[1:])):
             raise ValueError(
-                f"candidate node counts must be strictly increasing, got {counts}"
-            )
+                f"candidate_node_counts must be strictly increasing, got {list(counts)}")
 
 
 def default_node_grid(n_train: int, folds: int = 5) -> tuple[int, ...]:

@@ -21,10 +21,18 @@ The configs type their fields when they are built through
 ``checked_int``, which seeds go through too, ``checked_float``,
 ``checked_bool``, ``checked_enum`` and, for a field that holds several
 values, ``checked_items``: numpy scalars are held as Python values, and a
-value of the wrong kind is a ValueError that names the field.
+value of the wrong kind is a ValueError whose message starts with the
+field's name.  A field of several values takes a sequence, never a set or
+a mapping, since their order follows string hashing and would reorder a
+run's trials and report from one process to the next.  These checks are
+the only typing layer: ``outreg run --config`` checks only the keys of its
+JSON and puts the section's path (``config.``, ``config.cv.``,
+``config.or.``) in front of a config's message.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping, Set
 
 import numpy as np
 
@@ -64,8 +72,10 @@ def checked_float(value, name: str) -> float:
 
 def checked_items(values, name: str, check) -> tuple:
     """``values`` as a tuple of ``check(item, f"{name}[i]")``; a ValueError
-    naming ``name`` if it is a scalar or a string, not a sequence."""
-    if isinstance(values, str) or not np.iterable(values):
+    naming ``name`` if it is a scalar, a string or an unordered collection
+    (a set or a mapping, whose order can change from process to process),
+    not a sequence."""
+    if isinstance(values, (str, Set, Mapping)) or not np.iterable(values):
         raise ValueError(f"{name} must be a sequence, got {values!r}")
     return tuple(check(v, f"{name}[{i}]") for i, v in enumerate(values))
 

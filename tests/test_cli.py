@@ -8,8 +8,10 @@ traceback.
 """
 
 import csv
+import dataclasses
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -18,9 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from outreg import (CvConfig, OrConfig, apply_minmax, beyond_nearest_neighbor,
+from outreg import (Activation, CvConfig, OrConfig, apply_minmax, beyond_nearest_neighbor,
                     classify, fit_gate, fit_minmax, outlier_gate)
-from outreg.evalharness import experiment, load_dataset, load_manifest, load_report
+from outreg.evalharness import (ExperimentConfig, experiment, load_dataset, load_manifest,
+                                load_report)
 from outreg.evalharness import cli
 from outreg.evalharness.cli import main
 
@@ -108,11 +111,12 @@ class TestToyCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_activation_is_a_usage_error(self, tmp_path):
+    def test_unknown_activation_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["toy", "--activation", "tanh",
                   "--out", str(tmp_path / "x.csv")])
         assert excinfo.value.code == 2
+        assert "'sigmoid', 'radial-basis', 'softplus'" in capsys.readouterr().err
 
 
 class TestGateCommand:
@@ -295,13 +299,13 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides, key", [
-        ({"gate_percentiles": [10 ** 400]}, "gate_percentiles[0]"),
-        ({"or": {"delta1_values": [10 ** 400]}}, "delta1_values[0]"),
-        ({"or": {"delta2_values": [0.5, -10 ** 400]}}, "delta2_values[1]"),
+        ({"gate_percentiles": [10 ** 400]}, "config.gate_percentiles[0]"),
+        ({"or": {"delta1_values": [10 ** 400]}}, "config.or.delta1_values[0]"),
+        ({"or": {"delta2_values": [0.5, -10 ** 400]}}, "config.or.delta2_values[1]"),
     ], ids=["percentile", "delta1", "delta2"])
     def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys, overrides, key):
         """A 401-digit JSON integer where a number belongs is an error that
-        names the field, not an OverflowError traceback."""
+        names the field by its JSON path, not an OverflowError traceback."""
         manifest_path = _write_dataset(tmp_path)
         config_path = _write_config(tmp_path, **overrides)
         code = main(["run", "--manifest", str(manifest_path),
@@ -314,13 +318,14 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"activations": ["sigmoid", "softplus", "sigmoid"]},
-         "activations must not repeat, got ['sigmoid', 'softplus', 'sigmoid']"),
+         "config.activations must not repeat, got ['sigmoid', 'softplus', 'sigmoid']"),
         ({"gate_percentiles": [95, 99.0, 95.0]},
-         "gate percentiles must not repeat, got [95.0, 99.0, 95.0]"),
+         "config.gate_percentiles must not repeat, got [95.0, 99.0, 95.0]"),
         ({"or": {"delta1_values": [0.5, 0.5]}},
-         "delta1_values must not repeat a value at 6 significant digits, got [0.5, 0.5]"),
+         "config.or.delta1_values must not repeat a value at 6 significant digits, "
+         "got [0.5, 0.5]"),
         ({"or": {"delta2_values": [0.25, 0.2500001]}},
-         "delta2_values must not repeat a value at 6 significant digits, "
+         "config.or.delta2_values must not repeat a value at 6 significant digits, "
          "got [0.25, 0.2500001]"),
     ], ids=["repeated-activation", "repeated-percentile", "repeated-delta1",
             "delta2-alike-at-6-digits"])
@@ -332,6 +337,29 @@ class TestRunCommand:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, flags", [
+        ({"activations": ["sigmoid", "radial-basis"], "members_per_trial": 2}, []),
+        (None, ["--members", "2"]),
+    ], ids=["config", "members-flag"])
+    def test_radial_basis_with_two_members_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch, config, flags):
+        """Drop-min-max trimming needs 3 members: refused before sigmoid's
+        cross-validation and trials could run."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("a member trained")
+
+        monkeypatch.setattr(experiment, "select_node_count", no_training)
+        monkeypatch.setattr(experiment, "ensemble_train", no_training)
+        argv = ["run", "--manifest", str(_write_dataset(tmp_path)), *flags,
+                "--out", str(tmp_path / "out")]
+        if config is not None:
+            argv += ["--config", str(_write_config(tmp_path, **config))]
+        assert main(argv) == 2
+        prefix = "config." if config is not None else ""
+        assert capsys.readouterr().err == (f"error: {prefix}members_per_trial must be at "
+                                           "least 3 for the radial-basis activation, got 2\n")
         assert not (tmp_path / "out").exists()
 
     def test_or_section_round_trips_into_the_report(self, tmp_path):
@@ -439,6 +467,94 @@ class TestRunCommand:
         assert "nearest neighbour coincides with the point" in err
         assert "at or beyond the outlier" in err
         assert not (tmp_path / "out").exists()
+
+
+_ACTIVATIONS = "['sigmoid', 'radial-basis', 'softplus']"
+
+
+class TestConfigErrors:
+    """The config dataclasses are the one typing layer: the CLI checks only
+    the keys, and every config error is one line that names its field
+    once, by its JSON path, before the dataset is read."""
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"trials": 2.9}, "config.trials must be an integer, got 2.9"),
+        ({"master_seed": -1}, "config.master_seed must be non-negative, got -1"),
+        ({"cv": {"folds": 1}}, "config.cv.folds must be at least 2, got 1"),
+        ({"cv": {"candidate_node_counts": [0, 5]}},
+         "config.cv.candidate_node_counts[0] must be at least 1, got 0"),
+        ({"cv": {"candidate_node_counts": [8, 5]}},
+         "config.cv.candidate_node_counts must be strictly increasing, got [8, 5]"),
+        ({"gate_percentiles": [99.0, 100]}, "config.gate_percentiles[1] must be in (0, 100), "
+                                            "got 100.0"),
+        ({"or": {"delta1_values": [0.0]}}, "config.or.delta1_values[0] must be positive, "
+                                           "got 0.0"),
+        ({"or": {"delta2_values": [0.5, 2]}}, "config.or.delta2_values[1] must lie in (0, 1], "
+                                              "got 2.0"),
+        ({"activations": ["sigmoid", "sigmoid"]},
+         "config.activations must not repeat, got ['sigmoid', 'sigmoid']"),
+        ({"activations": []}, "config.activations must not be empty"),
+        ({"gate_percentiles": []}, "config.gate_percentiles must not be empty"),
+        ({"cv": {"candidate_node_counts": []}},
+         "config.cv.candidate_node_counts must not be empty"),
+        ({"or": {"delta1_values": [], "delta2_values": [], "include_raw_nlr": False}},
+         "config.or.include_raw_nlr must be true when both delta lists are empty, "
+         "or no candidate is configured"),
+        ({"activations": ["nope"]},
+         f"config.activations[0] must be one of {_ACTIVATIONS}, got 'nope'"),
+        ({"activations": ["sigmoid", 1]},
+         f"config.activations[1] must be one of {_ACTIVATIONS}, got 1"),
+        ({"activations": {"sigmoid": 1}},
+         "config.activations must be a sequence, got {'sigmoid': 1}"),
+        ({"trails": 3}, "config: unknown keys ['trails']"),
+        ({"or_config": {}}, "config: unknown keys ['or_config']"),
+        ({"cv": {"bogus": 1}}, "config.cv: unknown keys ['bogus']"),
+        ({"or": {"delta3_values": []}}, "config.or: unknown keys ['delta3_values']"),
+        ({"cv": None}, "config.cv must be an object, got null"),
+        ({"or": [0.5]}, "config.or must be an object, got [0.5]"),
+    ], ids=["type", "negative-seed", "folds", "node-count", "node-order", "percentile",
+            "delta1", "delta2", "repeat", "no-activation", "no-percentile", "no-node-count",
+            "no-candidate", "unknown-activation", "non-string-activation",
+            "activations-object", "unknown-key", "field-name-for-or", "unknown-cv-key",
+            "unknown-or-key", "null-cv", "or-not-an-object"])
+    def test_one_line_naming_the_field_by_its_path(self, tmp_path, capsys, monkeypatch,
+                                                  overrides, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "load_dataset", no_work)
+        code = main(["run", "--manifest", str(tmp_path / "absent.json"),
+                     "--config", str(_write_config(tmp_path, **overrides)),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        path = message.split(" ")[0].rstrip(":").split("[")[0]
+        assert len(re.findall(rf"\b{re.escape(path)}\b", message)) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text("[]")
+        assert main(["run", "--manifest", str(_write_dataset(tmp_path)),
+                     "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: config must be an object, got []\n"
+
+    def test_every_dataclass_field_is_a_key(self):
+        """The keys come from the dataclass fields, ``or`` standing for
+        ``or_config``: a config that sets every field to its default is the
+        default config."""
+        def as_json(value):
+            if dataclasses.is_dataclass(value):
+                return {f.name: as_json(getattr(value, f.name))
+                        for f in dataclasses.fields(value)}
+            if isinstance(value, tuple):
+                return [as_json(v) for v in value]
+            return value.value if isinstance(value, Activation) else value
+
+        default = ExperimentConfig(cv=CvConfig())
+        raw = as_json(default)
+        raw["or"] = raw.pop("or_config")
+        assert cli._config_from_json(raw) == default
 
 
 class TestReportCommand:

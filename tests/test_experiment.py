@@ -113,6 +113,17 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="percentile"):
                 ExperimentConfig(gate_percentiles=(q,))
 
+    @pytest.mark.parametrize("activations", [(Activation.RADIAL_BASIS,),
+                                             (Activation.SIGMOID, Activation.RADIAL_BASIS)])
+    def test_radial_basis_needs_three_members(self, activations):
+        """Its drop-min-max trimming drops two members per cell; refused
+        when built, not after another activation's trials have run."""
+        with pytest.raises(ValueError, match=r"^members_per_trial must be at least 3 for "
+                                             r"the radial-basis activation, got 2$"):
+            ExperimentConfig(activations=activations, members_per_trial=2)
+        assert ExperimentConfig(activations=activations, members_per_trial=3)
+        assert ExperimentConfig(activations=(Activation.SIGMOID,), members_per_trial=1)
+
     def test_tiny_min_subset_rejected(self):
         with pytest.raises(ValueError, match="min_subset_rows"):
             ExperimentConfig(min_subset_rows=1)
@@ -132,7 +143,7 @@ class TestConfigValidation:
 
     def test_repeated_percentile_rejected(self):
         """95 and 95.0 name one score key, so the echo would list a phantom."""
-        with pytest.raises(ValueError, match="gate percentiles must not repeat"):
+        with pytest.raises(ValueError, match="^gate_percentiles must not repeat"):
             ExperimentConfig(gate_percentiles=(95, 95.0))
 
     def test_negative_master_seed_rejected_at_construction(self):
@@ -261,6 +272,7 @@ CONTAINER_FIELDS = {
                          (99.0, 95.0)),
     "candidate-node-counts": (CvConfig, "candidate_node_counts", 5, [5, 10], (5, 10)),
     "delta1-values": (OrConfig, "delta1_values", 0.5, [0.5, 0.25], (0.5, 0.25)),
+    "delta2-values": (OrConfig, "delta2_values", 0.5, [0.5, 0.25], (0.5, 0.25)),
 }
 
 
@@ -275,6 +287,16 @@ class TestContainerFields:
         config, name, scalar, _, _ = CONTAINER_FIELDS[case]
         with pytest.raises(ValueError, match=rf"^{name} must be a sequence"):
             config(**{name: scalar})
+
+    @pytest.mark.parametrize("unordered", [set, frozenset, dict.fromkeys])
+    @pytest.mark.parametrize("case", CONTAINER_FIELDS)
+    def test_unordered_collection_rejected_naming_the_field(self, case, unordered):
+        """A set's order follows string hashing, so it would set the trial
+        order and the report's echo differently from one process to the
+        next; a mapping's keys are no better a sequence."""
+        config, name, _, items, _ = CONTAINER_FIELDS[case]
+        with pytest.raises(ValueError, match=rf"^{name} must be a sequence"):
+            config(**{name: unordered(items)})
 
     @pytest.mark.parametrize("case", CONTAINER_FIELDS)
     def test_tuples_lists_and_arrays_held_as_tuples(self, case):

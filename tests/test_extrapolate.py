@@ -173,7 +173,7 @@ class TestOrConfig:
         assert config.include_raw_nlr is True
 
     def test_no_candidates_at_all_rejected(self):
-        with pytest.raises(ValueError, match="no candidates"):
+        with pytest.raises(ValueError, match="^include_raw_nlr must be true"):
             OrConfig(delta1_values=(), delta2_values=(), include_raw_nlr=False)
 
     def test_delta_validation(self):

@@ -361,6 +361,17 @@ class TestEnsemble:
         np.testing.assert_array_equal(ensemble_predict(a, grid),
                                       ensemble_predict(b, grid))
 
+    def test_radial_basis_member_count_checked_before_training(self, monkeypatch):
+        """``ensemble_train`` reads the trim policy's member minimum up front."""
+        def no_training(*args):
+            raise AssertionError("a member trained")
+
+        monkeypatch.setattr(regress, "_train", no_training)
+        X = np.linspace(-1, 1, 20)[:, None]
+        with pytest.raises(ValueError, match=r"^member_count must be at least 3 for the "
+                                             r"radial-basis activation, got 2$"):
+            ensemble_train(X, np.cos(X), 6, Activation.RADIAL_BASIS, member_count=2)
+
     def test_trim_needs_three_members(self):
         stacks = constant_stacks((1.0, 2.0))
         with pytest.raises(ValueError, match="at least 3"):
@@ -593,7 +604,7 @@ class TestNodeSelection:
             CvConfig(candidate_node_counts=())
         with pytest.raises(ValueError, match="strictly increasing"):
             CvConfig(candidate_node_counts=(5, 5))
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^candidate_node_counts\[0\] must be at least 1"):
             CvConfig(candidate_node_counts=(0, 5))
 
     @pytest.mark.parametrize("bad, message", [

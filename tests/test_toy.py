@@ -127,6 +127,30 @@ class TestToyDemo:
             np.testing.assert_array_equal(demo["members"][:, i],
                                           regress.elm_predict(member, grid_scaled)[:, 0])
 
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_grid_goes_through_the_members_once(self, monkeypatch, activation):
+        """The member curves and the ensemble mean come from one forward pass
+        over the full grid, and the mean is bitwise ``ensemble_predict``'s."""
+        trained, grid_passes = [], []
+        forward = regress._forward
+
+        def recording(*args, **kwargs):
+            trained.append(regress.ensemble_train(*args, **kwargs))
+            return trained[-1]
+
+        def counting(X, *args):
+            grid_passes.append(X.shape[0] == 241)
+            return forward(X, *args)
+
+        monkeypatch.setattr(toy, "ensemble_train", recording)
+        monkeypatch.setattr(regress, "_forward", counting)
+        demo = self.small_demo(activation=activation)
+        assert sum(grid_passes) == 1
+        monkeypatch.setattr(regress, "_forward", forward)
+        grid_scaled = apply_minmax(fit_minmax(demo["train_x"][:, None]), demo["x"][:, None])
+        np.testing.assert_array_equal(demo["ensemble_mean"],
+                                      regress.ensemble_predict(trained[0], grid_scaled)[:, 0])
+
     def test_true_signal_column(self):
         demo = self.small_demo()
         np.testing.assert_array_equal(demo["true_signal"],
