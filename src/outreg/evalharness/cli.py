@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -23,12 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from ..extrapolate import OrConfig
-from ..outlier_gate import beyond_nearest_neighbor, classify, fit_gate
-from ..preprocess import apply_minmax, fit_minmax
+from ..outlier_gate import beyond_nearest_neighbor, classify
+from ..preprocess import apply_minmax
 from ..regress import Activation, CvConfig
 from ..seeding import checked_items
-from .dataset import _check_keys, _typed, load_dataset, load_manifest
-from .experiment import ExperimentConfig, run_experiment
+from .dataset import _check_keys, _read_json, _typed, load_dataset, load_manifest
+from .experiment import ExperimentConfig, fit_pipeline, run_experiment
 from .report import (emit_report, load_report, render_json, summarize_reports,
                      write_gate_csv)
 from .toy import toy_demo
@@ -104,10 +103,9 @@ def _cmd_toy(args) -> int:
 
 def _cmd_gate(args) -> int:
     dataset = load_dataset(load_manifest(args.manifest))
-    scaler = fit_minmax(dataset.train_inputs)
-    gate = fit_gate(apply_minmax(scaler, dataset.train_inputs),
-                    percentile_q=args.percentile)
-    test_scaled = apply_minmax(scaler, dataset.test_inputs)
+    pipeline = fit_pipeline(dataset, args.percentile)
+    gate = pipeline.gate
+    test_scaled = apply_minmax(pipeline.scaler, dataset.test_inputs)
     partition = classify(gate, test_scaled)
     # classify ran the neighbour test on the rows over the threshold, and its
     # outliers are those that passed; only the other rows still need a search
@@ -124,7 +122,7 @@ def _cmd_gate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _config_from_json(json.loads(Path(args.config).read_text()) if args.config else {})
+    config = _config_from_json(_read_json(args.config) if args.config else {})
     flags = {"trials": args.trials, "members_per_trial": args.members, "master_seed": args.seed}
     config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
     result = run_experiment(load_dataset(load_manifest(args.manifest)), config)

@@ -149,13 +149,19 @@ _SPLIT_KEYS = {"train_fraction": "a number", "train_range": ["an integer"],
 _GROUP_KEYS = {"column": "a string", "categories": ["a string"]}
 
 
+def _read_json(path) -> object:
+    """The JSON document in file ``path``; a ManifestError naming the file
+    if the file is not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def load_manifest(path) -> DatasetManifest:
     """Parse and validate a manifest file."""
     manifest_path = Path(path)
-    try:
-        raw = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{manifest_path}: not valid JSON ({exc})") from exc
+    raw = _read_json(manifest_path)
     top = _section(raw, _MANIFEST_KEYS, str(manifest_path),
                    required=("csv_path", "feature_columns", "target_column", "split"))
 

@@ -25,17 +25,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from ..extrapolate import OrConfig, extrapolation_plan
-from ..outlier_gate import at_percentile, classify, fit_gate
-from ..preprocess import (TargetTransform, apply_minmax, clip_nonnegative,
+from ..outlier_gate import Gate, OutlierPartition, at_percentile, classify, fit_gate
+from ..preprocess import (MinMaxScaler, TargetTransform, apply_minmax, clip_nonnegative,
                           fit_minmax, inverse_transform_target,
                           minmax_onehot_group, r_outl)
-from ..regress import (Activation, CvConfig, checked_member_count, default_node_grid,
-                       ensemble_predict, ensemble_train, lr_fit, lr_predict,
-                       select_node_count)
+from ..regress import (Activation, CvConfig, LinearModel, checked_member_count,
+                       default_node_grid, ensemble_predict, ensemble_train, lr_fit,
+                       lr_predict, select_node_count)
 from ..seeding import (STREAM_CV, STREAM_TRIAL, checked_bool, checked_enum, checked_float,
                        checked_int, checked_items, derive_seed)
 from .dataset import Dataset
@@ -168,55 +169,90 @@ def _aggregate_cells(trials, percentile_keys):
 
 
 @dataclass(frozen=True)
+class FittedPipeline:
+    """Everything fitted on a dataset's training part that maps new rows to
+    predictions and screens them: the scaler, the gate with its scaled
+    one-hot groups, the linear baseline, the target transform, the clip
+    rule and the fallback's ``OrConfig``.  It pickles.  The gate's
+    ``training_inputs`` are the scaled training rows."""
+
+    scaler: MinMaxScaler
+    gate: Gate
+    lr_model: LinearModel
+    target_transform: TargetTransform
+    clip_negative_predictions: bool
+    or_config: OrConfig
+
+    def floor(self, pred: np.ndarray) -> np.ndarray:
+        """``pred``, in transformed space, floored at zero where the dataset
+        asks for non-negative predictions; exp, 10**v and v**4 are never
+        negative, so only an untransformed target is floored."""
+        if self.clip_negative_predictions and self.target_transform is TargetTransform.NONE:
+            return clip_nonnegative(pred)
+        return pred
+
+    def screen(self, Z: np.ndarray) -> tuple[OutlierPartition, dict]:
+        """The gate's partition of the scaled rows ``Z``, and one fallback
+        plan per gated row, keyed by row and built from the neighbour that
+        ``classify`` found for it; a plan depends on the gate and the row
+        alone, so it serves every surface and every higher percentile."""
+        part = classify(self.gate, Z)
+        return part, {i: extrapolation_plan(self.gate, Z[i], self.or_config, nn_index=nn)
+                      for i, nn in zip(part.outlier_indices, part.nearest_indices)}
+
+
+def fit_pipeline(dataset: Dataset, percentile_q: float,
+                 or_config: OrConfig = OrConfig()) -> FittedPipeline:
+    """Fit the scaler, the gate at ``percentile_q`` and the linear baseline
+    on ``dataset``'s training part.  The gate sees scaled rows, so the
+    one-hot groups' levels go through the scaler too."""
+    scaler = fit_minmax(dataset.train_inputs)
+    Ztr = apply_minmax(scaler, dataset.train_inputs)
+    gate = fit_gate(Ztr, percentile_q,
+                    tuple(minmax_onehot_group(scaler, g) for g in dataset.onehot_groups))
+    return FittedPipeline(scaler, gate, lr_fit(Ztr, dataset.train_target),
+                          dataset.target_transform, dataset.clip_negative_predictions, or_config)
+
+
+@dataclass(frozen=True)
 class _Prepared:
     """What stays fixed across a run's trials.  Each (activation, trial)
     unit reads only this, and it pickles, so a unit can run elsewhere."""
 
     config: ExperimentConfig
     dataset: Dataset
-    Ztr: np.ndarray
+    pipeline: FittedPipeline
     Zte: np.ndarray
     # percentile key -> subset -> test row indices
     subsets: dict
-    # gated test row -> its fallback's anchors and secants, which depend
-    # on the gate and the row alone
+    # gated test row -> its fallback's anchors and secants
     plans: dict
     lr_pred: np.ndarray
     dataset_summary: dict
 
 
 def _prepare(dataset: Dataset, config: ExperimentConfig) -> _Prepared:
-    scaler = fit_minmax(dataset.train_inputs)
-    Ztr = apply_minmax(scaler, dataset.train_inputs)
-    Zte = apply_minmax(scaler, dataset.test_inputs)
-
-    constant_cols = tuple(int(c) for c in np.flatnonzero(scaler.constant_columns))
-    excluded = tuple(sorted(set(dataset.indicator_columns) | set(constant_cols)))
-
     # one fit and one partition at the lowest percentile serve them all: a
     # higher percentile's outliers are those above its threshold, since the
-    # neighbour test does not depend on the threshold.  The gate sees scaled
-    # rows, so the one-hot groups' levels go through the scaler too
-    gate = fit_gate(Ztr, min(config.gate_percentiles),
-                    tuple(minmax_onehot_group(scaler, g) for g in dataset.onehot_groups))
-    part = classify(gate, Zte)
+    # neighbour test does not depend on the threshold
+    pipeline = fit_pipeline(dataset, min(config.gate_percentiles), config.or_config)
+    Zte = apply_minmax(pipeline.scaler, dataset.test_inputs)
+    part, plans = pipeline.screen(Zte)
     far = part.distances[part.outlier_indices]
     all_rows = np.arange(Zte.shape[0])
     subsets = {}
     for q in config.gate_percentiles:
-        outliers = part.outlier_indices[far > at_percentile(gate, q).threshold_distance]
+        outliers = part.outlier_indices[far > at_percentile(pipeline.gate, q).threshold_distance]
         subsets[repr(float(q))] = {"all": all_rows, "outliers": outliers,
                                    "non_outliers": np.setdiff1d(all_rows, outliers)}
 
-    # one plan per gated row serves the row at every percentile
-    plans = {i: extrapolation_plan(gate, Zte[i], config.or_config, nn_index=nn)
-             for i, nn in zip(part.outlier_indices, part.nearest_indices)}
-    lr_pred = lr_predict(lr_fit(Ztr, dataset.train_target), Zte)
+    constant_cols = tuple(int(c) for c in np.flatnonzero(pipeline.scaler.constant_columns))
+    excluded = tuple(sorted(set(dataset.indicator_columns) | set(constant_cols)))
     dataset_summary = {
         "name": dataset.name,
-        "n_train": int(Ztr.shape[0]),
+        "n_train": int(dataset.train_inputs.shape[0]),
         "n_test": int(Zte.shape[0]),
-        "n_features": int(Ztr.shape[1]),
+        "n_features": int(Zte.shape[1]),
         "dropped_rows": int(dataset.dropped_rows),
         "target_transform": dataset.target_transform.value,
         "clip_negative_predictions": bool(dataset.clip_negative_predictions),
@@ -226,7 +262,8 @@ def _prepare(dataset: Dataset, config: ExperimentConfig) -> _Prepared:
                            for qk, rows in subsets.items()},
         "mad_reference": mad(dataset.test_target),
     }
-    return _Prepared(config, dataset, Ztr, Zte, subsets, plans, lr_pred, dataset_summary)
+    return _Prepared(config, dataset, pipeline, Zte, subsets, plans,
+                     lr_predict(pipeline.lr_model, Zte), dataset_summary)
 
 
 def _seed_key(activation: Activation) -> int:
@@ -240,20 +277,16 @@ def _run_unit(prepared: _Prepared, activation: Activation, node_count: int, t: i
     """Trial ``t`` of ``activation``: its TrialReport and its fallback
     records, a pure function of the arguments."""
     config = prepared.config
-    dataset = prepared.dataset
+    pipeline = prepared.pipeline
     trial_seed = derive_seed(config.master_seed, STREAM_TRIAL, _seed_key(activation), t)
-    ensemble = ensemble_train(prepared.Ztr, dataset.train_target[:, None], node_count,
-                              activation, member_count=config.members_per_trial,
-                              seed=trial_seed)
+    ensemble = ensemble_train(
+        pipeline.gate.training_inputs, prepared.dataset.train_target[:, None], node_count,
+        activation, member_count=config.members_per_trial, seed=trial_seed)
     nlr_pred = ensemble_predict(ensemble, prepared.Zte)[:, 0]
     fallback = {i: plan.record(ensemble_predict(ensemble, plan.anchors)[:, 0])
                 for i, plan in prepared.plans.items()}
-    # each prediction is floored at zero once, in transformed space, and is
-    # scored and stored as floored; exp, 10**v and v**4 are never negative
-    clip = (dataset.clip_negative_predictions
-            and dataset.target_transform is TargetTransform.NONE)
-    floor = clip_nonnegative if clip else (lambda pred: pred)
-    preds = {"lr": floor(prepared.lr_pred), "nlr": floor(nlr_pred)}
+    # each prediction is floored once, and is scored and stored as floored
+    preds = {"lr": pipeline.floor(prepared.lr_pred), "nlr": pipeline.floor(nlr_pred)}
     trial_scores = {}
     records = []
     for qk, rows_by_subset in prepared.subsets.items():
@@ -272,7 +305,7 @@ def _run_unit(prepared: _Prepared, activation: Activation, node_count: int, t: i
                     "dropped": [list(d) for d in record.dropped],
                     "nn_index": record.nn_index,
                 })
-        preds[f"nlr_or@{qk}"] = nlror_pred = floor(nlror_pred)
+        preds[f"nlr_or@{qk}"] = nlror_pred = pipeline.floor(nlror_pred)
         by_model = {"lr": preds["lr"], "nlr": preds["nlr"], "nlr_or": nlror_pred}
         trial_scores[qk] = {model: {subset: _subset_metrics(prepared, pred, rows)
                                     for subset, rows in rows_by_subset.items()}
@@ -282,7 +315,7 @@ def _run_unit(prepared: _Prepared, activation: Activation, node_count: int, t: i
         # stored for inspection in original target units
         predictions = {}
         for key, values in preds.items():
-            original = inverse_transform_target(values, dataset.target_transform)
+            original = inverse_transform_target(values, pipeline.target_transform)
             predictions[key] = [float(v) for v in original]
     return TrialReport(
         activation=activation.value,
@@ -304,26 +337,24 @@ def _cv_config(config: ExperimentConfig, n_train: int, activation: Activation) -
 
 
 def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResult:
-    """Run the full protocol on one dataset.  See the module docstring."""
-    prepared = _prepare(dataset, config)
-    node_counts = {}
-    cv_scores = {}
-    trials: list[TrialReport] = []
-    records: list[dict] = []
-    cells = {}
-    for activation in config.activations:
-        node_count, scores_by_l = select_node_count(
-            prepared.Ztr, dataset.train_target[:, None], activation,
-            _cv_config(config, len(prepared.Ztr), activation))
-        node_counts[activation.value] = int(node_count)
-        cv_scores[activation.value] = {str(k): v for k, v in sorted(scores_by_l.items())}
-        reports, unit_records = zip(*(_run_unit(prepared, activation, node_count, t)
-                                      for t in range(config.trials)))
-        cells[activation.value] = _aggregate_cells(reports, prepared.subsets)
-        trials.extend(reports)
-        records.extend(r for rs in unit_records for r in rs)
+    """Run the full protocol on one dataset.  See the module docstring.
 
-    cv = _cv_config(config, len(prepared.Ztr), config.activations[0])
+    Fit, then units, then reduce: each activation's CV picks its node
+    count, one unit runs per (activation, node count, trial), and the
+    aggregates are built from the units' reports in (activation, trial)
+    order."""
+    prepared = _prepare(dataset, config)
+    Ztr = prepared.pipeline.gate.training_inputs
+    selected = {activation: select_node_count(Ztr, dataset.train_target[:, None], activation,
+                                              _cv_config(config, len(Ztr), activation))
+                for activation in config.activations}
+    units = [(activation, node_count, t) for activation, (node_count, _) in selected.items()
+             for t in range(config.trials)]
+    reports, unit_records = zip(*(_run_unit(prepared, *unit) for unit in units))
+    cells = {activation: _aggregate_cells(list(group), prepared.subsets)
+             for activation, group in itertools.groupby(reports, attrgetter("activation"))}
+
+    cv = _cv_config(config, len(Ztr), config.activations[0])
     config_summary = {
         "activations": [a.value for a in config.activations],
         "trials": config.trials,
@@ -340,10 +371,11 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
     return ExperimentResult(
         dataset_summary=prepared.dataset_summary,
         config_summary=config_summary,
-        node_counts=node_counts,
-        cv_scores=cv_scores,
-        trials=tuple(trials),
+        node_counts={a.value: int(node_count) for a, (node_count, _) in selected.items()},
+        cv_scores={a.value: {str(k): v for k, v in sorted(scores_by_l.items())}
+                   for a, (_, scores_by_l) in selected.items()},
+        trials=reports,
         aggregates={a: agg for a, (agg, _) in cells.items()},
         difference_aggregates={a: diff for a, (_, diff) in cells.items()},
-        extrapolation_records=tuple(records),
+        extrapolation_records=tuple(r for rs in unit_records for r in rs),
     )

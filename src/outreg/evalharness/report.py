@@ -17,7 +17,7 @@ import json
 import statistics
 from pathlib import Path
 
-from .dataset import _typed
+from .dataset import _read_json, _typed
 from .experiment import METRICS, MODELS, SUBSETS, ExperimentResult
 
 SCHEMA_VERSION = 1
@@ -88,7 +88,7 @@ def emit_report(result: ExperimentResult, out_dir, fmt: str = "json") -> list[Pa
 
 
 def load_report(path) -> dict:
-    doc = json.loads(Path(path).read_text())
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != REPORT_KIND:
         raise ValueError(f"{path}: not a report file")
     if doc.get("schema_version") != SCHEMA_VERSION:

@@ -75,19 +75,22 @@ def toy_demo(seed: int = 0, activation: Activation = Activation.SIGMOID,
     linear = lr_fit(Xs, y)
 
     outputs = ensemble_member_predict(ensemble, grid_scaled)
+    mean = combine_members(outputs, ensemble.trim_policy)[:, 0]
 
     # training inputs span the full fitted range, so in scaled coordinates
-    # the training interval is exactly [-1, 1]
+    # the training interval is exactly [-1, 1]; inside it the bounded curve
+    # is the mean, and only the points beyond it are linearised
     def surface(z: np.ndarray) -> np.ndarray:
         return ensemble_predict(ensemble, z[:, None])[:, 0]
 
-    bounded = boundary_extrapolate_1d(surface, -1.0, 1.0, fd_step,
-                                      grid_scaled[:, 0])
+    beyond = np.abs(grid_scaled[:, 0]) > 1.0
+    bounded = mean.copy()
+    bounded[beyond] = boundary_extrapolate_1d(surface, -1.0, 1.0, fd_step, grid_scaled[beyond, 0])
     return {
         "x": grid,
         "true_signal": signal(grid),
         "linear": lr_predict(linear, grid_scaled),
-        "ensemble_mean": combine_members(outputs, ensemble.trim_policy)[:, 0],
+        "ensemble_mean": mean,
         "bounded_ensemble_mean": bounded,
         "members": outputs[:, :, 0].T,
         "node_count": int(node_count),

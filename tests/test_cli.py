@@ -539,6 +539,17 @@ class TestConfigErrors:
                      "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: config must be an object, got []\n"
 
+    def test_config_that_is_not_json_names_the_file(self, tmp_path, capsys):
+        """As the manifest reader does: the path, then the decoder's message."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"trials": 2,}')
+        assert main(["run", "--manifest", str(_write_dataset(tmp_path)),
+                     "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: not valid JSON (Expecting property name enclosed "
+            f"in double quotes: line 1 column 14 (char 13))\n")
+        assert not (tmp_path / "out").exists()
+
     def test_every_dataclass_field_is_a_key(self):
         """The keys come from the dataclass fields, ``or`` standing for
         ``or_config``: a config that sets every field to its default is the
@@ -601,6 +612,12 @@ class TestReportCommand:
         assert main(["report", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
+
+    def test_report_that_is_not_json_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text('{"kind": "outreg-report",}')
+        assert main(["report", str(path), "--out", str(tmp_path / "summary.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON (")
 
     def test_duplicate_dataset_names_exit_2(self, tmp_path, capsys):
         report = self._make_report(tmp_path, "alpha", seed=1)

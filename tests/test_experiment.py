@@ -23,14 +23,14 @@ import numpy as np
 import pytest
 
 from outreg import (Activation, CvConfig, OneHotGroup, OrConfig, TargetTransform,
-                    apply_minmax, classify, clip_nonnegative,
+                    apply_minmax, at_percentile, classify, clip_nonnegative,
                     default_node_grid, ensemble_predict, ensemble_train,
                     extrapolate, extrapolation_plan, fit_gate, fit_minmax,
-                    load_gate, lr_fit, lr_predict, minmax_onehot_group,
-                    nlror_predict_detailed, outlier_gate, save_gate)
+                    load_gate, lr_fit, lr_predict, nlror_predict_detailed,
+                    outlier_gate, save_gate)
 from outreg.evalharness import (ExperimentConfig, dataset_from_arrays, emit_report,
                                 load_dataset, load_manifest, mad, run_experiment)
-from outreg.evalharness import experiment
+from outreg.evalharness import cli, experiment
 from outreg.evalharness.experiment import METRICS, MODEL_PAIRS, MODELS, SUBSETS
 from outreg.evalharness.metrics import boxplot_stats
 from test_metrics import as_json, boxplot_oracle
@@ -886,10 +886,11 @@ class TestExtrapolationRecords:
         trial's ensemble, the last percentile's gate and the run's OrConfig."""
         dataset, config = _affine_dataset(), _main_config(collect_extrapolation_records=True)
         prepared = experiment._prepare(dataset, config)
-        gate = fit_gate(prepared.Ztr, config.gate_percentiles[-1])
+        Ztr = apply_minmax(fit_minmax(dataset.train_inputs), dataset.train_inputs)
+        gate = fit_gate(Ztr, config.gate_percentiles[-1])
         activation, t = Activation.RADIAL_BASIS, 2
         key = list(Activation).index(activation)
-        ensemble = ensemble_train(prepared.Ztr, dataset.train_target[:, None], 8,
+        ensemble = ensemble_train(Ztr, dataset.train_target[:, None], 8,
                                   activation, member_count=config.members_per_trial,
                                   seed=derive_seed(config.master_seed, STREAM_TRIAL, key, t))
         _, records = experiment._run_unit(prepared, activation, 8, t)
@@ -1002,9 +1003,9 @@ class TestCategoricalFallback:
         assert 6 in [r["row"] for r in result.extrapolation_records]
 
     def test_reloaded_gate_plans_bitwise_as_the_run(self, tmp_path):
-        """A deploy caller who fits the gate on the scaled record with its
-        scaled groups, saves and reloads it, builds bitwise the run's
-        plan for every gated row: the groups travel with the gate."""
+        """A deploy caller who saves and reloads the run's fitted gate, moved
+        to a percentile, builds bitwise the run's plan for every gated row:
+        the scaled groups travel with the gate."""
         digests = runpy.run_path(str(Path(__file__).parents[1] / "tools"
                                      / "report_digests.py"))
         dataset = load_dataset(load_manifest(
@@ -1013,10 +1014,7 @@ class TestCategoricalFallback:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             prepared = experiment._prepare(dataset, config)
-        scaler = fit_minmax(dataset.train_inputs)
-        gate = fit_gate(prepared.Ztr, 75.0, tuple(minmax_onehot_group(scaler, g)
-                                                  for g in dataset.onehot_groups))
-        save_gate(tmp_path / "gate.npz", gate)
+        save_gate(tmp_path / "gate.npz", at_percentile(prepared.pipeline.gate, 75.0))
         loaded = load_gate(tmp_path / "gate.npz")
         part = classify(loaded, prepared.Zte)
         assert part.outlier_indices.tolist() == sorted(prepared.plans)
@@ -1039,8 +1037,16 @@ class TestCategoricalFallback:
                    for i, nn in zip(part.outlier_indices, part.nearest_indices))
 
 
+def _bits(unit):
+    """A unit's report and records as JSON text, each float by its repr, so
+    two units compare equal only when every float has the same bits."""
+    report, records = unit
+    return json.dumps([dataclasses.asdict(report), records])
+
+
 class TestUnits:
-    """A run is one prepared state plus one pure unit per (activation, trial)."""
+    """A run is one fitted pipeline, the prepared state around it, and one
+    pure unit per (activation, node count, trial)."""
 
     def _config(self):
         return _main_config(store_predictions=True,
@@ -1062,8 +1068,52 @@ class TestUnits:
                 assert records
 
     def test_pickled_prepared_state_gives_the_same_unit(self):
-        dataset, config = _affine_dataset(), self._config()
-        prepared = experiment._prepare(dataset, config)
+        """Bitwise, on an unpickled copy of the prepared state and on the
+        state around an unpickled copy of its pipeline alone."""
+        dataset = _categorical_dataset("ABABABA")
+        config = self._config()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prepared = experiment._prepare(dataset, config)
+        assert prepared.plans
+        expected = _bits(experiment._run_unit(prepared, Activation.RADIAL_BASIS, 8, 2))
         restored = pickle.loads(pickle.dumps(prepared))
-        assert experiment._run_unit(restored, Activation.RADIAL_BASIS, 8, 2) == \
-            experiment._run_unit(prepared, Activation.RADIAL_BASIS, 8, 2)
+        repiped = dataclasses.replace(
+            prepared, pipeline=pickle.loads(pickle.dumps(prepared.pipeline)))
+        for state in (restored, repiped):
+            assert _bits(experiment._run_unit(state, Activation.RADIAL_BASIS, 8, 2)) == expected
+
+
+class TestOneFitPath:
+    """A run and ``outreg gate`` fit the scaler, the gate and the linear
+    baseline through ``fit_pipeline``, each once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {}
+
+        def count(module, name):
+            function = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return function(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        for name in ("fit_pipeline", "fit_minmax", "fit_gate", "lr_fit", "classify"):
+            count(experiment, name)
+        count(cli, "fit_pipeline")
+        return calls
+
+    def test_a_run_fits_and_classifies_once(self, calls):
+        run_experiment(_categorical_dataset("ABABABA"), _main_config())
+        assert calls == {"fit_pipeline": 1, "fit_minmax": 1, "fit_gate": 1, "lr_fit": 1,
+                         "classify": 1}
+
+    def test_outreg_gate_fits_through_the_pipeline(self, calls, tmp_path, capsys):
+        digests = runpy.run_path(str(Path(__file__).parents[1] / "tools"
+                                     / "report_digests.py"))
+        manifest = digests["_write_record"](tmp_path, "categorical", seed=2024)
+        assert cli.main(["gate", "--manifest", str(manifest), "--percentile", "75",
+                         "--out", str(tmp_path / "gate.csv")]) == 0
+        assert calls == {"fit_pipeline": 1, "fit_minmax": 1, "fit_gate": 1, "lr_fit": 1}

@@ -2,6 +2,8 @@
 trials for the byte-parity check to cover quartiles between order
 statistics and outside points, not only the two-trial trivial case."""
 
+import csv
+import hashlib
 import json
 import runpy
 from pathlib import Path
@@ -53,3 +55,16 @@ def test_tall_case_reaches_the_gram_route(tmp_path, capsys, monkeypatch):
     assert {shape for shape, _ in designs} >= {(180, 16), (180, 32)}
     assert {n for (n, _), _ in designs} == {180, 240}
     assert all(cleared for _, cleared in designs)
+
+
+def test_categorical_gate_case_flags_a_row(tmp_path, capsys):
+    """The categorical gate case's CSV gates at least one test row, so its
+    line covers the outlier column, not only the distances."""
+    [(record, percentile)] = [case for case in tool["GATE_CASES"] if case[0] == "categorical"]
+    tool["_write_record"](tmp_path, record, seed=2024)
+    assert tool["_gate_case"](tmp_path, tmp_path, record, percentile) == 0
+    case, digest = capsys.readouterr().out.split()
+    rows = list(csv.DictReader((tmp_path / f"{case}.csv").read_text().splitlines()))
+    assert len(rows) == tool["TEST_ROWS"]
+    assert any(row["outlier"] == "1" for row in rows)
+    assert digest == hashlib.sha256((tmp_path / f"{case}.csv").read_bytes()).hexdigest()

@@ -1,4 +1,4 @@
-"""Print a SHA-256 digest of every report file of a fixed set of runs.
+"""Print a SHA-256 digest of every report and gate file of a fixed set of runs.
 
 Writes two seeded records to a temporary directory, a numeric one with a
 log-transformed target and a categorical one with a one-hot block and
@@ -19,15 +19,21 @@ line per case:
 
     case sha256(report.json) sha256(trials.csv)
 
+Two ``outreg gate`` lines follow, the numeric record at percentile 99 and
+the categorical one at 75, so that the check covers that command too:
+
+    case sha256(gate.csv)
+
 Run it against two source trees and compare, e.g.
 
     PYTHONPATH=src python tools/report_digests.py > change.txt
     PYTHONPATH=../parent/src python tools/report_digests.py > parent.txt
     diff parent.txt change.txt
 
-No output line differs when a change keeps every report byte.  With a
-directory argument, each case's run is kept as ``DIR/<case>/report.json``
-and ``DIR/<case>/trials.csv``, so that a change which moves bytes on
+No output line differs when a change keeps every report and gate byte.
+With a directory argument, each case's run is kept as
+``DIR/<case>/report.json`` and ``DIR/<case>/trials.csv``, and each gate
+case's CSV as ``DIR/<case>.csv``, so that a change which moves bytes on
 purpose can be measured with ``tools/report_diff.py``, case by case:
 
     PYTHONPATH=../parent/src python tools/report_digests.py ../parent > parent.txt
@@ -59,6 +65,8 @@ MANY_TRIAL_CASE = ("numeric", "numeric-seed0-fixed-cv-24-trials", 0, CV["fixed"]
                    PERCENTILES, 24, 2)
 TALL_CASE = ("tall", "tall-seed0-fixed-cv", 0,
              {"folds": 4, "candidate_node_counts": [16, 32], "seed": 3}, PERCENTILES)
+# (record, percentile) of each ``outreg gate`` case
+GATE_CASES = (("numeric", 99.0), ("categorical", 75.0))
 TEST_ROWS = 16
 # the records that every seed and cross-validation of the grid runs on
 GRID_RECORDS = ("numeric", "categorical")
@@ -144,6 +152,20 @@ def _run_case(root: Path, runs: Path, record: str, case: str, seed: int, cv,
     return code
 
 
+def _gate_case(root: Path, runs: Path, record: str, percentile: float) -> int:
+    """Run one ``outreg gate`` case and print its line; the exit code."""
+    case = f"{record}-gate-{percentile:g}"
+    out = runs / f"{case}.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["gate", "--manifest", str(root / f"{record}.json"),
+                     "--percentile", repr(percentile), "--out", str(out)])
+    if code != 0:
+        print(f"{case}: outreg gate exited {code}", file=sys.stderr)
+    else:
+        print(case, _digest(out))
+    return code
+
+
 def main_digests(argv: list[str]) -> int:
     if len(argv) > 1:
         print("usage: report_digests.py [DIR]", file=sys.stderr)
@@ -162,6 +184,10 @@ def main_digests(argv: list[str]) -> int:
         cases += [MANY_TRIAL_CASE, TALL_CASE]
         for case in cases:
             code = _run_case(root, runs, *case)
+            if code != 0:
+                return code
+        for record, percentile in GATE_CASES:
+            code = _gate_case(root, runs, record, percentile)
             if code != 0:
                 return code
     return 0
