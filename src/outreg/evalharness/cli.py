@@ -25,7 +25,7 @@ from ..extrapolate import OrConfig
 from ..outlier_gate import beyond_nearest_neighbor, classify
 from ..preprocess import apply_minmax
 from ..regress import Activation, CvConfig
-from ..seeding import checked_items
+from ..seeding import checked_items, shown
 from .dataset import _check_keys, _read_json, _typed, load_dataset, load_manifest
 from .experiment import ExperimentConfig, fit_pipeline, run_experiment
 from .report import (emit_report, load_report, render_json, summarize_reports,
@@ -40,7 +40,7 @@ def _activation(value, name: str) -> Activation:
     """The activation named ``value``; a ValueError naming ``name`` if no
     activation is, which lists the names there are."""
     if value not in _ACTIVATION_NAMES:
-        raise ValueError(f"{name} must be one of {_ACTIVATION_NAMES}, got {value!r}")
+        raise ValueError(f"{name} must be one of {_ACTIVATION_NAMES}, got {shown(value)}")
     return Activation(value)
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from ..numkernel import as_matrix, as_vector
 from ..preprocess import (OneHotGroup, TargetTransform, indicator_columns, one_hot_encode,
                           transform_target)
+from ..seeding import shown
 
 
 class ManifestError(ValueError):
@@ -116,7 +117,7 @@ def _typed(value, kind: str, name: str):
     types = _JSON_KINDS[kind]
     # bool is an int subclass, but true is not a JSON number
     _require(isinstance(value, types) and (bool in types or not isinstance(value, bool)),
-             f"{name} must be {kind}, got {json.dumps(value)}")
+             f"{name} must be {kind}, got {shown(value)}")
     return value
 
 

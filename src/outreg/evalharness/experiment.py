@@ -37,8 +37,8 @@ from ..preprocess import (MinMaxScaler, TargetTransform, apply_minmax, clip_nonn
 from ..regress import (Activation, CvConfig, LinearModel, checked_member_count,
                        default_node_grid, ensemble_predict, ensemble_train, lr_fit,
                        lr_predict, select_node_count)
-from ..seeding import (STREAM_CV, STREAM_TRIAL, checked_bool, checked_enum, checked_float,
-                       checked_int, checked_items, derive_seed)
+from ..seeding import (STREAM_CV, STREAM_TRIAL, checked_bool, checked_distinct, checked_enum,
+                       checked_float, checked_int, checked_items, derive_seed, shown)
 from .dataset import Dataset
 from .metrics import boxplot_rows, mad, maen_at_scale, spearman
 
@@ -64,26 +64,16 @@ class ExperimentConfig:
     collect_extrapolation_records: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "activations", checked_items(
-            self.activations, "activations",
-            lambda a, name: checked_enum(a, name, Activation)))
-        if not self.activations:
-            raise ValueError("activations must not be empty")
-        if len(set(self.activations)) < len(self.activations):
-            raise ValueError(f"activations must not repeat, got "
-                             f"{[a.value for a in self.activations]}")
+        object.__setattr__(self, "activations", checked_distinct(checked_items(
+            self.activations, "activations", lambda a, name: checked_enum(a, name, Activation)),
+            "activations", lambda activations: [a.value for a in activations]))
         # numpy scalars are held as Python values, so the report echoes them as JSON
         object.__setattr__(self, "trials", checked_int(self.trials, "trials", 1))
         for activation in self.activations:
             object.__setattr__(self, "members_per_trial", checked_member_count(
                 self.members_per_trial, "members_per_trial", activation))
-        object.__setattr__(self, "gate_percentiles", checked_items(
-            self.gate_percentiles, "gate_percentiles", checked_float))
-        if not self.gate_percentiles:
-            raise ValueError("gate_percentiles must not be empty")
-        if len(set(self.gate_percentiles)) < len(self.gate_percentiles):
-            raise ValueError(f"gate_percentiles must not repeat, got "
-                             f"{list(self.gate_percentiles)}")
+        object.__setattr__(self, "gate_percentiles", checked_distinct(checked_items(
+            self.gate_percentiles, "gate_percentiles", checked_float), "gate_percentiles"))
         for i, q in enumerate(self.gate_percentiles):
             if not 0.0 < q < 100.0:
                 raise ValueError(f"gate_percentiles[{i}] must be in (0, 100), got {q}")
@@ -93,9 +83,8 @@ class ExperimentConfig:
         for key in ("store_predictions", "collect_extrapolation_records"):
             object.__setattr__(self, key, checked_bool(getattr(self, key), key))
         if not isinstance(self.cv, (CvConfig, type(None))):
-            raise ValueError(f"cv must be a CvConfig or None, got {self.cv!r}")
-        if not isinstance(self.or_config, OrConfig):
-            raise ValueError(f"or_config must be an OrConfig, got {self.or_config!r}")
+            raise ValueError(f"cv must be a CvConfig or None, got {shown(self.cv)}")
+        checked_enum(self.or_config, "or_config", OrConfig)
 
 
 @dataclass(frozen=True)
@@ -205,7 +194,9 @@ def fit_pipeline(dataset: Dataset, percentile_q: float,
                  or_config: OrConfig = OrConfig()) -> FittedPipeline:
     """Fit the scaler, the gate at ``percentile_q`` and the linear baseline
     on ``dataset``'s training part.  The gate sees scaled rows, so the
-    one-hot groups' levels go through the scaler too."""
+    one-hot groups' levels go through the scaler too.  An ``or_config``
+    that is not an OrConfig is a ValueError."""
+    checked_enum(or_config, "or_config", OrConfig)
     scaler = fit_minmax(dataset.train_inputs)
     Ztr = apply_minmax(scaler, dataset.train_inputs)
     gate = fit_gate(Ztr, percentile_q,

@@ -46,7 +46,7 @@ import numpy as np
 from .numkernel import as_vector, columnwise_median
 from .outlier_gate import Gate, gate_point, nearest_training_neighbor
 from .preprocess import OneHotGroup, indicator_columns
-from .seeding import checked_bool, checked_float, checked_items
+from .seeding import checked_bool, checked_float, checked_items, shown
 
 PredictFn = Callable[[np.ndarray], np.ndarray]
 
@@ -96,7 +96,7 @@ class OrConfig:
             deltas = getattr(self, key)
             if len({f"{d:g}" for d in deltas}) < len(deltas):
                 raise ValueError(f"{key} must not repeat a value at 6 significant "
-                                 f"digits, got {list(deltas)}")
+                                 f"digits, got {shown(list(deltas))}")
 
 
 @dataclass(frozen=True)

@@ -367,20 +367,13 @@ def average_ranks(values) -> np.ndarray:
     """1-based ranks; tied values share the average of their positions.
 
     Example: [10, 20, 20, 30] -> [1.0, 2.5, 2.5, 4.0].
+
+    A value's ties take the 1-based positions left+1 .. right, where left
+    and right are its insertion points in the sorted list; their mean is
+    an integer times 0.5, so every rank is exact in float64.
     """
     v = as_vector(values, "values")
-    n = v.size
-    if n == 0:
+    if v.size == 0:
         raise ValueError("average_ranks of an empty sequence is undefined")
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(n, dtype=float)
-    sorted_values = v[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        # positions i+1 .. j+1 (1-based) average to (i + j)/2 + 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    s = np.sort(v)
+    return (np.searchsorted(s, v, "left") + np.searchsorted(s, v, "right") + 1) * 0.5

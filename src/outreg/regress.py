@@ -242,7 +242,7 @@ def _checked(inputs, targets, activation: Activation):
     X = as_matrix(inputs, "inputs")
     Y = as_matrix(targets, "targets")
     if X.shape[0] < 1:
-        raise ValueError("elm_train requires at least one training row")
+        raise ValueError("inputs must have at least one training row")
     if Y.shape[0] != X.shape[0]:
         raise ValueError(f"inputs have {X.shape[0]} rows but targets has {Y.shape[0]}")
     checked_enum(activation, "activation", Activation)

@@ -20,11 +20,14 @@ consecutive blocks, and a CV candidate its folds the same way (see
 The configs type their fields when they are built through
 ``checked_int``, which seeds go through too, ``checked_float``,
 ``checked_bool``, ``checked_enum`` and, for a field that holds several
-values, ``checked_items``: numpy scalars are held as Python values, and a
-value of the wrong kind is a ValueError whose message starts with the
-field's name.  A field of several values takes a sequence, never a set or
-a mapping, since their order follows string hashing and would reorder a
-run's trials and report from one process to the next.  These checks are
+values, ``checked_items`` (and ``checked_distinct`` where they must
+differ): numpy scalars are held as Python values, and a value of the
+wrong kind is a ValueError whose message starts with the field's name and
+shows the value through ``shown``, so a value read from JSON reads as the
+file wrote it (``null``, not ``None``).  A field of several values takes
+a sequence, never a set or a mapping, since their order follows string
+hashing and would reorder a run's trials and report from one process to
+the next.  These checks are
 the only typing layer: ``outreg run --config`` checks only the keys of its
 JSON and puts the section's path (``config.``, ``config.cv.``,
 ``config.or.``) in front of a config's message.
@@ -32,6 +35,7 @@ JSON and puts the section's path (``config.``, ``config.cv.``,
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping, Set
 
 import numpy as np
@@ -45,12 +49,22 @@ STREAM_TRIAL = 2
 STREAM_TOY = 3
 
 
+def shown(value) -> str:
+    """``value`` as an error message echoes it: as ``json.dumps`` writes it
+    if it is JSON (``null``, ``"false"``), else as its ``repr``."""
+    try:
+        text = json.dumps(value, allow_nan=False)
+        return text if json.loads(text) == value else repr(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 def checked_int(value, name: str, least: int | None = 0) -> int:
     """``value`` as a Python int; a ValueError naming ``name`` if it is a
     bool, not an integer, or below ``least`` (None: no lower bound).  A
     seed's bound is 0; a config field's is its smallest valid value."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
     if least is not None and value < least:
         bound = "non-negative" if least == 0 else f"at least {least}"
         raise ValueError(f"{name} must be {bound}, got {value}")
@@ -62,7 +76,7 @@ def checked_float(value, name: str) -> float:
     bool or not a real number.  Range checks stay with the field."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(
             value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -76,15 +90,25 @@ def checked_items(values, name: str, check) -> tuple:
     (a set or a mapping, whose order can change from process to process),
     not a sequence."""
     if isinstance(values, (str, Set, Mapping)) or not np.iterable(values):
-        raise ValueError(f"{name} must be a sequence, got {values!r}")
+        raise ValueError(f"{name} must be a sequence, got {shown(values)}")
     return tuple(check(v, f"{name}[{i}]") for i, v in enumerate(values))
+
+
+def checked_distinct(values: tuple, name: str, echo=list) -> tuple:
+    """``values`` if it holds at least one value and none twice; a
+    ValueError naming ``name`` if not, which shows ``echo(values)``."""
+    if not values:
+        raise ValueError(f"{name} must not be empty")
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} must not repeat, got {shown(echo(values))}")
+    return values
 
 
 def checked_bool(value, name: str) -> bool:
     """``value`` as a Python bool; a ValueError naming ``name`` if it is not
     a bool (1 is not true)."""
     if not isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a boolean, got {value!r}")
+        raise ValueError(f"{name} must be a boolean, got {shown(value)}")
     return bool(value)
 
 
@@ -93,7 +117,7 @@ def checked_enum(value, name: str, kind):
     ``name`` if it is not (its value string is not enough)."""
     if not isinstance(value, kind):
         article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got {shown(value)}")
     return value
 
 

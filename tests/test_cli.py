@@ -318,7 +318,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"activations": ["sigmoid", "softplus", "sigmoid"]},
-         "config.activations must not repeat, got ['sigmoid', 'softplus', 'sigmoid']"),
+         'config.activations must not repeat, got ["sigmoid", "softplus", "sigmoid"]'),
         ({"gate_percentiles": [95, 99.0, 95.0]},
          "config.gate_percentiles must not repeat, got [95.0, 99.0, 95.0]"),
         ({"or": {"delta1_values": [0.5, 0.5]}},
@@ -492,7 +492,7 @@ class TestConfigErrors:
         ({"or": {"delta2_values": [0.5, 2]}}, "config.or.delta2_values[1] must lie in (0, 1], "
                                               "got 2.0"),
         ({"activations": ["sigmoid", "sigmoid"]},
-         "config.activations must not repeat, got ['sigmoid', 'sigmoid']"),
+         'config.activations must not repeat, got ["sigmoid", "sigmoid"]'),
         ({"activations": []}, "config.activations must not be empty"),
         ({"gate_percentiles": []}, "config.gate_percentiles must not be empty"),
         ({"cv": {"candidate_node_counts": []}},
@@ -501,22 +501,26 @@ class TestConfigErrors:
          "config.or.include_raw_nlr must be true when both delta lists are empty, "
          "or no candidate is configured"),
         ({"activations": ["nope"]},
-         f"config.activations[0] must be one of {_ACTIVATIONS}, got 'nope'"),
+         f'config.activations[0] must be one of {_ACTIVATIONS}, got "nope"'),
         ({"activations": ["sigmoid", 1]},
          f"config.activations[1] must be one of {_ACTIVATIONS}, got 1"),
         ({"activations": {"sigmoid": 1}},
-         "config.activations must be a sequence, got {'sigmoid': 1}"),
+         'config.activations must be a sequence, got {"sigmoid": 1}'),
         ({"trails": 3}, "config: unknown keys ['trails']"),
         ({"or_config": {}}, "config: unknown keys ['or_config']"),
         ({"cv": {"bogus": 1}}, "config.cv: unknown keys ['bogus']"),
         ({"or": {"delta3_values": []}}, "config.or: unknown keys ['delta3_values']"),
         ({"cv": None}, "config.cv must be an object, got null"),
         ({"or": [0.5]}, "config.or must be an object, got [0.5]"),
+        ({"trials": None}, "config.trials must be an integer, got null"),
+        ({"store_predictions": "false"},
+         'config.store_predictions must be a boolean, got "false"'),
     ], ids=["type", "negative-seed", "folds", "node-count", "node-order", "percentile",
             "delta1", "delta2", "repeat", "no-activation", "no-percentile", "no-node-count",
             "no-candidate", "unknown-activation", "non-string-activation",
             "activations-object", "unknown-key", "field-name-for-or", "unknown-cv-key",
-            "unknown-or-key", "null-cv", "or-not-an-object"])
+            "unknown-or-key", "null-cv", "or-not-an-object", "null-integer",
+            "string-boolean"])
     def test_one_line_naming_the_field_by_its_path(self, tmp_path, capsys, monkeypatch,
                                                   overrides, message):
         def no_work(*args, **kwargs):

@@ -1117,3 +1117,10 @@ class TestOneFitPath:
         assert cli.main(["gate", "--manifest", str(manifest), "--percentile", "75",
                          "--out", str(tmp_path / "gate.csv")]) == 0
         assert calls == {"fit_pipeline": 1, "fit_minmax": 1, "fit_gate": 1, "lr_fit": 1}
+
+    def test_an_or_config_of_another_type_is_refused_before_any_fit(self, calls):
+        with pytest.raises(ValueError) as info:
+            experiment.fit_pipeline(_affine_dataset(), 99.0, {"include_raw_nlr": True})
+        assert str(info.value) == \
+            'or_config must be an OrConfig, got {"include_raw_nlr": true}'
+        assert calls == {"fit_pipeline": 1}

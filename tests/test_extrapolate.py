@@ -469,3 +469,14 @@ class TestBoundary1d:
             boundary_extrapolate_1d(square_1d, -2.0, 2.0, 0.01, [[1.0, 2.0]])
         with pytest.raises(ValueError, match="non-finite"):
             boundary_extrapolate_1d(square_1d, -2.0, 2.0, 0.01, [np.nan])
+
+
+@pytest.mark.parametrize("x_o, x_nn, center", [
+    ([2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0]),
+    ([2.0, 0.0], [1.0, 0.0], [0.0]),
+], ids=["neighbour", "centre"])
+def test_center_route_refuses_points_of_other_dimensions(x_o, x_nn, center):
+    with pytest.raises(ValueError) as info:
+        center_linear_extrapolate(square, x_o, x_nn, center, 0.5)
+    assert str(info.value) == (f"dimension mismatch: x_o {len(x_o)}, x_nn {len(x_nn)}, "
+                               f"center {len(center)}")

@@ -682,3 +682,20 @@ class TestAverageRanks:
         for _ in range(25):
             v = rng.integers(0, 5, size=rng.integers(1, 30)).astype(float)
             assert average_ranks(v).sum() == v.size * (v.size + 1) / 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pinv_solve(np.zeros((0, 2)), np.zeros((0, 1))),
+     "design must have at least one row"),
+    (lambda: pinv_solve(np.zeros((3, 0)), np.zeros((3, 1))),
+     "design must have at least one column"),
+    (lambda: sample_mean(np.zeros((0, 2))), "sample_mean requires at least one row"),
+    (lambda: columnwise_median(np.zeros((0, 2))),
+     "columnwise_median requires at least one row"),
+    (lambda: average_ranks([]), "average_ranks of an empty sequence is undefined"),
+], ids=["pinv-solve-no-rows", "pinv-solve-no-columns", "sample-mean-empty",
+        "columnwise-median-empty", "average-ranks-empty"])
+def test_empty_input_is_refused_by_its_own_check(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

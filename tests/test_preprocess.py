@@ -248,3 +248,21 @@ class TestClip:
 
     def test_all_negative_become_zero(self):
         np.testing.assert_array_equal(clip_nonnegative([-1.0, -2.0]), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fit_minmax(np.zeros((0, 2))), "fit_minmax requires at least one row"),
+    (lambda: r_outl(np.zeros((0, 2))), "r_outl requires at least one row"),
+    (lambda: r_outl(np.zeros((3, 2)), exclude_columns=[0, 2]),
+     "exclude_columns entry 2 out of range for 2 columns"),
+    (lambda: OneHotGroup((0, 1), ("a",)), "2 column indices for 1 category labels"),
+    (lambda: OneHotGroup((), ()), "a one-hot group needs at least one category"),
+    (lambda: OneHotGroup((1, 1), ("a", "b")), "one-hot column indices must be distinct"),
+    (lambda: one_hot_encode(["a"], []), "one-hot encoding needs at least one category"),
+], ids=["fit-minmax-empty", "r-outl-empty", "r-outl-exclude-out-of-range",
+        "group-labels-mismatch", "group-empty", "group-repeated-column",
+        "encode-without-categories"])
+def test_malformed_input_is_refused_by_its_own_check(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

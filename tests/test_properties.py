@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from outreg import (Activation, DegenerateGeometryError, Gate,  # noqa: E402
                     NoPredictionError, OneHotGroup, OrConfig, TrimPolicy, at_percentile,
@@ -504,20 +504,75 @@ def test_ensemble_predict_is_the_textbook_form_within_rounding(
     assert (np.abs(got - expected) <= bound).all()
 
 
+def tie_run_ranks(values) -> np.ndarray:
+    """The tie-run loop that ``average_ranks`` replaced, kept verbatim as
+    the reference its ranks must match bit for bit."""
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(n, dtype=float)
+    sorted_values = v[order]
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_values[j + 1] == sorted_values[i]:
+            j += 1
+        # positions i+1 .. j+1 (1-based) average to (i + j)/2 + 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def pooled_values(seed: int, n: int, size: int, take: int) -> np.ndarray:
+    """n finite values drawn from the first ``take`` entries of a pool:
+    -0.0 and 0.0, the subnormals +-5e-324, +-1e308, ``size`` small
+    integers and ``size`` normal draws at magnitudes from 1e-320 to 1e307.
+    A small pool forces long runs of ties; a pool as large as the vector
+    leaves few."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308],
+        rng.integers(-3, 4, size=size).astype(float),
+        rng.standard_normal(size) * 10.0 ** rng.integers(-320, 308, size=size)])
+    return rng.choice(pool[:take], size=n)
+
+
+@st.composite
+def rank_vectors(draw):
+    """``pooled_values`` of 1 to 5000 values."""
+    n = draw(st.integers(min_value=1, max_value=5000))
+    size = draw(st.integers(min_value=1, max_value=n))
+    return pooled_values(draw(seeds), n, size,
+                         draw(st.integers(min_value=1, max_value=6 + 2 * size)))
+
+
+# the largest size, with few ties and with long runs of them
+RANK_EXAMPLES = [pooled_values(1, 5000, 5000, 10006), pooled_values(2, 5000, 3, 12)]
+
+
 @DETERMINISTIC
-@given(values=st.lists(st.one_of(st.integers(min_value=-3, max_value=3),
-                                 st.sampled_from([-0.0, 0.0, 0.5, 1e-300]),
-                                 st.floats(allow_nan=False,
-                                           allow_infinity=False)),
-                       min_size=1, max_size=40))
+@given(values=rank_vectors())
+@example(values=RANK_EXAMPLES[0])
+@example(values=RANK_EXAMPLES[1])
 def test_average_ranks_match_a_sort_based_oracle(values):
     """A value's rank is the mean of the 1-based positions its ties take
-    in the sorted list; small integers, -0.0 and 0.0 force the ties."""
-    values = [float(v) for v in values]
-    ordered = sorted(values)
+    in the sorted list, bit for bit; small integers, -0.0 and 0.0 force
+    the ties."""
+    ordered = sorted(values.tolist())
     expected = [(bisect.bisect_left(ordered, v) + 1
-                 + bisect.bisect_right(ordered, v)) / 2 for v in values]
-    np.testing.assert_array_equal(average_ranks(values), expected)
+                 + bisect.bisect_right(ordered, v)) / 2 for v in values.tolist()]
+    np.testing.assert_array_equal(average_ranks(values).view(np.int64),
+                                  np.array(expected).view(np.int64))
+
+
+@DETERMINISTIC
+@given(values=rank_vectors())
+@example(values=RANK_EXAMPLES[0])
+@example(values=RANK_EXAMPLES[1])
+def test_average_ranks_match_the_tie_run_loop(values):
+    """The sort-and-search ranks are the loop's, bit for bit."""
+    np.testing.assert_array_equal(average_ranks(values).view(np.int64),
+                                  tie_run_ranks(values).view(np.int64))
 
 
 @settings(DETERMINISTIC, max_examples=300)

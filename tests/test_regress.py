@@ -396,8 +396,8 @@ class TestEnsemble:
                           Activation.SIGMOID, TrimPolicy.NONE)
 
     @pytest.mark.parametrize("activation, trim, message", [
-        ("sigmoid", TrimPolicy.NONE, "activation must be an Activation, got 'sigmoid'"),
-        (Activation.SIGMOID, "none", "trim_policy must be a TrimPolicy, got 'none'"),
+        ("sigmoid", TrimPolicy.NONE, 'activation must be an Activation, got "sigmoid"'),
+        (Activation.SIGMOID, "none", 'trim_policy must be a TrimPolicy, got "none"'),
         (TrimPolicy.NONE, TrimPolicy.NONE,
          "activation must be an Activation, got <TrimPolicy.NONE: 'none'>"),
     ], ids=["activation-string", "trim-string", "activation-of-another-enum"])
@@ -706,3 +706,32 @@ class TestLinearBaseline:
         model = lr_fit([[0.0], [1.0]], [0.0, 1.0])
         with pytest.raises(ValueError, match="columns"):
             lr_predict(model, [[1.0, 2.0]])
+
+
+_NO_ROWS, _NO_TARGETS = np.zeros((0, 2)), np.zeros((0, 1))
+
+
+def _softplus_overflow():
+    # 1e308 times member 0's weight sum for seed 4 (above 1.8) overflows
+    # the one hidden node's pre-activation upward, and softplus(inf) = inf
+    with np.errstate(over="ignore"):
+        elm_train(np.full((3, 3), 1e308), np.ones((3, 1)), 1, Activation.SOFTPLUS, 4)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: activation_value("sigmoid", 0.0), ValueError, "unknown activation 'sigmoid'"),
+    (lambda: elm_train(_NO_ROWS, _NO_TARGETS, 3, Activation.SIGMOID, 0), ValueError,
+     "inputs must have at least one training row"),
+    (lambda: ensemble_train(_NO_ROWS, _NO_TARGETS, 3, Activation.SIGMOID, member_count=2),
+     ValueError, "inputs must have at least one training row"),
+    (lambda: select_node_count(_NO_ROWS, _NO_TARGETS, Activation.SIGMOID, CvConfig()),
+     ValueError, "inputs must have at least one training row"),
+    (_softplus_overflow, RuntimeError, "hidden activations are not finite "
+     "(activation=softplus, node_count=1); input scaling is probably missing"),
+    (lambda: lr_fit(_NO_ROWS, []), ValueError, "lr_fit requires at least one training row"),
+], ids=["unknown-activation", "elm-train-no-rows", "ensemble-train-no-rows",
+        "select-node-count-no-rows", "softplus-overflow", "lr-fit-no-rows"])
+def test_bad_input_is_refused_by_its_own_check(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from outreg import Activation, ensemble_train, regress  # noqa: E402
-from outreg.seeding import STREAM_CV, STREAM_MEMBER, derive_rng, derive_seed  # noqa: E402
+from outreg.seeding import STREAM_CV, STREAM_MEMBER, derive_rng, derive_seed, shown  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
                          max_examples=100)
@@ -88,3 +88,18 @@ def test_bad_stream_seeds_rejected(bad, count):
     X = np.linspace(-1.0, 1.0, 10)[:, None]
     with pytest.raises(ValueError, match="seed"):
         ensemble_train(X, X, 3, Activation.SIGMOID, member_count=count, seed=bad)
+
+
+@pytest.mark.parametrize("value, text", [
+    (None, "null"), ("false", '"false"'), (True, "true"), (2.5, "2.5"),
+    (np.float64(2.5), "2.5"), ([1, "a", None], '[1, "a", null]'),
+    ({"k": [False]}, '{"k": [false]}'),
+    ((1, 2), "(1, 2)"), ({1: "a"}, "{1: 'a'}"), ({"a"}, "{'a'}"),
+    (float("nan"), "nan"), ([float("inf")], "[inf]"), (np.int64(3), repr(np.int64(3))),
+    (Activation.SIGMOID, "<Activation.SIGMOID: 'sigmoid'>"),
+], ids=["null", "string", "bool", "float", "numpy-float", "list", "object", "tuple",
+        "integer-keys", "set", "nan", "infinity", "numpy-integer", "enum"])
+def test_a_rejected_value_is_shown_as_json_when_it_is_json(value, text):
+    """JSON values read back as themselves; a value that JSON would not
+    give back unchanged, or cannot write, is shown as its repr."""
+    assert shown(value) == text
